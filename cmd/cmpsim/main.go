@@ -67,7 +67,6 @@ func main() {
 		timeline = flag.String("timeline", "", "export the interval timeline to PREFIX.jsonl and PREFIX.csv")
 		interval = flag.Uint64("interval", 0, "telemetry interval in aggregate instructions (0 = auto: 1/50 of the window when -timeline is set)")
 		check    = flag.String("check", "", "runtime self-checking: off, invariants or shadow (default: the CMPSIM_CHECK environment variable)")
-		shards   = flag.Int("shards", 0, "reference-generation worker goroutines (0 or 1 = inline; metrics are identical for any value)")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof  = flag.String("memprofile", "", "write a heap profile to this file after the run")
 		verbose  = flag.Bool("v", false, "print the full metric breakdown")
@@ -106,9 +105,6 @@ func main() {
 	if *l1depth < 0 || *l2depth < 0 {
 		log.Fatal("-l1depth and -l2depth must be >= 0")
 	}
-	if *shards < 0 {
-		log.Fatalf("-shards %d must be >= 0", *shards)
-	}
 	cdc, err := codec.ByName(*codecN)
 	if err != nil {
 		log.Fatalf("-codec: %v", err)
@@ -140,7 +136,6 @@ func main() {
 	cfg.RefSource = *source
 	cfg.Memory.LinkBytesPerCycle = *bwGBps / cfg.ClockGHz
 	cfg.TelemetryInterval = *interval
-	cfg.Shards = *shards
 	if *check != "" {
 		cfg.CheckLevel = checkLevel // explicit flag overrides CMPSIM_CHECK
 	}

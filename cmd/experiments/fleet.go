@@ -6,8 +6,8 @@
 //	experiments -worker http://host:8080
 //
 // Fleet runs are bit-identical to single-process runs: workers return
-// each point as the checksummed PointRecord the checkpoint and result
-// store already use, and encoding/json round-trips every float exactly.
+// each point as the checksummed PointRecord the result store already
+// uses, and encoding/json round-trips every float exactly.
 package main
 
 import (
@@ -35,7 +35,7 @@ import (
 // 2 invalid check level (before any lease), 3 killed by a fault rule,
 // 4 drained by SIGINT/SIGTERM (in-flight point finished and reported
 // first), 130 second signal.
-func runWorkerMode(mode, id, check, faults string, workers, shards, callRetries int, callBackoff time.Duration, progress bool) int {
+func runWorkerMode(mode, id, check, faults string, workers, callRetries int, callBackoff time.Duration, progress bool) int {
 	// The audit tier is the worker's own (satellite contract: CheckLevel
 	// is canonicalized out of the point key, so leases never carry it).
 	// Both the flag — validated by run() already — and the environment
@@ -102,7 +102,6 @@ func runWorkerMode(mode, id, check, faults string, workers, shards, callRetries 
 			// scheduling and audit knobs (none change the point's identity).
 			o.CheckLevel = check
 			o.Workers = workers
-			o.Shards = shards
 			return sched.Submit(bench, m, o).Wait()
 		},
 	}

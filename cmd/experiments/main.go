@@ -45,8 +45,8 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
-	// All work happens in run so deferred cleanup (CPU profile,
-	// checkpoint close) executes before the process exits.
+	// All work happens in run so deferred cleanup (CPU profile, store
+	// close) executes before the process exits.
 	os.Exit(run())
 }
 
@@ -56,7 +56,6 @@ func run() int {
 		quick      = flag.Bool("quick", false, "scaled-down runs (fast, noisier)")
 		seeds      = flag.Int("seeds", 0, "override seeds per data point")
 		workers    = flag.Int("workers", 0, "concurrent seed simulations (0 = one per CPU, 1 = serial)")
-		shards     = flag.Int("shards", 0, "reference-generation goroutines per run (0 or 1 = inline; results identical for any value)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		list       = flag.Bool("list", false, "list experiment names and exit")
@@ -64,7 +63,6 @@ func run() int {
 		timeline   = flag.String("timeline", "", "directory for per-point interval-timeline exports (JSONL + CSV)")
 		interval   = flag.Uint64("interval", 0, "telemetry interval in aggregate instructions (0 = auto: 1/50 of the window when -timeline is set)")
 		progress   = flag.Bool("progress", false, "log per-point scheduler progress (start/finish/cached) to stderr")
-		checkpoint = flag.String("checkpoint", "", "persist finished points to this JSONL file and resume from it")
 		pointTO    = flag.Duration("point-timeout", 0, "per-seed watchdog deadline; a stuck simulation fails its point (0 = none)")
 		retries    = flag.Int("retries", 0, "retry attempts for retryable point failures")
 		backoff    = flag.Duration("retry-backoff", 0, "first retry delay, doubled per attempt")
@@ -142,7 +140,7 @@ func run() int {
 			log.Print("-store belongs on the coordinator, not on workers")
 			return 2
 		}
-		return runWorkerMode(*workerMode, *workerID, *check, *faults, *workers, *shards, *wRetries, *wBackoff, *progress)
+		return runWorkerMode(*workerMode, *workerID, *check, *faults, *workers, *wRetries, *wBackoff, *progress)
 	}
 
 	o := core.DefaultOptions()
@@ -162,7 +160,6 @@ func run() int {
 		o.Seeds = *seeds
 	}
 	o.Workers = *workers
-	o.Shards = *shards
 	o.PointTimeout = *pointTO
 	o.MaxRetries = *retries
 	o.RetryBackoff = *backoff
@@ -279,17 +276,6 @@ func run() int {
 		sched.SetStateFaultHook(in.StateFault)
 		fmt.Fprintln(os.Stderr, "[faultinject active: results are intentionally degraded]")
 	}
-	if *checkpoint != "" {
-		cp, err := core.OpenCheckpoint(*checkpoint)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		defer cp.Close()
-		sched.SetCheckpoint(cp)
-		fmt.Fprintf(os.Stderr, "[checkpoint %s: %d points restored, %d corrupt records skipped]\n",
-			cp.Path(), cp.Loaded(), cp.Skipped())
-	}
 	var fstore *fleet.Store
 	if *storeDir != "" {
 		st, err := fleet.OpenStore(*storeDir, 0)
@@ -377,11 +363,11 @@ func run() int {
 		start := time.Now()
 		all[name]()
 		d := sched.Stats()
-		fmt.Fprintf(os.Stderr, "[%s done in %s: %d points simulated (%d runs), %d served from cache, %d from checkpoint, %d from store, %d failed]\n",
+		fmt.Fprintf(os.Stderr, "[%s done in %s: %d points simulated (%d runs), %d served from cache, %d from store, %d failed]\n",
 			name, time.Since(start).Round(time.Millisecond),
 			d.Unique-before.Unique, d.SeedRuns-before.SeedRuns,
-			d.Cached()-before.Cached(), d.Restored-before.Restored,
-			d.FromStore-before.FromStore, d.Failed-before.Failed)
+			d.Cached()-before.Cached(), d.FromStore-before.FromStore,
+			d.Failed-before.Failed)
 		fmt.Println()
 	}
 	if coord != nil {
@@ -397,9 +383,9 @@ func run() int {
 		printFleetStats(os.Stderr, coord.Stats())
 	}
 	total := sched.Stats()
-	fmt.Fprintf(os.Stderr, "[suite done in %s: %d unique points, %d cached requests, %d restored, %d from store, %d failed, %d workers]\n",
+	fmt.Fprintf(os.Stderr, "[suite done in %s: %d unique points, %d cached requests, %d from store, %d failed, %d workers]\n",
 		time.Since(suiteStart).Round(time.Millisecond),
-		total.Unique, total.Cached(), total.Restored, total.FromStore, total.Failed, sched.Workers())
+		total.Unique, total.Cached(), total.FromStore, total.Failed, sched.Workers())
 	if drained.Load() {
 		log.Print("sweep drained by signal; rerun with the same -store to resume")
 		return 4
@@ -439,7 +425,7 @@ func buildObserver(progress bool, timelineDir string) core.Observer {
 				fmt.Fprintf(os.Stderr, "[point %s/%s cached]\n",
 					ev.Benchmark, ev.Mechanisms.Label())
 			case core.PointRestored:
-				fmt.Fprintf(os.Stderr, "[point %s/%s restored from checkpoint]\n",
+				fmt.Fprintf(os.Stderr, "[point %s/%s restored from store]\n",
 					ev.Benchmark, ev.Mechanisms.Label())
 			}
 		}

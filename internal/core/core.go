@@ -76,10 +76,6 @@ type Options struct {
 	Cores   int
 	Seeds   int // independent runs per data point
 	Workers int // concurrent seed simulations; <= 0 = one per CPU
-	// Shards is the per-run reference-generation goroutine count
-	// (sim.Config.Shards). Scheduling-only: metrics are bit-identical
-	// for any value, so it is excluded from the point-cache key.
-	Shards int
 
 	// Robustness knobs (scheduling-only: they never change simulation
 	// results and are excluded from the point-cache key).
@@ -193,7 +189,6 @@ func (o Options) config(bench string, m Mechanisms, seed int64) sim.Config {
 	cfg.Memory.LinkBytesPerCycle = o.BandwidthGBps / cfg.ClockGHz
 	cfg.CollectMissProfile = o.CollectMissProfile
 	cfg.TelemetryInterval = o.TelemetryInterval
-	cfg.Shards = o.Shards
 	return cfg
 }
 

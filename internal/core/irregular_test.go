@@ -8,13 +8,13 @@ import (
 	"cmpsim/internal/workload"
 )
 
-// TestIrregularStudyDeterministicAcrossShards pins the irregular study's
-// reproducibility contract: the full (benchmark × prefetcher) grid over
-// the linked-data-structure suite is bit-identical whether reference
-// generation runs serially or on 4 shard goroutines. Each run uses an
-// isolated scheduler — the shared one would serve the second run from
-// its point cache and the comparison would prove nothing.
-func TestIrregularStudyDeterministicAcrossShards(t *testing.T) {
+// TestIrregularStudyDeterministicAcrossRepeats pins the irregular
+// study's reproducibility contract: the full (benchmark × prefetcher)
+// grid over the linked-data-structure suite is bit-identical across two
+// runs. Each run uses an isolated scheduler — the shared one would serve
+// the second run from its point cache and the comparison would prove
+// nothing.
+func TestIrregularStudyDeterministicAcrossRepeats(t *testing.T) {
 	benches := IrregularBenchmarks()
 	if want := workload.IrregularOrder(); !reflect.DeepEqual(benches, want) {
 		t.Fatalf("IrregularBenchmarks() = %v, want %v", benches, want)
@@ -25,22 +25,22 @@ func TestIrregularStudyDeterministicAcrossShards(t *testing.T) {
 	subset := []string{"ptrchase", "srvmix"}
 	o := tinyOptions()
 	o.Seeds = 1
-	run := func(shards int) []IrregularRow {
-		os := o
-		os.Shards = shards
-		return NewScheduler(2).IrregularStudy(subset, os)
+	run := func() []IrregularRow {
+		s := NewScheduler(2)
+		defer s.Close()
+		return s.IrregularStudy(subset, o)
 	}
-	serial := run(1)
-	if want := len(subset) * len(prefetch.Names()); len(serial) != want {
-		t.Fatalf("got %d rows, want %d", len(serial), want)
+	first := run()
+	if want := len(subset) * len(prefetch.Names()); len(first) != want {
+		t.Fatalf("got %d rows, want %d", len(first), want)
 	}
-	for _, r := range serial {
+	for _, r := range first {
 		if r.Failed != "" {
 			t.Fatalf("row %s/%s failed: %s", r.Benchmark, r.Prefetcher, r.Failed)
 		}
 	}
-	if sharded := run(4); !reflect.DeepEqual(sharded, serial) {
-		t.Fatalf("shards=4 rows differ from serial:\n got %+v\nwant %+v", sharded, serial)
+	if second := run(); !reflect.DeepEqual(second, first) {
+		t.Fatalf("repeat rows differ:\n got %+v\nwant %+v", second, first)
 	}
 }
 

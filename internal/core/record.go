@@ -1,11 +1,11 @@
 // Canonical point identity and the serialized point record. Exactly one
 // function — canonicalOpts — decides which Options fields are part of a
-// data point's identity; the in-process scheduler cache, the checkpoint
-// file and the cross-process result store (internal/store via
-// internal/fleet) all derive their keys from it, so the three can never
-// disagree on whether two requests name the same simulation. A
-// reflection drift guard in record_test.go forces every new Options
-// field to be classified as identity-bearing or scheduling-only.
+// data point's identity; the in-process scheduler cache and the
+// cross-process result store (internal/store via internal/fleet) both
+// derive their keys from it, so the two can never disagree on whether
+// two requests name the same simulation. A reflection drift guard in
+// record_test.go forces every new Options field to be classified as
+// identity-bearing or scheduling-only.
 package core
 
 import (
@@ -22,7 +22,7 @@ import (
 func CanonicalOptions(o Options) Options { return canonicalOpts(o) }
 
 // canonicalOpts normalizes scheduling-only and aliasing fields so that
-// equivalent requests share one cache entry: Workers, Shards and the
+// equivalent requests share one cache entry: Workers and the
 // robustness knobs (PointTimeout, MaxRetries, RetryBackoff) do not affect
 // simulation results, CheckLevel is a read-only audit tier, the
 // registries' default names ("stride", "fpc") select what "" already
@@ -32,7 +32,6 @@ func CanonicalOptions(o Options) Options { return canonicalOpts(o) }
 // an irregular benchmark.
 func canonicalOpts(o Options) Options {
 	o.Workers = 0
-	o.Shards = 0
 	o.PointTimeout = 0
 	o.MaxRetries = 0
 	o.RetryBackoff = 0
@@ -78,8 +77,8 @@ func PointKey(bench string, m Mechanisms, o Options) string {
 }
 
 // PointRecord is the canonical serialized form of one finished data
-// point: its full identity plus the Point itself. The checkpoint file,
-// the shared result store and the fleet protocol all carry this shape,
+// point: its full identity plus the Point itself. The shared result
+// store and the fleet protocol both carry this shape,
 // and every numeric field round-trips exactly through encoding/json
 // (shortest-form float encoding), which preserves the determinism
 // contract across process boundaries.

@@ -13,11 +13,10 @@ import (
 // canonicalized out of the point identity. The drift guard below forces
 // every NEW Options field to be classified: either it changes PointKey
 // (identity-bearing) or its name is added here (scheduling-only) — it
-// cannot be left ambiguous, because the scheduler cache, the checkpoint
-// and the shared result store all key on the same function.
+// cannot be left ambiguous, because the scheduler cache and the shared
+// result store both key on the same function.
 var schedulingOnlyFields = map[string]bool{
 	"Workers":      true,
-	"Shards":       true,
 	"PointTimeout": true,
 	"MaxRetries":   true,
 	"RetryBackoff": true,

@@ -13,8 +13,14 @@
 // optional watchdog deadline (Options.PointTimeout) and bounded
 // retry-with-backoff for retryable failures; a failed point resolves
 // its future with a *PointError instead of crashing the pool (see
-// faults.go). A Checkpoint (SetCheckpoint) persists finished points to
-// a checksummed JSONL file and restores them on resubmission, so an
+// faults.go).
+//
+// Durability contract: an attached PointStore (SetPointStore) is the
+// only durable record. A finished point is persisted, counted, announced
+// to the observer and only then published to its future — so every
+// result a caller has observed is already on disk, and a point whose
+// store write fails resolves as a failed point instead of vanishing.
+// Resubmitting a stored point restores it without simulating, so an
 // interrupted sweep resumes with only the missing points simulated.
 package core
 
@@ -43,8 +49,8 @@ const (
 	PointFinish
 	// PointCached: a Submit was served from the memoized point cache.
 	PointCached
-	// PointRestored: a Submit was served from the checkpoint file
-	// without simulating (checkpoint/resume).
+	// PointRestored: a Submit was served from the attached result store
+	// without simulating (resume).
 	PointRestored
 )
 
@@ -78,9 +84,11 @@ type PointEvent struct {
 
 // Observer receives progress events. Finish events fire from worker
 // goroutines, so an observer must be safe for concurrent use; it should
-// also return quickly, since it runs on the simulation workers. A
-// panicking observer cannot kill a worker: the scheduler recovers,
-// reports the first such panic to stderr, and keeps simulating.
+// also return quickly, since it runs on the simulation workers, and must
+// not Wait on the point it is told about: PointFinish fires before the
+// point's future resolves. A panicking observer cannot kill a worker:
+// the scheduler recovers, reports the first such panic to stderr, and
+// keeps simulating.
 type Observer func(PointEvent)
 
 // FaultHook is consulted before every seed simulation. It exists for
@@ -156,9 +164,8 @@ func (e *pointEntry) key() pointKey {
 }
 
 // runSeed executes one seed's simulation — with panic isolation, the
-// watchdog deadline and retry policy (faults.go) — and publishes the
-// point when it is the last seed to finish. Successful points are
-// appended to the scheduler's checkpoint, failed ones counted.
+// watchdog deadline and retry policy (faults.go) — and finishes the
+// point when it is the last seed to land.
 func (e *pointEntry) runSeed(s *Scheduler, seed int) {
 	met, err := e.simulateSeed(s, seed)
 	e.mu.Lock()
@@ -181,27 +188,39 @@ func (e *pointEntry) runSeed(s *Scheduler, seed int) {
 		p.Runtime = stats.Summarize(runtimes)
 		e.point = p
 	}
-	close(e.done)
+	e.finish(s)
+}
+
+// finish retires a point whose runs are all in, in the durability
+// contract's order: persist, count, notify, publish. A store write
+// failure turns the point into a failed one. Closing done is the last
+// step, so a caller returning from Wait sees the point stored, counted
+// in Stats and reported to the observer. Only the goroutine that
+// completed the point calls finish.
+func (e *pointEntry) finish(s *Scheduler) {
 	if e.err == nil {
-		s.checkpointAdd(e.key(), e.point)
-		s.storeAdd(e.key(), e.point)
-	} else {
+		if err := s.storeAdd(e.key(), e.point); err != nil {
+			e.err = e.newPointError(0, 1, fmt.Errorf("persist: %w", err))
+			e.point = Point{}
+		}
+	}
+	if e.err != nil {
 		s.noteFailed()
 	}
 	ev := PointEvent{
 		Kind: PointFinish, Benchmark: e.bench, Mechanisms: e.mech, Options: e.opts,
-		Seeds: len(e.runs), Wall: time.Since(e.started), Err: e.err,
+		Seeds: e.opts.Seeds, Wall: time.Since(e.started), Err: e.err,
 	}
 	if e.err == nil {
 		ev.Point = &e.point
 	}
 	s.safeNotify(e.notify, ev)
+	close(e.done)
 }
 
 // runRemote executes the whole point through the installed PointRunner
-// (the fleet lease adapter) and publishes the result exactly like the
-// last local seed job would: future resolved, checkpoint/store fed,
-// finish event fired. Runner panics are isolated into point errors so a
+// (the fleet lease adapter) and finishes it exactly like the last local
+// seed job would. Runner panics are isolated into point errors so a
 // broken transport cannot crash the process.
 func (e *pointEntry) runRemote(s *Scheduler, r PointRunner) {
 	p, err := func() (p Point, err error) {
@@ -220,30 +239,12 @@ func (e *pointEntry) runRemote(s *Scheduler, r PointRunner) {
 		if !errors.As(err, &pe) {
 			err = e.newPointError(0, 1, err)
 		}
-	}
-	e.mu.Lock()
-	if err != nil {
 		e.err = err
 	} else {
 		e.point = p
 		e.runs = p.Runs
 	}
-	e.mu.Unlock()
-	close(e.done)
-	if err == nil {
-		s.checkpointAdd(e.key(), e.point)
-		s.storeAdd(e.key(), e.point)
-	} else {
-		s.noteFailed()
-	}
-	ev := PointEvent{
-		Kind: PointFinish, Benchmark: e.bench, Mechanisms: e.mech, Options: e.opts,
-		Seeds: e.opts.Seeds, Wall: time.Since(e.started), Err: e.err,
-	}
-	if err == nil {
-		ev.Point = &e.point
-	}
-	s.safeNotify(e.notify, ev)
+	e.finish(s)
 }
 
 // PointFuture is a handle to a submitted (possibly cached) data point.
@@ -285,21 +286,17 @@ type Scheduler struct {
 	observer   Observer
 	faultHook  FaultHook
 	stateFault StateFaultHook
-	checkpoint *Checkpoint
 	store      PointStore
 	runner     PointRunner
 
 	requests  uint64
 	unique    uint64
 	seedRuns  uint64
-	restored  uint64
 	fromStore uint64
 	failed    uint64
 	retries   uint64
 
 	obsPanicOnce sync.Once // first observer panic reported to stderr
-	cpErrOnce    sync.Once // first checkpoint write error reported
-	stErrOnce    sync.Once // first result-store write error reported
 }
 
 // SetObserver installs (or, with nil, removes) the progress observer.
@@ -331,20 +328,13 @@ func (s *Scheduler) SetStateFaultHook(fn StateFaultHook) {
 	s.mu.Unlock()
 }
 
-// SetCheckpoint attaches a persistent point checkpoint: finished points
-// are appended to it, and submissions it already holds are restored
-// without simulating (PointRestored events). Attach before the study
-// drivers run. A nil checkpoint detaches.
-func (s *Scheduler) SetCheckpoint(cp *Checkpoint) {
-	s.mu.Lock()
-	s.checkpoint = cp
-	s.mu.Unlock()
-}
-
 // SetPointStore attaches a shared cross-process result store: finished
-// points are appended to it, and submissions it already holds are
-// restored without simulating (PointRestored events, counted in
-// FromStore). Attach before the study drivers run. A nil store detaches.
+// points are persisted to it before their futures resolve, and
+// submissions it already holds are restored without simulating
+// (PointRestored events, counted in FromStore). Attach before the study
+// drivers run and close it only after the last Wait: a point still in
+// flight when its store closes fails with a persist error. A nil store
+// detaches.
 func (s *Scheduler) SetPointStore(ps PointStore) {
 	s.mu.Lock()
 	s.store = ps
@@ -382,38 +372,17 @@ func (s *Scheduler) safeNotify(fn Observer, ev PointEvent) {
 	fn(ev)
 }
 
-// checkpointAdd appends a finished point to the attached checkpoint, if
-// any. Write failures must not fail the point (the result is still good
-// in memory), so they are reported to stderr once and otherwise dropped.
-func (s *Scheduler) checkpointAdd(k pointKey, p Point) {
-	s.mu.Lock()
-	cp := s.checkpoint
-	s.mu.Unlock()
-	if cp == nil {
-		return
-	}
-	if err := cp.add(k, p); err != nil {
-		s.cpErrOnce.Do(func() {
-			fmt.Fprintf(os.Stderr, "core: checkpoint write failed: %v\n", err)
-		})
-	}
-}
-
-// storeAdd appends a finished point to the attached result store, if
-// any. Like checkpoint writes, store write failures must not fail the
-// point: they are reported to stderr once and otherwise dropped.
-func (s *Scheduler) storeAdd(k pointKey, p Point) {
+// storeAdd persists a finished point to the attached result store, if
+// any. The caller fails the point on error: a result that could not be
+// made durable is never published as good.
+func (s *Scheduler) storeAdd(k pointKey, p Point) error {
 	s.mu.Lock()
 	ps := s.store
 	s.mu.Unlock()
 	if ps == nil {
-		return
+		return nil
 	}
-	if err := ps.Add(PointRecord{Benchmark: k.bench, Mechanisms: k.mech, Options: k.opts, Point: p}); err != nil {
-		s.stErrOnce.Do(func() {
-			fmt.Fprintf(os.Stderr, "core: result-store write failed: %v\n", err)
-		})
-	}
+	return ps.Add(PointRecord{Benchmark: k.bench, Mechanisms: k.mech, Options: k.opts, Point: p})
 }
 
 // storeRestore fills e from the attached result store, if the point is
@@ -511,7 +480,7 @@ func (s *Scheduler) worker() {
 // future is returned for collection via Wait. Invalid requests resolve
 // immediately with the same errors Run reports. Progress events fire
 // outside the scheduler lock: PointCached for cache hits, PointRestored
-// for points served from the attached checkpoint, PointStart for newly
+// for points served from the attached result store, PointStart for newly
 // queued points, PointFinish when the last seed lands (invalid
 // submissions fire PointFinish with the error directly).
 func (s *Scheduler) Submit(bench string, m Mechanisms, o Options) *PointFuture {
@@ -553,9 +522,6 @@ func (s *Scheduler) Submit(bench string, m Mechanisms, o Options) *PointFuture {
 		e.err = werr
 		s.failed++
 		close(e.done)
-	case s.checkpoint != nil && s.checkpoint.restore(key, e):
-		s.restored++
-		kind = PointRestored
 	case s.storeRestore(key, e):
 		s.fromStore++
 		kind = PointRestored
@@ -608,23 +574,21 @@ func (s *Scheduler) Close() {
 }
 
 // SchedulerStats counts cache effectiveness and pipeline health: how
-// much simulation the memoized point cache and the checkpoint avoided,
+// much simulation the memoized point cache and the result store avoided,
 // and how many points failed despite isolation and retries.
 type SchedulerStats struct {
 	Requests    uint64 // Submit calls
 	Unique      uint64 // distinct points actually simulated (locally or via the lease adapter)
 	SeedRuns    uint64 // individual seed-level sim.Run jobs executed locally
-	Restored    uint64 // points served from the checkpoint file
 	FromStore   uint64 // points served from the shared result store
 	Failed      uint64 // points that finished with an error
 	SeedRetries uint64 // retry attempts for retryable seed failures
 }
 
 // Cached returns how many requests were served from the in-process
-// cache (checkpoint and result-store restores are counted separately
-// in Restored and FromStore).
+// cache (result-store restores are counted separately in FromStore).
 func (st SchedulerStats) Cached() uint64 {
-	return st.Requests - st.Unique - st.Restored - st.FromStore
+	return st.Requests - st.Unique - st.FromStore
 }
 
 // Stats snapshots the scheduler's counters.
@@ -633,8 +597,7 @@ func (s *Scheduler) Stats() SchedulerStats {
 	defer s.mu.Unlock()
 	return SchedulerStats{
 		Requests: s.requests, Unique: s.unique, SeedRuns: s.seedRuns,
-		Restored: s.restored, FromStore: s.fromStore,
-		Failed: s.failed, SeedRetries: s.retries,
+		FromStore: s.fromStore, Failed: s.failed, SeedRetries: s.retries,
 	}
 }
 

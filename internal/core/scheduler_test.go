@@ -1,10 +1,16 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"cmpsim/internal/sim"
 )
 
 // TestSchedulerDeterminism is the scheduler's regression contract: the
@@ -201,5 +207,78 @@ func TestSchedulerTelemetryPlumbing(t *testing.T) {
 	b.Timeline = nil
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("telemetry perturbed the simulation:\n%+v\nvs\n%+v", a, b)
+	}
+}
+
+// fakeStore is a PointStore that records every Add and can be told to
+// refuse them.
+type fakeStore struct {
+	mu   sync.Mutex
+	adds int
+	err  error
+}
+
+func (f *fakeStore) Lookup(string, Mechanisms, Options) (Point, bool) { return Point{}, false }
+
+func (f *fakeStore) Add(PointRecord) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err != nil {
+		return f.err
+	}
+	f.adds++
+	return nil
+}
+
+// TestFinishOrderPersistCountNotifyPublish pins the durability contract
+// on both execution paths (local seed jobs and a PointRunner): by the
+// time Wait returns, the point is in the store (or, if the store refused
+// it, counted in Failed as a "persist:" PointError) and the observer has
+// already seen its PointFinish.
+func TestFinishOrderPersistCountNotifyPublish(t *testing.T) {
+	o := tinyOptions()
+	o.Seeds = 1
+	remote := func(bench string, m Mechanisms, o Options) (Point, error) {
+		return Point{Benchmark: bench, Mechanisms: m, Runs: make([]sim.Metrics, o.Seeds)}, nil
+	}
+	for _, path := range []string{"local", "remote"} {
+		for _, storeErr := range []error{nil, errors.New("disk full")} {
+			t.Run(fmt.Sprintf("%s/storeErr=%v", path, storeErr), func(t *testing.T) {
+				s := NewScheduler(2)
+				defer s.Close()
+				st := &fakeStore{err: storeErr}
+				s.SetPointStore(st)
+				if path == "remote" {
+					s.SetPointRunner(remote)
+				}
+				var finished atomic.Int32
+				s.SetObserver(func(ev PointEvent) {
+					if ev.Kind == PointFinish {
+						finished.Add(1)
+					}
+				})
+				_, err := s.Submit("zeus", Base, o).Wait()
+				if finished.Load() != 1 {
+					t.Fatalf("Wait returned before the PointFinish event (%d seen)", finished.Load())
+				}
+				st.mu.Lock()
+				adds := st.adds
+				st.mu.Unlock()
+				failed := s.Stats().Failed
+				if storeErr == nil {
+					if err != nil || adds != 1 || failed != 0 {
+						t.Fatalf("err %v, %d adds, %d failed; want nil, 1, 0", err, adds, failed)
+					}
+					return
+				}
+				var pe *PointError
+				if !errors.As(err, &pe) || pe.Reason != ReasonError || !strings.Contains(pe.Error(), "persist: disk full") {
+					t.Fatalf("store refusal surfaced as %v, want a persist PointError", err)
+				}
+				if failed != 1 {
+					t.Fatalf("Stats().Failed = %d after Wait, want 1", failed)
+				}
+			})
+		}
 	}
 }

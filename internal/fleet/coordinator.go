@@ -539,25 +539,32 @@ func decodeResult(m Message) (core.PointRecord, error) {
 	return rec, nil
 }
 
-// resolveLocked publishes an accepted result: waiters released, store
-// fed, completion journaled. The store record is written before the
-// journal's done event, so a journaled completion always implies a
-// stored record (a crash in between leaves store-only, which replay
-// resolves via its store scan). Callers hold mu.
+// resolveLocked retires an accepted result: store fed, completion
+// journaled, waiters released — in that order, so a waiter never sees a
+// result that is not yet durable, and a journaled completion always
+// implies a stored record (a crash in between leaves store-only, which
+// replay resolves via its store scan). A store write failure retires
+// the point through the non-journaled failLocked, so a rerun retries
+// it. Callers hold mu.
 func (c *Coordinator) resolveLocked(tp *trackedPoint, p core.Point, lease uint64) {
-	tp.state = stateDone
-	tp.point = p
-	tp.err = nil
-	close(tp.done)
-	c.logf("fleet: done: %s/%s", tp.bench, tp.mech.Label())
 	if c.cfg.Store != nil {
 		if err := c.cfg.Store.Add(core.NewPointRecord(tp.bench, tp.mech, tp.opts, p)); err != nil {
-			c.logf("fleet: store append failed: %v", err)
+			c.failLocked(tp, &core.PointError{
+				Benchmark: tp.bench, Mechanisms: tp.mech, Options: tp.opts,
+				Attempts: tp.requeues + 1, Reason: core.ReasonError,
+				Err: fmt.Errorf("persist: %w", err),
+			})
+			return
 		}
 	}
 	if err := c.cfg.Journal.append(jDone, doneEvent{Key: tp.key, Lease: lease}); err != nil {
 		c.logf("fleet: journal done: %v", err)
 	}
+	tp.state = stateDone
+	tp.point = p
+	tp.err = nil
+	close(tp.done)
+	c.logf("fleet: done: %s/%s", tp.bench, tp.mech.Label())
 }
 
 // failLocked retires a point permanently. Callers hold mu. It does NOT

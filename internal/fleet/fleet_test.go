@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -456,6 +457,96 @@ func TestSchedulerStoreNeverResimulates(t *testing.T) {
 	}
 	if stats := s2.Stats(); stats.FromStore != 1 || stats.Unique != 0 {
 		t.Fatalf("scheduler stats: %+v", stats)
+	}
+}
+
+// TestStudyStoreFoundAfterClose pins persist-before-publish end to end
+// on real simulations: a study's store is closed the moment its last
+// MustWait returns, with no scheduler barrier, and must still hold
+// every point. Resuming over that store, the full study reproduces a
+// fresh run's rows bit-identically while simulating only the points the
+// interrupted run never reached.
+func TestStudyStoreFoundAfterClose(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full study round trip")
+	}
+	o := simOpts()
+	benches := []string{"zeus", "mgrid"}
+	dir := t.TempDir()
+
+	fresh := func() []core.CompressionRow {
+		s := core.NewScheduler(2)
+		defer s.Close()
+		return s.CompressionStudy(benches, o)
+	}()
+
+	// Interrupted run: only zeus's points reach the store.
+	st1, err := OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := core.NewScheduler(2)
+	defer s1.Close()
+	s1.SetPointStore(st1)
+	s1.CompressionStudy(benches[:1], o)
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := s1.Stats()
+	if st.Failed != 0 {
+		t.Fatalf("interrupted run failed points: %+v", st)
+	}
+
+	st2, err := OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if st2.Loaded() != int(st.Unique) {
+		t.Fatalf("store loaded %d records after close, want all %d unique points", st2.Loaded(), st.Unique)
+	}
+	s2 := core.NewScheduler(2)
+	defer s2.Close()
+	s2.SetPointStore(st2)
+	resumed := s2.CompressionStudy(benches, o)
+	if !reflect.DeepEqual(resumed, fresh) {
+		t.Fatalf("resumed study differs from fresh run:\nfresh   %+v\nresumed %+v", fresh, resumed)
+	}
+	if rs := s2.Stats(); rs.FromStore != st.Unique || rs.Unique != st.Unique {
+		t.Fatalf("resume stats = %+v (want %d zeus points from store, %d mgrid points simulated)", rs, st.Unique, st.Unique)
+	}
+}
+
+// TestStoreRefusalFailsPointResumably: a result the coordinator cannot
+// persist must not be published as done. The point fails with a
+// "persist:" error, and because that failure is not journaled, a
+// restarted coordinator accepts the same result and stores it.
+func TestStoreRefusalFailsPointResumably(t *testing.T) {
+	dir := t.TempDir()
+	st1, j1 := openRecoveryPair(t, dir)
+	st1.Close() // a closed store refuses every Add
+	c1 := NewCoordinator(Config{Store: st1, Journal: j1})
+
+	ch := runAsync(c1, "zeus", core.Base, tinyOpts())
+	lease := awaitLease(t, c1, "w0")
+	c1.Handle(leaseResult(t, "w0", lease))
+	if r := await(t, ch); r.err == nil || !strings.Contains(r.err.Error(), "persist:") {
+		t.Fatalf("unpersisted result published: err %v", r.err)
+	}
+	crashCoordinator(c1, j1, nil)
+
+	st2, j2 := openRecoveryPair(t, dir)
+	defer st2.Close()
+	defer j2.Close()
+	c2 := NewCoordinator(Config{Store: st2, Journal: j2})
+	defer c2.Shutdown()
+	ch2 := runAsync(c2, "zeus", core.Base, tinyOpts())
+	c2.Handle(leaseResult(t, "w0", lease))
+	if r := await(t, ch2); r.err != nil {
+		t.Fatalf("restarted coordinator kept the persist failure: %v", r.err)
+	}
+	if st2.Len() != 1 {
+		t.Fatalf("store holds %d points after the retry, want 1", st2.Len())
 	}
 }
 

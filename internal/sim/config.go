@@ -123,15 +123,6 @@ type Config struct {
 	// "name@step" (e.g. "flip-sharer@5000"); see StateFaultNames. Test
 	// support: proves each auditor class fires. "" disables.
 	StateFault string
-
-	// Shards is the number of worker goroutines that pre-generate
-	// reference batches (capped at Cores; 0 or 1 = generate inline on
-	// the simulation goroutine). Sharding is scheduling-only: workers
-	// run ahead only on core-private generator state, bounded by the
-	// batch window, while the simulation goroutine consumes the streams
-	// in the same serial min-clock order — metrics are bit-identical
-	// for every shard count.
-	Shards int
 }
 
 // NewConfig returns the paper's baseline system (Table 1) for a
@@ -206,8 +197,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: AdaptivePrefetch requires Prefetching")
 	case !c.CheckLevel.Valid():
 		return fmt.Errorf("sim: invalid CheckLevel %d", c.CheckLevel)
-	case c.Shards < 0:
-		return fmt.Errorf("sim: Shards must be non-negative")
 	}
 	// Kind names are validated against their registries, so new codecs,
 	// prefetchers and reference sources cannot drift out of validation.

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"sync"
-
 	"cmpsim/internal/cpu"
 	"cmpsim/internal/prefetch"
 	"cmpsim/internal/timing"
@@ -10,8 +8,8 @@ import (
 )
 
 // refBatch is the per-core generation window: references are produced
-// in blocks of this size, so a generator runs at most refBatch*2
-// references ahead of its core (current buffer plus one in flight).
+// in blocks of this size, so a generator runs at most refBatch
+// references ahead of its core.
 const refBatch = 256
 
 // frontEnd is the per-core issue stage: the bounded run-ahead cores,
@@ -30,12 +28,10 @@ type frontEnd struct {
 
 	// Batched issue state: each core consumes references from batch[c]
 	// (filled refBatch at a time) instead of calling Generator.Next per
-	// step. pool is non-nil when Config.Shards > 1: refills then run on
-	// shard worker goroutines, double-buffered per core.
+	// step.
 	batch [][]workload.Ref
 	pos   []int
 	n     []int
-	pool  *shardPool
 }
 
 // newFrontEnd builds the per-core stage; the workload's BaseCPI
@@ -79,14 +75,6 @@ func newFrontEnd(cfg Config, prof workload.Profile) *frontEnd {
 	for c := range fe.batch {
 		fe.batch[c] = make([]workload.Ref, refBatch)
 	}
-	if cfg.Shards > 1 {
-		fe.pool = newShardPool(fe.gens, cfg.Shards)
-		// Prime each core's pipeline with a spare buffer so the first
-		// refill already has a filled batch waiting.
-		for c := range fe.batch {
-			fe.pool.request(c, make([]workload.Ref, refBatch))
-		}
-	}
 	return fe
 }
 
@@ -102,96 +90,10 @@ func (fe *frontEnd) nextRef(c int) *workload.Ref {
 	return r
 }
 
-// refill replenishes core c's batch: inline in serial mode, or by
-// swapping the exhausted buffer for the pool's pre-filled one. Either
-// way the references come off the same generator in the same order, so
-// the consumed stream — and every metric — is bit-identical.
+// refill replenishes core c's batch from its generator.
 func (fe *frontEnd) refill(c int) {
-	if fe.pool == nil {
-		fe.n[c] = fe.gens[c].NextN(fe.batch[c])
-		fe.pos[c] = 0
-		return
-	}
-	fe.pool.request(c, fe.batch[c])
-	fe.batch[c] = <-fe.pool.full[c]
-	fe.n[c] = len(fe.batch[c])
+	fe.n[c] = fe.gens[c].NextN(fe.batch[c])
 	fe.pos[c] = 0
-}
-
-// stopShards shuts the shard workers down (no-op in serial mode). After
-// it returns the generators are quiescent and owned by the caller again.
-func (fe *frontEnd) stopShards() {
-	if fe.pool != nil {
-		fe.pool.stop()
-		fe.pool = nil
-	}
-}
-
-// genReq asks a shard worker to refill buf from core's generator.
-type genReq struct {
-	core int
-	buf  []workload.Ref
-}
-
-// shardPool runs reference generation on worker goroutines while
-// keeping the simulation bit-exact for any shard count: each core's
-// generator is owned by exactly one worker (core % shards), a worker
-// fills whole refBatch windows strictly in the order the consumer
-// exhausts them, and the orchestrator still interleaves the consumed
-// streams in serial min-clock order. Workers therefore only run ahead
-// on core-private state; nothing that touches shared simulator state
-// ever leaves the orchestrating goroutine.
-//
-// The pipeline keeps exactly one buffer per core in flight (queued,
-// being filled, or parked filled in full[c]) while the consumer drains
-// the other — so the consumer blocks on full[c] only after queueing
-// that core's refill, workers block only on their request channel, and
-// no cycle of waits can form.
-type shardPool struct {
-	req  []chan genReq            // one per worker; worker w owns cores c with c%len(req)==w
-	full []chan []workload.Ref    // one per core, capacity 1
-	wg   sync.WaitGroup
-}
-
-func newShardPool(gens []workload.RefSource, shards int) *shardPool {
-	n := len(gens)
-	if shards > n {
-		shards = n
-	}
-	p := &shardPool{
-		req:  make([]chan genReq, shards),
-		full: make([]chan []workload.Ref, n),
-	}
-	for c := range p.full {
-		p.full[c] = make(chan []workload.Ref, 1)
-	}
-	perWorker := (n + shards - 1) / shards
-	for w := range p.req {
-		p.req[w] = make(chan genReq, perWorker+1)
-		p.wg.Add(1)
-		go func(reqs <-chan genReq) {
-			defer p.wg.Done()
-			for r := range reqs {
-				buf := r.buf[:cap(r.buf)]
-				buf = buf[:gens[r.core].NextN(buf)]
-				p.full[r.core] <- buf
-			}
-		}(p.req[w])
-	}
-	return p
-}
-
-// request queues buf to be refilled from core c's generator.
-func (p *shardPool) request(c int, buf []workload.Ref) {
-	p.req[c%len(p.req)] <- genReq{core: c, buf: buf}
-}
-
-// stop closes the request channels and waits for the workers to exit.
-func (p *shardPool) stop() {
-	for _, ch := range p.req {
-		close(ch)
-	}
-	p.wg.Wait()
 }
 
 // count returns the number of cores.
@@ -203,7 +105,7 @@ func (fe *frontEnd) count() int { return len(fe.cores) }
 // Same-clock ties (exact in the integer tick domain) resolve to the
 // lowest core index. Progress is measured by consumed instructions
 // (cpu.Core.Instrs), not generated ones: with batching the generators
-// run ahead of the cores by up to two refBatch windows.
+// run ahead of the cores by up to one refBatch window.
 func (fe *frontEnd) nextCore(targets []uint64) int {
 	c := -1
 	for i := range fe.cores {

@@ -1,43 +1,10 @@
 package sim
 
 import (
-	"fmt"
-	"reflect"
-	"runtime"
 	"testing"
 
 	"cmpsim/internal/audit"
 )
-
-// TestShardDeterminismMatrix pins the sharding contract: reference
-// generation on 1, 2, 4 or NumCPU worker goroutines produces Metrics
-// bit-identical to the serial path, because shard workers only run
-// ahead on core-private generator state while the simulation goroutine
-// consumes the streams in the same min-clock order (DESIGN.md,
-// "Deterministic sharding").
-func TestShardDeterminismMatrix(t *testing.T) {
-	// zeus covers the strided Generator; ptrchase covers the irregular
-	// RefSource seam (core-private walk state on shard workers).
-	for _, bench := range []string{"zeus", "ptrchase"} {
-		bench := bench
-		t.Run(bench, func(t *testing.T) {
-			cfg := smallConfig(bench).WithMechanisms(true, true, true, true)
-			base := run(t, cfg)
-			shards := []int{1, 2, 4, runtime.NumCPU()}
-			for _, sh := range shards {
-				sh := sh
-				t.Run(fmt.Sprintf("shards=%d", sh), func(t *testing.T) {
-					c := cfg
-					c.Shards = sh
-					m := run(t, c)
-					if !reflect.DeepEqual(m, base) {
-						t.Fatalf("shards=%d metrics differ from serial:\n got %+v\nwant %+v", sh, m, base)
-					}
-				})
-			}
-		})
-	}
-}
 
 // TestStepAllocFree is the allocation regression gate for the issue
 // loop: a warmed system must retire references — both the L1-hit fast
@@ -77,10 +44,8 @@ func TestStepAllocFree(t *testing.T) {
 }
 
 // BenchmarkSystemRun measures a whole simulation — construction,
-// warmup, measurement, drain — end to end, the number the CI bench
-// smoke gates on (tools/benchguard). Sub-benchmarks vary the
-// generation shard count; ns/event divides wall time by retired
-// references.
+// warmup, measurement, drain — end to end; ns/event divides wall time
+// by retired references.
 func BenchmarkSystemRun(b *testing.B) {
 	bench := func(name string, cfg Config) {
 		b.Run(name, func(b *testing.B) {
@@ -97,11 +62,7 @@ func BenchmarkSystemRun(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 		})
 	}
-	for _, sh := range []int{1, 2, 4} {
-		cfg := smallConfig("zeus").WithMechanisms(true, true, true, true)
-		cfg.Shards = sh
-		bench(fmt.Sprintf("shards=%d", sh), cfg)
-	}
+	bench("zeus", smallConfig("zeus").WithMechanisms(true, true, true, true))
 	// The irregular frontier: pointer chasing under the markov
 	// prefetcher (data-dependent addresses, correlation-table lookups
 	// on the miss path).

@@ -141,13 +141,12 @@ func Run(cfg Config) (m Metrics, err error) {
 // telemetry timebase).
 func (s *System) maxCoreNow() timing.Tick { return s.fe.maxNow() }
 
-// Close stops the shard workers (no-op when Config.Shards <= 1). Run
-// calls it automatically; only callers driving phase/step directly on a
-// sharded System need to call it themselves.
-func (s *System) Close() { s.fe.stopShards() }
+// Close releases the System. It is a no-op — a System holds no
+// goroutines or handles — kept so callers can release a System they
+// drove through phase/step without knowing its internals.
+func (s *System) Close() {}
 
 func (s *System) run() Metrics {
-	defer s.fe.stopShards()
 	s.phase(s.cfg.WarmupInstr)
 	s.auditSweep() // warmup boundary
 	start := s.rawTotals()

@@ -1,11 +1,9 @@
 // Package store implements the content-addressed result store shared
 // across sweep processes: a directory of sharded, checksummed JSONL
-// files mapping canonical string keys to opaque JSON values. It is the
-// cross-process generalization of internal/core's single-file
-// checkpoint — same record discipline (CRC-32 per record, fsync'd
-// appends, truncated-tail healing, corrupt records skipped and never
-// trusted), but sharded so a coordinator and any number of readers can
-// share one directory.
+// files mapping canonical string keys to opaque JSON values. Every
+// record is CRC-32 checksummed and fsync'd on append; truncated tails
+// are healed and corrupt records skipped, never trusted. Shard files let
+// a coordinator and any number of readers share one directory.
 //
 // Record format (one JSON object per line of shard-NNN.jsonl):
 //
@@ -117,6 +115,7 @@ type Store struct {
 	dir      string
 	shards   int
 	readOnly bool
+	closed   bool             // writer mode: Close called, Put refused
 	files    map[int]*os.File // writer mode: open append handles per shard
 	mem      map[string]json.RawMessage
 	loaded   int
@@ -297,7 +296,8 @@ func (s *Store) Dir() string { return s.dir }
 // Put appends one record to the key's shard and syncs it, so a kill at
 // any moment loses at most the record being written. A key already in
 // this process's view is a no-op (first write wins; values are expected
-// to be deterministic functions of the key). Read-only stores refuse.
+// to be deterministic functions of the key). Read-only and closed
+// stores refuse.
 func (s *Store) Put(key string, value []byte) error {
 	if s.readOnly {
 		return fmt.Errorf("store: Put on read-only store %s", s.dir)
@@ -308,6 +308,9 @@ func (s *Store) Put(key string, value []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return fmt.Errorf("store: Put on closed store %s", s.dir)
+	}
 	if _, ok := s.mem[key]; ok {
 		return nil
 	}
@@ -347,11 +350,11 @@ func (s *Store) Reload() error {
 }
 
 // Close releases the writer's append handles. The in-memory view stays
-// usable for Get; Put after Close reopens handles, so Close is only a
-// resource courtesy, not a seal.
+// usable for Get; Put after Close fails.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.closed = true
 	var first error
 	for sh, f := range s.files {
 		if err := f.Close(); err != nil && first == nil {

@@ -89,6 +89,37 @@ func TestReadOnlyRefusesPut(t *testing.T) {
 	}
 }
 
+// TestClosedStoreRefusesPut: Close seals a writer. A later Put must
+// fail rather than silently reopen a shard, and must leave nothing on
+// disk; the in-memory view stays readable.
+func TestClosedStoreRefusesPut(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("a", val("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("b", val("b")); err == nil {
+		t.Fatal("Put on a closed store succeeded")
+	}
+	if _, ok := s.Get("a"); !ok {
+		t.Fatal("closed store lost its in-memory view")
+	}
+	r, err := Open(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Loaded() != 1 {
+		t.Fatalf("reopen loaded %d records, want 1 (the refused Put reached disk)", r.Loaded())
+	}
+}
+
 // TestDisjointShardWriters exercises the store's cross-process
 // concurrency contract in miniature: two independent Store handles on
 // the same directory (separate fds, like two processes) append
@@ -179,8 +210,8 @@ func TestDisjointShardWriters(t *testing.T) {
 	}
 }
 
-// TestCorruptionMatrix mirrors the checkpoint corruption tests: every
-// way a record can be damaged must be skipped (never trusted) while
+// TestCorruptionMatrix: every way a record can be damaged must be
+// skipped (never trusted) while
 // intact neighbours still load, and a truncated tail must be healed so
 // the writer's next append starts cleanly.
 func TestCorruptionMatrix(t *testing.T) {

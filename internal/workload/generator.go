@@ -207,8 +207,7 @@ func (g *Generator) finishRef(r *Ref) {
 
 // NextN fills refs with the next len(refs) references in program order
 // and returns len(refs); the synthetic stream never ends. Batch
-// generation amortizes per-reference call overhead and lets the issue
-// loop hand whole windows to a shard worker (sim.Config.Shards).
+// generation amortizes per-reference call overhead.
 func (g *Generator) NextN(refs []Ref) int {
 	for i := range refs {
 		g.Next(&refs[i])

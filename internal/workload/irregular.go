@@ -12,8 +12,8 @@ import (
 // store/blocking assignment — so per-reference cost, the trace format
 // and the profile's MemPer1000 calibration stay uniform across kinds;
 // only the data-address function differs. Each source is deterministic
-// in (Profile, core, seed) and holds only core-private state, keeping
-// it eligible for sharded generation (DESIGN.md §6i).
+// in (Profile, core, seed) and holds only core-private state (DESIGN.md
+// §6i).
 
 // chaseHeads is the number of distinct list heads a pointer chase
 // re-heads at. A small head set makes traversals revisit the same
@@ -350,7 +350,7 @@ func newBTreeSource(p Profile, core int, seed int64) RefSource {
 // scans at heavy load (the gap scale shortens, raising the data-ref
 // rate), and pointer-walk maintenance at light load. The phase is a
 // function of the core-private instruction count, so the mix stays
-// deterministic under sharded generation.
+// deterministic in (Profile, core, seed).
 type serviceMixSource struct {
 	irrGen
 	phaseInstr uint64

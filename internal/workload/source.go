@@ -6,9 +6,7 @@ import "fmt"
 // the simulator's front end: batched generation plus the counters the
 // trace tooling reads. Implementations must be deterministic in
 // (Profile, core, seed), hold only core-private mutable state, and
-// never end — those properties are what make a source eligible for
-// sharded generation (sim.Config.Shards hands each core's source to a
-// worker goroutine; see DESIGN.md §6i).
+// never end (see DESIGN.md §6i).
 type RefSource interface {
 	// NextN fills refs with the next len(refs) references in program
 	// order and returns len(refs).

@@ -17,16 +17,24 @@
 //
 // followed (always) by per-(codec, profile) rows; -csv writes the same
 // rows as CSV with header codec,profile,ratio,compress_gibps,
-// decompress_gibps.
+// decompress_gibps. Every encoded line is decoded again after timing
+// and compared with its input; a mismatch exits 1.
+//
+// A last table counts FPC word patterns per corpus (zero-run words
+// individually), naming the eight patterns zero-run, se4, se8, se16,
+// zero-pad16, two-se8, rep-byte and uncompressed — which word shapes
+// make a file compressible.
 //
 // External files are chunked into 64-byte lines; a short tail line is
-// zero-padded, matching cmd/fpc.
+// zero-padded.
 package main
 
 import (
+	"bytes"
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -87,13 +95,19 @@ func main() {
 	var rows []row
 	for _, cdc := range codec.All() {
 		for _, cp := range corpora {
-			rows = append(rows, bench(cdc, cp))
+			r, err := bench(cdc, cp)
+			if err != nil {
+				log.Fatal(err)
+			}
+			rows = append(rows, r)
 		}
 	}
 
-	printAvailability(rows)
+	printAvailability(os.Stdout, rows)
 	fmt.Println()
-	printRows(rows)
+	printRows(os.Stdout, rows)
+	fmt.Println()
+	printPatterns(os.Stdout, corpora)
 	if *csvOut != "" {
 		if err := writeCSV(*csvOut, rows); err != nil {
 			log.Fatal(err)
@@ -106,7 +120,7 @@ func main() {
 // every codec compresses the identical byte stream — the bakeoff
 // varies the codec, not the corpus.
 func syntheticCorpus(name string, n int, seed int64) corpus {
-	d := workload.NewDataModel(workload.MustByName(name), seed)
+	d := workload.NewDataModelCodec(workload.MustByName(name), seed, codec.Default())
 	cp := corpus{name: name, lines: make([][]byte, n)}
 	for i := range cp.lines {
 		cp.lines[i] = make([]byte, codec.LineSize)
@@ -135,7 +149,8 @@ func fileCorpus(path string) (corpus, error) {
 
 // bench measures one codec over one corpus: compressed ratio plus
 // encode and strict-decode throughput in GiB/s of uncompressed data.
-func bench(cdc codec.Codec, cp corpus) row {
+// It fails if any line does not decode back to exactly itself.
+func bench(cdc codec.Codec, cp corpus) (row, error) {
 	// Encode pass (timed): also captures the streams for the decode
 	// pass. Buffers are pre-sized so the timed region measures the
 	// codec, not the allocator.
@@ -154,15 +169,27 @@ func bench(cdc codec.Codec, cp corpus) row {
 		totalSegs += s
 	}
 
-	// Decode pass (timed), verifying round-trips as it goes.
+	// Decode pass (timed).
 	dst := make([]byte, codec.LineSize)
 	start = time.Now()
 	for i, enc := range encs {
 		if err := cdc.DecodeInto(dst, enc, segs[i]); err != nil {
-			log.Fatalf("%s/%s line %d: decode: %v", cdc.Name(), cp.name, i, err)
+			return row{}, fmt.Errorf("%s/%s line %d: decode: %w", cdc.Name(), cp.name, i, err)
 		}
 	}
 	decElapsed := time.Since(start)
+
+	// Round-trip pass (untimed, so the throughput columns stay
+	// comparable): every line must decode to exactly its input.
+	for i, enc := range encs {
+		if err := cdc.DecodeInto(dst, enc, segs[i]); err != nil {
+			return row{}, fmt.Errorf("%s/%s line %d: decode: %w", cdc.Name(), cp.name, i, err)
+		}
+		if !bytes.Equal(dst, cp.lines[i]) {
+			return row{}, fmt.Errorf("%s/%s line %d: decodes to %x, want %x",
+				cdc.Name(), cp.name, i, dst, cp.lines[i])
+		}
+	}
 
 	inBytes := float64(len(cp.lines) * codec.LineSize)
 	const gib = 1 << 30
@@ -172,12 +199,12 @@ func bench(cdc codec.Codec, cp corpus) row {
 		ratio:       inBytes / float64(totalSegs*codec.SegmentSize),
 		compGiBps:   inBytes / gib / encElapsed.Seconds(),
 		decompGiBps: inBytes / gib / decElapsed.Seconds(),
-	}
+	}, nil
 }
 
 // printAvailability prints the compbench-style summary table: every
 // registered codec with its mean throughput across the corpora.
-func printAvailability(rows []row) {
+func printAvailability(w io.Writer, rows []row) {
 	type agg struct {
 		comp, decomp float64
 		n            int
@@ -193,25 +220,49 @@ func printAvailability(rows []row) {
 		a.decomp += r.decompGiBps
 		a.n++
 	}
-	fmt.Printf("%-6s %-6s %-10s %s\n", "codec", "avail", "compress", "decompress")
+	fmt.Fprintf(w, "%-6s %-6s %-10s %s\n", "codec", "avail", "compress", "decompress")
 	for _, cdc := range codec.All() {
 		a := sums[cdc.Name()]
 		if a == nil || a.n == 0 {
-			fmt.Printf("%-6s %-6s\n", cdc.Name(), "no")
+			fmt.Fprintf(w, "%-6s %-6s\n", cdc.Name(), "no")
 			continue
 		}
-		fmt.Printf("%-6s %-6s %-10s %s\n", cdc.Name(), "yes",
+		fmt.Fprintf(w, "%-6s %-6s %-10s %s\n", cdc.Name(), "yes",
 			fmt.Sprintf("%.2fGiB/s", a.comp/float64(a.n)),
 			fmt.Sprintf("%.2fGiB/s", a.decomp/float64(a.n)))
 	}
 }
 
 // printRows prints the per-(codec, corpus) detail.
-func printRows(rows []row) {
-	fmt.Printf("%-6s %-10s %8s %12s %12s\n", "codec", "corpus", "ratio", "compress", "decompress")
+func printRows(w io.Writer, rows []row) {
+	fmt.Fprintf(w, "%-6s %-10s %8s %12s %12s\n", "codec", "corpus", "ratio", "compress", "decompress")
 	for _, r := range rows {
-		fmt.Printf("%-6s %-10s %7.2fx %9.2fGiB/s %9.2fGiB/s\n",
+		fmt.Fprintf(w, "%-6s %-10s %7.2fx %9.2fGiB/s %9.2fGiB/s\n",
 			r.codec, r.corpus, r.ratio, r.compGiBps, r.decompGiBps)
+	}
+}
+
+// printPatterns prints FPC's word-pattern counts per corpus: one row
+// per corpus, one column per pattern.
+func printPatterns(w io.Writer, corpora []corpus) {
+	var fpc codec.FPC
+	fmt.Fprintf(w, "%-10s", "corpus")
+	for p := codec.FPCPattern(0); p < 8; p++ {
+		fmt.Fprintf(w, " %12s", p)
+	}
+	fmt.Fprintln(w)
+	for _, cp := range corpora {
+		var counts [8]int
+		for _, line := range cp.lines {
+			for p, n := range fpc.PatternHistogram(line) {
+				counts[p] += n
+			}
+		}
+		fmt.Fprintf(w, "%-10s", cp.name)
+		for _, n := range counts {
+			fmt.Fprintf(w, " %12d", n)
+		}
+		fmt.Fprintln(w)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"fmt"
 
 	"cmpsim/internal/cache"
-	"cmpsim/internal/fpc"
+	"cmpsim/internal/codec"
 	"cmpsim/internal/workload"
 )
 
@@ -18,10 +18,11 @@ func main() {
 	fmt.Println("FPC on the synthetic benchmark data (1024 sampled lines each)")
 	fmt.Println()
 	fmt.Printf("%-8s %-6s  %-8s %-42s %s\n", "bench", "class", "ratio", "segment histogram 1..8", "top patterns")
+	var fpc codec.FPC
 	for _, name := range workload.PaperOrder() {
 		p := workload.MustByName(name)
-		d := workload.NewDataModel(p, 1)
-		var sizeHist [fpc.MaxSegments + 1]int
+		d := workload.NewDataModelCodec(p, 1, fpc)
+		var sizeHist [codec.MaxSegments + 1]int
 		var pats [8]int
 		for i := 0; i < 1024; i++ {
 			line := d.Line(cache.BlockAddr(0x70000000 + i))
@@ -32,13 +33,13 @@ func main() {
 			}
 		}
 		hist := ""
-		for s := 1; s <= fpc.MaxSegments; s++ {
+		for s := 1; s <= codec.MaxSegments; s++ {
 			hist += fmt.Sprintf("%5d", sizeHist[s])
 		}
 		best, second := topTwo(pats[:])
 		fmt.Printf("%-8s %-6s  %-8.2f %s  %s, %s\n",
 			name, short(p.Class), d.PackedRatio(2048), hist,
-			fpc.Pattern(best), fpc.Pattern(second))
+			codec.FPCPattern(best), codec.FPCPattern(second))
 	}
 	fmt.Println()
 	fmt.Println("Commercial data (pointers, counters, zeros) compresses well;")

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"cmpsim/internal/cache"
-	"cmpsim/internal/fpc"
+	"cmpsim/internal/codec"
 	"cmpsim/internal/timing"
 )
 
@@ -139,7 +139,7 @@ func (p *patternSource) set(a cache.BlockAddr, fill func(i int) byte) uint8 {
 		p.lines = map[cache.BlockAddr][cache.LineBytes]byte{}
 	}
 	p.lines[a] = ln
-	return uint8(fpc.CompressedSizeSegments(ln[:]))
+	return uint8(codec.FPC{}.CompressedSizeSegments(ln[:]))
 }
 
 func TestShadowValueModel(t *testing.T) {

@@ -34,7 +34,7 @@ const MaxSegs = LineBytes / SegmentBytes
 // effective line count. sim.NewConfig instantiates the compressed L2
 // with these, and workload.PackedRatio packs its calibration samples
 // against the same two bounds — deriving both from one place keeps a
-// geometry change from silently skewing CalibrateKnob targets.
+// geometry change from silently skewing CalibrateKnobCodec targets.
 const (
 	DefaultLinesPerSet = 4
 	DefaultTagsPerSet  = 2 * DefaultLinesPerSet

@@ -61,9 +61,16 @@ func (m bdiMode) geom() (base, delta int) {
 	}
 }
 
-// encodedBytes is the exact payload size of a delta mode (header + mask
-// + base + deltas) before segment padding.
+// encodedBytes is the exact payload size of mode m before segment
+// padding: the header, plus the repeated value, or plus mask, base and
+// deltas.
 func (m bdiMode) encodedBytes() int {
+	switch m {
+	case bdiZero:
+		return 1
+	case bdiRep8:
+		return 1 + 8
+	}
 	base, delta := m.geom()
 	elems := LineSize / base
 	return 1 + elems/8 + base + elems*delta
@@ -162,10 +169,10 @@ func rep8Value(line []byte) (uint64, bool) {
 // plan picks the canonical (cheapest) encoding for line.
 func (BDI) plan(line []byte) (bdiMode, bdiPlan, int) {
 	if isZeroLine(line) {
-		return bdiZero, bdiPlan{ok: true}, 1
+		return bdiZero, bdiPlan{ok: true}, bdiZero.encodedBytes()
 	}
 	if _, ok := rep8Value(line); ok {
-		return bdiRep8, bdiPlan{ok: true}, 1 + 8
+		return bdiRep8, bdiPlan{ok: true}, bdiRep8.encodedBytes()
 	}
 	bestMode, bestPlan, bestBytes := bdiMode(0), bdiPlan{}, LineSize
 	for _, m := range deltaModes {
@@ -223,58 +230,37 @@ func (c BDI) AppendEncode(dst, line []byte) ([]byte, int) {
 			}
 		}
 	}
-	for len(dst)-start < segs*SegmentSize {
-		dst = append(dst, 0)
-	}
-	return dst, segs
+	return padSegments(dst, start, segs), segs
 }
 
 // DecodeInto strictly decodes a BDI stream: the mode must be valid, the
 // reconstructed line must re-plan to exactly the claimed mode and
 // segment count, and the segment padding must be zero.
 func (c BDI) DecodeInto(dst, enc []byte, segs int) error {
-	if err := checkLineDst("bdi", dst, segs); err != nil {
+	if raw, err := beginDecode(c, dst, enc, segs); raw || err != nil {
 		return err
 	}
 	dst = dst[:LineSize]
-	if segs == MaxSegments {
-		if len(enc) < LineSize {
-			return fmt.Errorf("bdi: raw stream holds %d bytes, need %d", len(enc), LineSize)
-		}
-		copy(dst, enc)
-		if got := c.CompressedSizeSegments(dst); got != MaxSegments {
-			return fmt.Errorf("bdi: raw-stored line compresses to %d segments, not %d", got, MaxSegments)
-		}
-		return nil
-	}
-	if len(enc) < segs*SegmentSize {
-		return fmt.Errorf("bdi: stream holds %d bytes, claimed %d segments need %d",
-			len(enc), segs, segs*SegmentSize)
-	}
 	m := bdiMode(enc[0])
 	if m >= bdiModes {
 		return fmt.Errorf("bdi: invalid mode byte %#02x", enc[0])
 	}
-	consumed := 1
+	consumed := m.encodedBytes()
+	if consumed > segs*SegmentSize {
+		return fmt.Errorf("bdi: mode %d needs %d bytes, claimed %d segments hold %d",
+			m, consumed, segs, segs*SegmentSize)
+	}
 	switch m {
 	case bdiZero:
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 	case bdiRep8:
 		v := binary.LittleEndian.Uint64(enc[1:9])
 		for i := 0; i < LineSize; i += 8 {
 			binary.LittleEndian.PutUint64(dst[i:], v)
 		}
-		consumed += 8
 	default:
 		base, delta := m.geom()
 		elems := LineSize / base
-		n := m.encodedBytes()
-		if n > segs*SegmentSize {
-			return fmt.Errorf("bdi: mode %d needs %d bytes, claimed %d segments hold %d",
-				m, n, segs, segs*SegmentSize)
-		}
 		mask := readLE(enc[1:], elems/8)
 		b := readLE(enc[1+elems/8:], base)
 		off := 1 + elems/8 + base
@@ -285,7 +271,6 @@ func (c BDI) DecodeInto(dst, enc []byte, segs int) error {
 			}
 			putLE(dst[i*base:], d, base)
 		}
-		consumed = n
 	}
 	// Strictness: the decoded line must re-plan to exactly this mode
 	// (canonical encoding) at exactly the claimed segment count.
@@ -297,20 +282,12 @@ func (c BDI) DecodeInto(dst, enc []byte, segs int) error {
 	if want := segsForBytes(wantBytes); want != segs {
 		return fmt.Errorf("bdi: segment count %d disagrees with the line's compressed size %d", segs, want)
 	}
-	return checkZeroPadding("bdi", enc, consumed, segs)
+	return checkZeroPadding("bdi", enc, consumed*8, segs)
 }
 
 // DecompressionCycles: BDI decompression is a masked vector add — one
 // cycle in the original proposal.
 func (BDI) DecompressionCycles() float64 { return 1 }
-
-// mustLine panics unless line is exactly LineSize bytes (programming
-// error, matching fpc's contract).
-func mustLine(line []byte) {
-	if len(line) != LineSize {
-		panic("codec: line must be 64 bytes")
-	}
-}
 
 // appendLE appends the low width bytes of v, little-endian.
 func appendLE(dst []byte, v uint64, width int) []byte {

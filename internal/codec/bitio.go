@@ -2,10 +2,9 @@ package codec
 
 import "errors"
 
-// bitWriter and bitReader are the MSB-first bitstream helpers C-Pack
-// uses, mirroring the unexported pair in internal/fpc: big-endian
-// within each byte, append-based so reused buffers write without
-// allocating.
+// bitWriter and bitReader are the MSB-first bitstream helpers FPC and
+// C-Pack use: big-endian within each byte, append-based so reused
+// buffers write without allocating.
 
 type bitWriter struct {
 	buf  []byte

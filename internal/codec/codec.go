@@ -10,8 +10,7 @@
 //	cpack  C-Pack (Chen et al., TVLSI 2010): pattern codes plus a small
 //	       FIFO dictionary of recent words
 //
-// Every codec shares the segment contract of internal/fpc: a 64-byte
-// line compresses to an integral number of 8-byte segments in
+// Every codec shares one segment contract: a 64-byte line compresses to an integral number of 8-byte segments in
 // [1, MaxSegments], and a line that does not beat MaxSegments is stored
 // raw (segs == MaxSegments means the payload is the uncompressed line).
 // Encode and decode hot paths are allocation-free with reused buffers,
@@ -21,20 +20,18 @@
 // "successfully" decoding a line that was never encoded).
 package codec
 
-import (
-	"fmt"
-
-	"cmpsim/internal/fpc"
-)
+import "fmt"
 
 // LineSize is the cache-line size in bytes every codec compresses.
-const LineSize = fpc.LineSize
+const LineSize = 64
 
-// SegmentSize is the compression granularity in bytes.
-const SegmentSize = fpc.SegmentSize
+// SegmentSize is the compression granularity in bytes: lines occupy an
+// integral number of 8-byte segments in the compressed cache and cross
+// the off-chip link in 8-byte flits.
+const SegmentSize = 8
 
 // MaxSegments is the size of an uncompressed line in segments.
-const MaxSegments = fpc.MaxSegments
+const MaxSegments = LineSize / SegmentSize
 
 // Codec is one cache-line compression scheme. Implementations must be
 // stateless (safe for concurrent use) and allocation-free on the
@@ -166,22 +163,62 @@ func segsForBits(bits int) int {
 	return segsForBytes((bits + 7) / 8)
 }
 
-// checkLineDst validates the decode destination and claimed segment
-// count shared by every codec's DecodeInto.
-func checkLineDst(name string, dst []byte, segs int) error {
-	if len(dst) < LineSize {
-		return fmt.Errorf("%s: destination holds %d bytes, need %d", name, len(dst), LineSize)
+// mustLine panics unless line is exactly LineSize bytes (a programming
+// error, not a data error).
+func mustLine(line []byte) {
+	if len(line) != LineSize {
+		panic("codec: line must be 64 bytes")
 	}
-	if segs < 1 || segs > MaxSegments {
-		return fmt.Errorf("%s: invalid segment count %d", name, segs)
-	}
-	return nil
 }
 
-// checkZeroPadding verifies enc[from:segs*SegmentSize] is all zero —
-// the strictness guarantee that trailing padding cannot smuggle extra
-// codewords. enc must hold at least segs*SegmentSize bytes.
-func checkZeroPadding(name string, enc []byte, from, segs int) error {
+// padSegments zero-pads the payload appended to dst since start out to
+// segs whole segments.
+func padSegments(dst []byte, start, segs int) []byte {
+	for len(dst)-start < segs*SegmentSize {
+		dst = append(dst, 0)
+	}
+	return dst
+}
+
+// beginDecode runs the checks every codec's DecodeInto shares: dst must
+// hold a line, segs must lie in [1, MaxSegments], and enc must hold the
+// claimed segments. A raw-stored line (segs == MaxSegments) is copied
+// into dst and must really be incompressible under c; raw reports that
+// case, so the caller decodes only compressed streams.
+func beginDecode(c Codec, dst, enc []byte, segs int) (raw bool, err error) {
+	name := c.Name()
+	if len(dst) < LineSize {
+		return false, fmt.Errorf("%s: destination holds %d bytes, need %d", name, len(dst), LineSize)
+	}
+	if segs < 1 || segs > MaxSegments {
+		return false, fmt.Errorf("%s: invalid segment count %d", name, segs)
+	}
+	if len(enc) < segs*SegmentSize {
+		return false, fmt.Errorf("%s: stream holds %d bytes, claimed %d segments need %d",
+			name, len(enc), segs, segs*SegmentSize)
+	}
+	if segs < MaxSegments {
+		return false, nil
+	}
+	copy(dst, enc[:LineSize])
+	if got := c.CompressedSizeSegments(dst[:LineSize]); got != MaxSegments {
+		return true, fmt.Errorf("%s: raw-stored line compresses to %d segments, not %d", name, got, MaxSegments)
+	}
+	return true, nil
+}
+
+// checkZeroPadding verifies that every bit of enc from bit offset bits
+// up to the segs*SegmentSize boundary is zero — the strictness
+// guarantee that trailing padding cannot smuggle extra codewords. enc
+// must hold at least segs*SegmentSize bytes.
+func checkZeroPadding(name string, enc []byte, bits, segs int) error {
+	from := bits / 8
+	if rem := uint(bits % 8); rem != 0 {
+		if enc[from]&(1<<(8-rem)-1) != 0 {
+			return fmt.Errorf("%s: non-zero padding bits in byte %d", name, from)
+		}
+		from++
+	}
 	for i := from; i < segs*SegmentSize; i++ {
 		if enc[i] != 0 {
 			return fmt.Errorf("%s: non-zero padding byte %#02x at offset %d", name, enc[i], i)

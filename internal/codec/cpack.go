@@ -159,11 +159,7 @@ func (c CPack) AppendEncode(dst, line []byte) ([]byte, int) {
 			d.push(w)
 		}
 	}
-	dst = bw.buf
-	for len(dst)-start < segs*SegmentSize {
-		dst = append(dst, 0)
-	}
-	return dst, segs
+	return padSegments(bw.buf, start, segs), segs
 }
 
 // DecodeInto strictly decodes a C-Pack stream. Because the decoder
@@ -172,24 +168,10 @@ func (c CPack) AppendEncode(dst, line []byte) ([]byte, int) {
 // different (non-canonical) one; it then requires the total bit count
 // to land on exactly the claimed segment count with zero padding.
 func (c CPack) DecodeInto(dst, enc []byte, segs int) error {
-	if err := checkLineDst("cpack", dst, segs); err != nil {
+	if raw, err := beginDecode(c, dst, enc, segs); raw || err != nil {
 		return err
 	}
 	dst = dst[:LineSize]
-	if segs == MaxSegments {
-		if len(enc) < LineSize {
-			return fmt.Errorf("cpack: raw stream holds %d bytes, need %d", len(enc), LineSize)
-		}
-		copy(dst, enc)
-		if got := c.CompressedSizeSegments(dst); got != MaxSegments {
-			return fmt.Errorf("cpack: raw-stored line compresses to %d segments, not %d", got, MaxSegments)
-		}
-		return nil
-	}
-	if len(enc) < segs*SegmentSize {
-		return fmt.Errorf("cpack: stream holds %d bytes, claimed %d segments need %d",
-			len(enc), segs, segs*SegmentSize)
-	}
 	br := bitReader{buf: enc[:segs*SegmentSize]}
 	var d cpDict
 	for i := 0; i < LineSize; i += 4 {
@@ -211,16 +193,7 @@ func (c CPack) DecodeInto(dst, enc []byte, segs int) error {
 	if want := segsForBits(bits); want != segs {
 		return fmt.Errorf("cpack: segment count %d disagrees with the line's compressed size %d", segs, want)
 	}
-	// Remaining bits of the partial byte, then whole padding bytes,
-	// must be zero up to the claimed segment boundary.
-	from := bits / 8
-	if rem := uint(bits % 8); rem != 0 {
-		if enc[from]&(1<<(8-rem)-1) != 0 {
-			return fmt.Errorf("cpack: non-zero padding bits in byte %d", from)
-		}
-		from++
-	}
-	return checkZeroPadding("cpack", enc, from, segs)
+	return checkZeroPadding("cpack", enc, bits, segs)
 }
 
 // cpReadWord reads one codeword and reconstructs its 32-bit word

@@ -61,42 +61,24 @@ func (c ZCA) AppendEncode(dst, line []byte) ([]byte, int) {
 		dst = append(dst, zcaValue)
 		dst = appendLE(dst, uint64(v), 4)
 	}
-	for len(dst)-start < SegmentSize {
-		dst = append(dst, 0)
-	}
-	return dst, 1
+	return padSegments(dst, start, 1), 1
 }
 
 // DecodeInto strictly decodes a ZCA stream: only segment counts 1 and
 // MaxSegments exist, the header must be canonical (a zero line must use
 // zcaZero, not zcaValue with value 0), and padding must be zero.
 func (c ZCA) DecodeInto(dst, enc []byte, segs int) error {
-	if err := checkLineDst("zca", dst, segs); err != nil {
+	if raw, err := beginDecode(c, dst, enc, segs); raw || err != nil {
 		return err
 	}
 	dst = dst[:LineSize]
-	if segs == MaxSegments {
-		if len(enc) < LineSize {
-			return fmt.Errorf("zca: raw stream holds %d bytes, need %d", len(enc), LineSize)
-		}
-		copy(dst, enc)
-		if got := c.CompressedSizeSegments(dst); got != MaxSegments {
-			return fmt.Errorf("zca: raw-stored line compresses to %d segments, not %d", got, MaxSegments)
-		}
-		return nil
-	}
 	if segs != 1 {
 		return fmt.Errorf("zca: no encoding occupies %d segments", segs)
-	}
-	if len(enc) < SegmentSize {
-		return fmt.Errorf("zca: stream holds %d bytes, need %d", len(enc), SegmentSize)
 	}
 	consumed := 1
 	switch enc[0] {
 	case zcaZero:
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 	case zcaValue:
 		v := binary.LittleEndian.Uint32(enc[1:5])
 		if v == 0 {
@@ -109,7 +91,7 @@ func (c ZCA) DecodeInto(dst, enc []byte, segs int) error {
 	default:
 		return fmt.Errorf("zca: invalid header byte %#02x", enc[0])
 	}
-	return checkZeroPadding("zca", enc, consumed, 1)
+	return checkZeroPadding("zca", enc, consumed*8, 1)
 }
 
 // DecompressionCycles: fanning a register out over the line is free

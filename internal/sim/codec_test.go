@@ -14,7 +14,7 @@ import (
 // calibration-geometry coupling: sim builds the compressed L2 from
 // Config, workload.PackedRatio packs calibration samples from the
 // cache package's constants, and the two must describe the same sets
-// or CalibrateKnob targets a cache that is never simulated.
+// or CalibrateKnobCodec targets a cache that is never simulated.
 func TestGeometryMatchesCacheConstants(t *testing.T) {
 	cfg := NewConfig("zeus")
 	if cfg.L2TagsPerSet != cache.DefaultTagsPerSet {

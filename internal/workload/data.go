@@ -66,16 +66,11 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// NewDataModel builds a model calibrated so a full cache of its blocks
-// reaches approximately the profile's TargetRatio (effective size over
-// physical size, capped at 2.0 by the tag limit).
-func NewDataModel(p Profile, seed int64) *DataModel {
-	return NewDataModelCodec(p, seed, codec.Default())
-}
-
-// NewDataModelCodec builds a model calibrated against codec c: block
-// sizes, calibration packing and the ratio estimators all use c's size
-// function.
+// NewDataModelCodec builds a model calibrated so a full cache of its
+// blocks reaches approximately the profile's TargetRatio (effective
+// size over physical size, capped at 2.0 by the tag limit) under codec
+// c: block sizes, calibration packing and the ratio estimators all use
+// c's size function.
 func NewDataModelCodec(p Profile, seed int64, c codec.Codec) *DataModel {
 	knob := CalibrateKnobCodec(p.TargetRatio, uint64(seed), c)
 	d := &DataModel{
@@ -266,7 +261,7 @@ func (d *DataModel) PackedRatio(n int) float64 {
 	return r
 }
 
-// calibCache memoizes CalibrateKnob results. The binary search is pure
+// calibCache memoizes CalibrateKnobCodec results. The binary search is pure
 // in (targetRatio, seed) and costs tens of milliseconds of synthesis
 // and FPC compression, which would otherwise dominate every System
 // construction; experiment sweeps build thousands of systems over a
@@ -280,15 +275,10 @@ type calibKey struct {
 	codec string
 }
 
-// CalibrateKnob binary-searches the compressibility knob whose expected
-// compressed size yields the target effective-cache-size ratio under
-// the default codec.
-func CalibrateKnob(targetRatio float64, seed uint64) float64 {
-	return CalibrateKnobCodec(targetRatio, seed, codec.Default())
-}
-
-// CalibrateKnobCodec is CalibrateKnob pricing sizes with codec c; the
-// memo is keyed per codec so two codecs never share a knob.
+// CalibrateKnobCodec binary-searches the compressibility knob whose
+// expected compressed size under codec c yields the target
+// effective-cache-size ratio; the memo is keyed per codec so two codecs
+// never share a knob.
 func CalibrateKnobCodec(targetRatio float64, seed uint64, c codec.Codec) float64 {
 	if targetRatio <= 1.0 {
 		// Ratio 1.0x means essentially incompressible, but keep a trace

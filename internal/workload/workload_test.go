@@ -6,8 +6,8 @@ import (
 	"testing/quick"
 
 	"cmpsim/internal/cache"
+	"cmpsim/internal/codec"
 	"cmpsim/internal/coherence"
-	"cmpsim/internal/fpc"
 )
 
 func TestAllProfilesValidate(t *testing.T) {
@@ -58,7 +58,7 @@ func TestCalibrationHitsTargetRatios(t *testing.T) {
 	// compression ratio within tolerance.
 	for _, name := range PaperOrder() {
 		p := MustByName(name)
-		d := NewDataModel(p, 42)
+		d := NewDataModelCodec(p, 42, codec.Default())
 		got := d.PackedRatio(2048)
 		if math.Abs(got-p.TargetRatio) > 0.06 {
 			t.Errorf("%s: calibrated packed ratio %.3f, target %.3f (mean segs %.2f)",
@@ -69,8 +69,8 @@ func TestCalibrationHitsTargetRatios(t *testing.T) {
 
 func TestDataModelDeterminism(t *testing.T) {
 	p := MustByName("apache")
-	d1 := NewDataModel(p, 7)
-	d2 := NewDataModel(p, 7)
+	d1 := NewDataModelCodec(p, 7, codec.Default())
+	d2 := NewDataModelCodec(p, 7, codec.Default())
 	for a := cache.BlockAddr(0); a < 64; a++ {
 		if d1.SizeOf(a) != d2.SizeOf(a) {
 			t.Fatalf("block %d sizes differ", a)
@@ -86,8 +86,8 @@ func TestDataModelDeterminism(t *testing.T) {
 
 func TestDataModelSeedsDiffer(t *testing.T) {
 	p := MustByName("apache")
-	d1 := NewDataModel(p, 1)
-	d2 := NewDataModel(p, 2)
+	d1 := NewDataModelCodec(p, 1, codec.Default())
+	d2 := NewDataModelCodec(p, 2, codec.Default())
 	same := 0
 	for a := cache.BlockAddr(0); a < 128; a++ {
 		if d1.SizeOf(a) == d2.SizeOf(a) {
@@ -101,10 +101,10 @@ func TestDataModelSeedsDiffer(t *testing.T) {
 
 func TestSizeOfMatchesFPCOnLine(t *testing.T) {
 	p := MustByName("oltp")
-	d := NewDataModel(p, 3)
+	d := NewDataModelCodec(p, 3, codec.Default())
 	for a := cache.BlockAddr(0); a < 32; a++ {
 		line := d.Line(a)
-		if got, want := d.SizeOf(a), uint8(fpc.CompressedSizeSegments(line)); got != want {
+		if got, want := d.SizeOf(a), uint8(codec.FPC{}.CompressedSizeSegments(line)); got != want {
 			t.Fatalf("block %d: SizeOf=%d, fpc=%d", a, got, want)
 		}
 	}
@@ -112,7 +112,7 @@ func TestSizeOfMatchesFPCOnLine(t *testing.T) {
 
 func TestDirtyBumpsVersion(t *testing.T) {
 	p := MustByName("jbb")
-	d := NewDataModel(p, 9)
+	d := NewDataModelCodec(p, 9, codec.Default())
 	a := cache.BlockAddr(123)
 	before := d.Line(a)
 	d.Dirty(a)
@@ -128,14 +128,14 @@ func TestDirtyBumpsVersion(t *testing.T) {
 		t.Fatal("Dirty must change block contents")
 	}
 	// SizeOf must reflect the new version.
-	if got, want := d.SizeOf(a), uint8(fpc.CompressedSizeSegments(after)); got != want {
+	if got, want := d.SizeOf(a), uint8(codec.FPC{}.CompressedSizeSegments(after)); got != want {
 		t.Fatalf("post-dirty SizeOf=%d, want %d", got, want)
 	}
 }
 
 func TestSPECompLessCompressibleThanCommercial(t *testing.T) {
-	comm := NewDataModel(MustByName("jbb"), 5).MeanSegs(256)
-	sci := NewDataModel(MustByName("apsi"), 5).MeanSegs(256)
+	comm := NewDataModelCodec(MustByName("jbb"), 5, codec.Default()).MeanSegs(256)
+	sci := NewDataModelCodec(MustByName("apsi"), 5, codec.Default()).MeanSegs(256)
 	if comm >= sci {
 		t.Fatalf("jbb mean segs %.2f should be below apsi %.2f", comm, sci)
 	}
@@ -284,12 +284,12 @@ func TestRatioForMeanSegsBounds(t *testing.T) {
 	}
 }
 
-// Property: CalibrateKnob is monotone — higher targets need higher knobs.
+// Property: CalibrateKnobCodec is monotone — higher targets need higher knobs.
 func TestCalibrationMonotoneProperty(t *testing.T) {
 	f := func(seed uint32) bool {
-		k1 := CalibrateKnob(1.1, uint64(seed))
-		k2 := CalibrateKnob(1.5, uint64(seed))
-		k3 := CalibrateKnob(1.9, uint64(seed))
+		k1 := CalibrateKnobCodec(1.1, uint64(seed), codec.Default())
+		k2 := CalibrateKnobCodec(1.5, uint64(seed), codec.Default())
+		k3 := CalibrateKnobCodec(1.9, uint64(seed), codec.Default())
 		return k1 <= k2 && k2 <= k3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
@@ -319,7 +319,7 @@ func BenchmarkGeneratorNext(b *testing.B) {
 }
 
 func BenchmarkSizeOfCold(b *testing.B) {
-	d := NewDataModel(MustByName("jbb"), 1)
+	d := NewDataModelCodec(MustByName("jbb"), 1, codec.Default())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.SizeOf(cache.BlockAddr(i))

@@ -14,12 +14,20 @@ import (
 	"cmpsim/internal/core"
 )
 
+// exhibits is the scheduler every exhibit benchmark submits to, one
+// worker per CPU, living as long as the test binary. Its memoized point
+// cache is shared across exhibits, exactly as cmd/experiments shares one
+// scheduler across studies — so e.g. the compression benches reuse each
+// other's points, and rerunning a bench (b.N > 1) measures the cache,
+// not the simulator.
+var exhibits = core.NewScheduler(0)
+
+// point runs one data point on the exhibit scheduler.
+func point(bench string, m core.Mechanisms, o core.Options) core.Point {
+	return exhibits.Submit(bench, m, o).MustWait()
+}
+
 // benchOptions is the scaled-down system all exhibit benchmarks use.
-// Workers is left 0: the drivers fan seed runs out on the process-wide
-// scheduler (one worker per CPU) and share its memoized point cache
-// across exhibits, exactly as cmd/experiments does — so e.g. the
-// compression benches reuse each other's points, and rerunning a bench
-// (b.N > 1) measures the cache, not the simulator.
 func benchOptions() core.Options {
 	return core.Options{
 		Cores:         4,
@@ -37,7 +45,6 @@ func benchOptions() core.Options {
 
 func BenchmarkSchedulerSerial(b *testing.B) {
 	o := benchOptions()
-	o.Workers = 1
 	for i := 0; i < b.N; i++ {
 		s := core.NewScheduler(1)
 		s.CompressionStudy(core.CommercialBenchmarks(), o)
@@ -57,7 +64,7 @@ func BenchmarkSchedulerParallel(b *testing.B) {
 func BenchmarkTable3CompressionRatios(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows := core.CompressionStudy(core.Benchmarks(), o)
+		rows := exhibits.CompressionStudy(core.Benchmarks(), o)
 		for _, r := range rows {
 			if r.Benchmark == "jbb" {
 				b.ReportMetric(r.Ratio, "jbb-ratio")
@@ -72,7 +79,7 @@ func BenchmarkTable3CompressionRatios(b *testing.B) {
 func BenchmarkFig3MissRateReduction(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows := core.CompressionStudy(core.CommercialBenchmarks(), o)
+		rows := exhibits.CompressionStudy(core.CommercialBenchmarks(), o)
 		for _, r := range rows {
 			if r.Benchmark == "apache" {
 				b.ReportMetric(r.MissReductionPct, "apache-missred-%")
@@ -84,7 +91,7 @@ func BenchmarkFig3MissRateReduction(b *testing.B) {
 func BenchmarkFig4BandwidthDemand(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows := core.BandwidthStudy(core.Benchmarks(), o)
+		rows := exhibits.BandwidthStudy(core.Benchmarks(), o)
 		for _, r := range rows {
 			if r.Benchmark == "fma3d" {
 				b.ReportMetric(r.None, "fma3d-GBps")
@@ -99,7 +106,7 @@ func BenchmarkFig4BandwidthDemand(b *testing.B) {
 func BenchmarkFig5CompressionSpeedup(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows := core.CompressionStudy(core.CommercialBenchmarks(), o)
+		rows := exhibits.CompressionStudy(core.CommercialBenchmarks(), o)
 		for _, r := range rows {
 			if r.Benchmark == "zeus" {
 				b.ReportMetric(r.SpeedupBothPct, "zeus-compr-%")
@@ -111,7 +118,7 @@ func BenchmarkFig5CompressionSpeedup(b *testing.B) {
 func BenchmarkTable4PrefetchProperties(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows := core.PrefetchProperties([]string{"zeus", "mgrid"}, o)
+		rows := exhibits.PrefetchProperties([]string{"zeus", "mgrid"}, o)
 		for _, r := range rows {
 			if r.Benchmark == "mgrid" {
 				b.ReportMetric(r.L2.AccuracyPct, "mgrid-L2acc-%")
@@ -124,7 +131,7 @@ func BenchmarkTable4PrefetchProperties(b *testing.B) {
 func BenchmarkFig6PrefetchSpeedup(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows := core.PrefetchStudy([]string{"zeus", "jbb"}, o)
+		rows := exhibits.PrefetchStudy([]string{"zeus", "jbb"}, o)
 		for _, r := range rows {
 			switch r.Benchmark {
 			case "zeus":
@@ -140,7 +147,7 @@ func BenchmarkFig6PrefetchSpeedup(b *testing.B) {
 func BenchmarkFig7BandwidthInteraction(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows := core.InteractionStudy([]string{"zeus"}, o)
+		rows := exhibits.InteractionStudy([]string{"zeus"}, o)
 		b.ReportMetric(rows[0].BWBasePrefGrowthPct, "zeus-pf-bwgrowth-%")
 		b.ReportMetric(rows[0].BWComprPrefGrowthPct, "zeus-pfcompr-bwgrowth-%")
 	}
@@ -149,7 +156,7 @@ func BenchmarkFig7BandwidthInteraction(b *testing.B) {
 func BenchmarkFig8MissClassification(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows := core.MissClassification([]string{"apache", "mgrid"}, o)
+		rows := exhibits.MissClassification([]string{"apache", "mgrid"}, o)
 		for _, r := range rows {
 			if r.Benchmark == "apache" {
 				b.ReportMetric(r.EitherPct, "apache-overlap-%")
@@ -161,7 +168,7 @@ func BenchmarkFig8MissClassification(b *testing.B) {
 func BenchmarkTable5Interactions(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows := core.InteractionStudy([]string{"zeus", "jbb"}, o)
+		rows := exhibits.InteractionStudy([]string{"zeus", "jbb"}, o)
 		for _, r := range rows {
 			switch r.Benchmark {
 			case "zeus":
@@ -176,7 +183,7 @@ func BenchmarkTable5Interactions(b *testing.B) {
 func BenchmarkFig10AdaptiveSpeedup(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows := core.AdaptiveStudy([]string{"jbb"}, o)
+		rows := exhibits.AdaptiveStudy([]string{"jbb"}, o)
 		b.ReportMetric(rows[0].PrefPct, "jbb-pf-%")
 		b.ReportMetric(rows[0].AdaptivePct, "jbb-adaptive-%")
 		b.ReportMetric(rows[0].AdaptiveComprPct, "jbb-adcompr-%")
@@ -186,7 +193,7 @@ func BenchmarkFig10AdaptiveSpeedup(b *testing.B) {
 func BenchmarkFig11BandwidthSweep(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows := core.BandwidthSweep([]string{"zeus"}, []int{5, 10, 40}, o)
+		rows := exhibits.BandwidthSweep([]string{"zeus"}, []int{5, 10, 40}, o)
 		b.ReportMetric(rows[0].InteractionPct[5], "zeus-inter-5GB-%")
 		b.ReportMetric(rows[0].InteractionPct[40], "zeus-inter-40GB-%")
 	}
@@ -195,7 +202,7 @@ func BenchmarkFig11BandwidthSweep(b *testing.B) {
 func BenchmarkFig1CoreSweepZeus(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows := core.CoreSweep("zeus", []int{1, 8}, o)
+		rows := exhibits.CoreSweep("zeus", []int{1, 8}, o)
 		b.ReportMetric(rows[0].PrefPct, "pf-1core-%")
 		b.ReportMetric(rows[1].PrefPct, "pf-8core-%")
 	}
@@ -204,7 +211,7 @@ func BenchmarkFig1CoreSweepZeus(b *testing.B) {
 func BenchmarkFig12CoreSweep(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows := core.CoreSweep("jbb", []int{1, 8}, o)
+		rows := exhibits.CoreSweep("jbb", []int{1, 8}, o)
 		b.ReportMetric(rows[0].PrefPct, "jbb-pf-1core-%")
 		b.ReportMetric(rows[1].PrefPct, "jbb-pf-8core-%")
 	}
@@ -217,10 +224,10 @@ func BenchmarkFig12CoreSweep(b *testing.B) {
 func BenchmarkAblationNoVictimTags(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		with := core.MustRun("jbb", core.AdaptivePf, o)
+		with := point("jbb", core.AdaptivePf, o)
 		o2 := o
 		o2.UncompressedVictimTags = -1 // disable
-		without := core.MustRun("jbb", core.AdaptivePf, o2)
+		without := point("jbb", core.AdaptivePf, o2)
 		b.ReportMetric(core.Speedup(without, with), "with/without-victimtags")
 	}
 }
@@ -229,11 +236,11 @@ func BenchmarkAblationNoVictimTags(b *testing.B) {
 func BenchmarkAblationPrefetchDepth(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		base := core.MustRun("zeus", core.Base, o)
+		base := point("zeus", core.Base, o)
 		for _, depth := range []int{5, 25} {
 			od := o
 			od.L2PrefetchDepth = depth
-			p := core.MustRun("zeus", core.Prefetch, od)
+			p := point("zeus", core.Prefetch, od)
 			if depth == 5 {
 				b.ReportMetric((core.Speedup(base, p)-1)*100, "depth5-%")
 			} else {
@@ -248,12 +255,12 @@ func BenchmarkAblationPrefetchDepth(b *testing.B) {
 func BenchmarkAblationDecompressionPenalty(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		base := core.MustRun("jbb", core.Base, o)
+		base := point("jbb", core.Base, o)
 		for _, pen := range []float64{0, 5, 20} {
 			op := o
 			op.DecompressionCycles = pen
 			op.DecompressionSet = true
-			p := core.MustRun("jbb", core.Compression, op)
+			p := point("jbb", core.Compression, op)
 			switch pen {
 			case 0:
 				b.ReportMetric((core.Speedup(base, p)-1)*100, "pen0-%")
@@ -271,11 +278,11 @@ func BenchmarkAblationDecompressionPenalty(b *testing.B) {
 func BenchmarkAblationTagCount(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		base := core.MustRun("jbb", core.Base, o)
+		base := point("jbb", core.Base, o)
 		for _, tags := range []int{8, 16} {
 			ot := o
 			ot.L2TagsPerSet = tags
-			p := core.MustRun("jbb", core.Compression, ot)
+			p := point("jbb", core.Compression, ot)
 			if tags == 8 {
 				b.ReportMetric((core.Speedup(base, p)-1)*100, "tags8-%")
 			} else {
@@ -291,11 +298,11 @@ func BenchmarkAblationTagCount(b *testing.B) {
 func BenchmarkAblationSequentialBaseline(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		base := core.MustRun("mgrid", core.Base, o)
-		stride := core.MustRun("mgrid", core.Prefetch, o)
+		base := point("mgrid", core.Base, o)
+		stride := point("mgrid", core.Prefetch, o)
 		oseq := o
 		oseq.PrefetcherKind = "sequential"
-		seq := core.MustRun("mgrid", core.Prefetch, oseq)
+		seq := point("mgrid", core.Prefetch, oseq)
 		b.ReportMetric((core.Speedup(base, stride)-1)*100, "stride-%")
 		b.ReportMetric((core.Speedup(base, seq)-1)*100, "sequential-%")
 	}
@@ -307,8 +314,8 @@ func BenchmarkAblationSequentialBaseline(b *testing.B) {
 func BenchmarkAblationCounterProbe(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		ad := core.MustRun("zeus", core.AdaptivePf, o)
-		pf := core.MustRun("zeus", core.Prefetch, o)
+		ad := point("zeus", core.AdaptivePf, o)
+		pf := point("zeus", core.Prefetch, o)
 		b.ReportMetric(core.Speedup(pf, ad), "adaptive/static")
 	}
 }

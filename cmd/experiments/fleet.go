@@ -99,9 +99,9 @@ func runWorkerMode(mode, id, check, faults string, workers, callRetries int, cal
 		MaxCallRetries: callRetries, CallBackoff: callBackoff,
 		Runner: func(bench string, m core.Mechanisms, o core.Options) (core.Point, error) {
 			// Leases carry canonical options; the worker re-applies its own
-			// scheduling and audit knobs (none change the point's identity).
+			// audit tier (it does not change the point's identity) and runs
+			// the point on its own -workers pool.
 			o.CheckLevel = check
-			o.Workers = workers
 			return sched.Submit(bench, m, o).Wait()
 		},
 	}

@@ -61,6 +61,44 @@ func TestInvalidCheckLevelExitsTwo(t *testing.T) {
 	}
 }
 
+// TestStudiesShareOneScheduler: table3, fig3 and fig5 read the same
+// compression-study points, so on the suite's one scheduler fig3 and
+// fig5 simulate nothing and are served entirely from its cache.
+func TestStudiesShareOneScheduler(t *testing.T) {
+	_, stderr, code := experiments(t, nil,
+		"-run", "table3,fig3,fig5", "-benchmarks", "zeus,art", "-quick",
+		"-cores", "2", "-warmup", "50000", "-measure", "30000", "-seeds", "1")
+	if code != 0 {
+		t.Fatalf("exit = %d; stderr:\n%s", code, stderr)
+	}
+	for _, study := range []string{"fig3", "fig5"} {
+		var line string
+		for _, l := range strings.Split(stderr, "\n") {
+			if strings.HasPrefix(l, "["+study+" done in ") {
+				line = l
+			}
+		}
+		if !strings.Contains(line, " 0 points simulated") || !strings.Contains(line, "8 served from cache") {
+			t.Errorf("%s did not reuse table3's points: %q", study, line)
+		}
+	}
+	if !strings.Contains(stderr, "8 unique points, 16 cached requests") {
+		t.Errorf("suite totals wrong; stderr:\n%s", stderr)
+	}
+}
+
+// TestRetriesFlagExitsTwo: seed jobs are never retried (sim.Run is
+// deterministic), so -retries is an unknown flag, a usage error.
+func TestRetriesFlagExitsTwo(t *testing.T) {
+	_, stderr, code := experiments(t, nil, append([]string{"-retries", "1"}, tinyGrid...)...)
+	if code != 2 {
+		t.Fatalf("exit = %d, want 2; stderr:\n%s", code, stderr)
+	}
+	if strings.Contains(stderr, "done in") {
+		t.Fatalf("simulation ran despite the unknown flag:\n%s", stderr)
+	}
+}
+
 func TestWorkerInvalidCheckEnvExitsTwoBeforeAnyLease(t *testing.T) {
 	// The env-var path is validated inside worker mode itself, before
 	// the worker says hello to any coordinator (stdin is empty here, so

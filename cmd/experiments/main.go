@@ -64,8 +64,6 @@ func run() int {
 		interval   = flag.Uint64("interval", 0, "telemetry interval in aggregate instructions (0 = auto: 1/50 of the window when -timeline is set)")
 		progress   = flag.Bool("progress", false, "log per-point scheduler progress (start/finish/cached) to stderr")
 		pointTO    = flag.Duration("point-timeout", 0, "per-seed watchdog deadline; a stuck simulation fails its point (0 = none)")
-		retries    = flag.Int("retries", 0, "retry attempts for retryable point failures")
-		backoff    = flag.Duration("retry-backoff", 0, "first retry delay, doubled per attempt")
 		faults     = flag.String("faultinject", "", "TEST ONLY: deterministic fault rules, e.g. 'kind=panic,bench=zeus,seed=0'")
 		check      = flag.String("check", "", "runtime self-checking per seed run: off, invariants or shadow (default: the CMPSIM_CHECK environment variable)")
 		storeDir   = flag.String("store", "", "shared result-store directory: finished points persist there and are reused across runs and processes")
@@ -103,12 +101,8 @@ func run() int {
 		log.Printf("-workers %d must be >= 0", *workers)
 		return 1
 	}
-	if *pointTO < 0 || *backoff < 0 {
-		log.Print("-point-timeout and -retry-backoff must be >= 0")
-		return 1
-	}
-	if *retries < 0 {
-		log.Printf("-retries %d must be >= 0", *retries)
+	if *pointTO < 0 {
+		log.Print("-point-timeout must be >= 0")
 		return 1
 	}
 	// An invalid check level is a configuration error, not a run failure:
@@ -159,10 +153,7 @@ func run() int {
 	if *seeds > 0 {
 		o.Seeds = *seeds
 	}
-	o.Workers = *workers
 	o.PointTimeout = *pointTO
-	o.MaxRetries = *retries
-	o.RetryBackoff = *backoff
 	o.CheckLevel = *check
 	o.PrefetcherKind = *pfName
 	o.TelemetryInterval = *interval
@@ -193,7 +184,12 @@ func run() int {
 		}
 	}
 
-	all := experimentTable(o, benches)
+	// One scheduler runs the whole suite, so studies that read the same
+	// points (table3/fig3/fig5, fig7/table5, every study's Base runs)
+	// simulate them once.
+	sched := core.NewScheduler(*workers)
+	defer sched.Close()
+	all := experimentTable(sched, o, benches)
 	if *list {
 		var names []string
 		for n := range all {
@@ -260,10 +256,6 @@ func run() int {
 		}()
 	}
 
-	// Per-study wall-clock and cache effectiveness: the scheduler
-	// memoizes every unique data point, so studies sharing points (e.g.
-	// table3/fig3/fig5, or any study's Base runs) simulate them once.
-	sched := core.DefaultScheduler()
 	var injector *faultinject.Injector
 	if *faults != "" {
 		in, err := faultinject.Parse(*faults)
@@ -493,83 +485,63 @@ func emit(text func(), rows any, csvFn func() error) {
 	}
 }
 
-// experimentTable maps experiment names to runners that print results.
-// benches restricts most studies' benchmark set; fig10 and the core
-// sweeps pin their own benchmarks as the paper does.
-func experimentTable(o core.Options, benches []string) map[string]func() {
+// experimentTable maps experiment names to runners that print results,
+// all submitting to s. benches restricts most studies' benchmark set;
+// fig10 and the core sweeps pin their own benchmarks as the paper does.
+func experimentTable(s *core.Scheduler, o core.Options, benches []string) map[string]func() {
 	w := os.Stdout
-	var comprRows func() []core.CompressionRow
-	{
-		var cached []core.CompressionRow
-		comprRows = func() []core.CompressionRow {
-			if cached == nil {
-				cached = core.CompressionStudy(benches, o)
-			}
-			return cached
-		}
-	}
-	var interRows func() []core.InteractionRow
-	{
-		var cached []core.InteractionRow
-		interRows = func() []core.InteractionRow {
-			if cached == nil {
-				cached = core.InteractionStudy(benches, o)
-			}
-			return cached
-		}
-	}
 	coreCounts := []int{1, 2, 4, 8, 16}
 	return map[string]func(){
 		"table3": func() {
-			rows := comprRows()
+			rows := s.CompressionStudy(benches, o)
 			emit(func() { report.Table3(w, rows) }, rows, func() error { return report.CompressionCSV(w, rows) })
 		},
 		"fig3": func() {
-			rows := comprRows()
+			rows := s.CompressionStudy(benches, o)
 			emit(func() { report.Fig3(w, rows) }, rows, func() error { return report.CompressionCSV(w, rows) })
 		},
 		"fig4": func() {
-			rows := core.BandwidthStudy(benches, o)
+			rows := s.BandwidthStudy(benches, o)
 			emit(func() { report.Fig4(w, rows) }, rows, nil)
 		},
 		"fig5": func() {
-			rows := comprRows()
+			rows := s.CompressionStudy(benches, o)
 			emit(func() { report.Fig5(w, rows) }, rows, func() error { return report.CompressionCSV(w, rows) })
 		},
 		"table4": func() {
-			rows := core.PrefetchProperties(benches, o)
+			rows := s.PrefetchProperties(benches, o)
 			emit(func() { report.Table4(w, rows) }, rows, nil)
 		},
 		"fig6": func() {
-			rows := core.PrefetchStudy(benches, o)
+			rows := s.PrefetchStudy(benches, o)
 			emit(func() { report.Fig6(w, rows) }, rows, nil)
 		},
 		"fig7": func() {
-			rows := interRows()
+			rows := s.InteractionStudy(benches, o)
 			emit(func() { report.Fig7(w, rows) }, rows, func() error { return report.InteractionCSV(w, rows) })
 		},
 		"fig8": func() {
-			rows := core.MissClassification(benches, o)
+			rows := s.MissClassification(benches, o)
 			emit(func() { report.Fig8(w, rows) }, rows, nil)
 		},
 		"table5": func() {
-			rows := interRows()
+			rows := s.InteractionStudy(benches, o)
 			emit(func() { report.Table5(w, rows) }, rows, func() error { return report.InteractionCSV(w, rows) })
 		},
 		"fig10": func() {
-			rows := core.AdaptiveStudy(core.CommercialBenchmarks(), o)
+			rows := s.AdaptiveStudy(core.CommercialBenchmarks(), o)
 			emit(func() { report.Fig10(w, rows) }, rows, nil)
 		},
 		"fig11": func() {
-			rows := core.BandwidthSweep(benches, []int{10, 20, 40, 80}, o)
+			rows := s.BandwidthSweep(benches, []int{10, 20, 40, 80}, o)
 			emit(func() { report.Fig11(w, rows) }, rows, func() error { return report.BandwidthSweepCSV(w, rows) })
 		},
 		"fig1": func() {
-			rows := core.CoreSweep("zeus", coreCounts, o)
+			rows := s.CoreSweep("zeus", coreCounts, o)
 			emit(func() { report.CoreSweep(w, "Figure 1 (zeus)", rows) }, rows, func() error { return report.CoreSweepCSV(w, rows) })
 		},
 		"codecs": func() {
-			rows := core.CodecStudy(benches, o)
+			rows := s.CodecStudy(benches, o)
 			emit(func() { report.CodecTable(w, rows) }, rows, func() error { return report.CodecCSV(w, rows) })
 		},
 		"irregular": func() {
@@ -588,12 +560,12 @@ func experimentTable(o core.Options, benches []string) map[string]func() {
 			if len(sel) == 0 {
 				sel = core.IrregularBenchmarks()
 			}
-			rows := core.IrregularStudy(sel, o)
+			rows := s.IrregularStudy(sel, o)
 			emit(func() { report.IrregularTable(w, rows) }, rows, func() error { return report.IrregularCSV(w, rows) })
 		},
 		"fig12": func() {
-			ra := core.CoreSweep("apache", coreCounts, o)
-			rj := core.CoreSweep("jbb", coreCounts, o)
+			ra := s.CoreSweep("apache", coreCounts, o)
+			rj := s.CoreSweep("jbb", coreCounts, o)
 			emit(func() {
 				report.CoreSweep(w, "Figure 12 (apache)", ra)
 				report.CoreSweep(w, "Figure 12 (jbb)", rj)

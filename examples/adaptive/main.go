@@ -22,9 +22,13 @@ func main() {
 	opts.Warmup = 1_500_000
 	opts.Measure = 500_000
 
-	base := must(core.Run("jbb", core.Base, opts))
-	pf := must(core.Run("jbb", core.Prefetch, opts))
-	ad := must(core.Run("jbb", core.AdaptivePf, opts))
+	s := core.NewScheduler(0) // one worker per CPU
+	defer s.Close()
+	// Submit all three points before waiting, so they simulate in parallel.
+	fBase := s.Submit("jbb", core.Base, opts)
+	fPf := s.Submit("jbb", core.Prefetch, opts)
+	fAd := s.Submit("jbb", core.AdaptivePf, opts)
+	base, pf, ad := must(fBase.Wait()), must(fPf.Wait()), must(fAd.Wait())
 
 	fmt.Println("SPECjbb on the 8-core CMP:")
 	fmt.Printf("  stride prefetching:   %+6.1f%%\n", stats.SpeedupPct(core.Speedup(base, pf)))

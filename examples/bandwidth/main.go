@@ -22,15 +22,30 @@ func main() {
 	opts.Measure = 400_000
 
 	bench := "zeus"
-	fmt.Printf("Interaction(Pref, Compr) for %s vs available pin bandwidth\n\n", bench)
-	fmt.Printf("%8s %12s %12s %12s %12s\n", "GB/s", "pf", "compr", "both", "interaction")
-	for _, gb := range []float64{10, 20, 40, 80} {
+	bandwidths := []float64{10, 20, 40, 80}
+	mechs := []core.Mechanisms{core.Base, core.Prefetch, core.Compression, core.PrefCompr}
+
+	// Submit every point up front so the scheduler's pool simulates them
+	// in parallel, then collect one row per bandwidth.
+	s := core.NewScheduler(0) // one worker per CPU
+	defer s.Close()
+	futures := make([][]*core.PointFuture, len(bandwidths))
+	for i, gb := range bandwidths {
 		o := opts
 		o.BandwidthGBps = gb
-		base := must(core.Run(bench, core.Base, o))
-		sp := core.Speedup(base, must(core.Run(bench, core.Prefetch, o)))
-		sc := core.Speedup(base, must(core.Run(bench, core.Compression, o)))
-		sb := core.Speedup(base, must(core.Run(bench, core.PrefCompr, o)))
+		for _, m := range mechs {
+			futures[i] = append(futures[i], s.Submit(bench, m, o))
+		}
+	}
+
+	fmt.Printf("Interaction(Pref, Compr) for %s vs available pin bandwidth\n\n", bench)
+	fmt.Printf("%8s %12s %12s %12s %12s\n", "GB/s", "pf", "compr", "both", "interaction")
+	for i, gb := range bandwidths {
+		f := futures[i]
+		base := must(f[0].Wait())
+		sp := core.Speedup(base, must(f[1].Wait()))
+		sc := core.Speedup(base, must(f[2].Wait()))
+		sb := core.Speedup(base, must(f[3].Wait()))
 		fmt.Printf("%8.0f %+11.1f%% %+11.1f%% %+11.1f%% %+11.1f%%\n",
 			gb, stats.SpeedupPct(sp), stats.SpeedupPct(sc), stats.SpeedupPct(sb),
 			stats.InteractionPct(sp, sc, sb))

@@ -22,21 +22,31 @@ func main() {
 	opts.Warmup = 1_500_000
 	opts.Measure = 500_000
 
+	// The scheduler runs every point; submitting all of them before
+	// waiting on any lets its pool simulate them in parallel.
+	s := core.NewScheduler(0) // one worker per CPU
+	defer s.Close()
+	futures := make(map[core.Mechanisms]*core.PointFuture)
+	for _, m := range []core.Mechanisms{core.Base, core.Prefetch, core.Compression, core.PrefCompr, core.AdaptiveCompr} {
+		futures[m] = s.Submit("zeus", m, opts)
+	}
+	wait := func(m core.Mechanisms) core.Point {
+		p, err := futures[m].Wait()
+		if err != nil {
+			log.Fatal(err)
+		}
+		return p
+	}
+
 	fmt.Println("zeus on an 8-core CMP, 4 MB shared L2, 20 GB/s pins")
 	fmt.Println()
 
-	base, err := core.Run("zeus", core.Base, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
+	base := wait(core.Base)
 	fmt.Printf("%-28s %12.0f cycles (IPC %.2f)\n", "base",
 		base.Runtime.Mean, base.Runs[0].IPC)
 
 	show := func(name string, m core.Mechanisms) core.Point {
-		p, err := core.Run("zeus", m, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
+		p := wait(m)
 		fmt.Printf("%-28s %12.0f cycles (%+.1f%%)\n", name,
 			p.Runtime.Mean, stats.SpeedupPct(core.Speedup(base, p)))
 		return p

@@ -25,7 +25,9 @@ func main() {
 	fmt.Println(" compression grows slowly; the combination stays strong)")
 	fmt.Println()
 
-	rows := core.CoreSweep("zeus", []int{1, 4, 8, 16}, opts)
+	s := core.NewScheduler(0) // one worker per CPU
+	defer s.Close()
+	rows := s.CoreSweep("zeus", []int{1, 4, 8, 16}, opts)
 	report.CoreSweep(os.Stdout, "zeus core sweep", rows)
 
 	// Highlight the headline comparison.

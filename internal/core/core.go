@@ -1,7 +1,13 @@
 // Package core is the library facade for the reproduction: it assembles
 // paper-configured simulations (sim), runs each data point over several
 // seeds with the paper's statistical treatment (stats), and provides
-// one driver per table and figure of the evaluation section.
+// one driver per table and figure of the evaluation section. All of it
+// runs on a Scheduler the caller creates (NewScheduler) and closes:
+//
+//	s := core.NewScheduler(0) // one worker per CPU
+//	defer s.Close()
+//	p, err := s.Submit("zeus", core.PrefCompr, core.QuickOptions()).Wait()
+//	rows := s.InteractionStudy(core.Benchmarks(), core.QuickOptions())
 //
 // The mechanism combinations under study are named the way the paper's
 // figure legends name them:
@@ -18,7 +24,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"cmpsim/internal/codec"
@@ -71,30 +76,23 @@ func (m Mechanisms) Label() string {
 	}
 }
 
-// Options controls run size and system scale.
+// Options controls run size and system scale. The worker count is not
+// an option: it belongs to the Scheduler the point is submitted to.
 type Options struct {
-	Cores   int
-	Seeds   int // independent runs per data point
-	Workers int // concurrent seed simulations; <= 0 = one per CPU
+	Cores int
+	Seeds int // independent runs per data point
 
-	// Robustness knobs (scheduling-only: they never change simulation
-	// results and are excluded from the point-cache key).
-	//
 	// PointTimeout is the per-seed watchdog deadline: a simulation that
 	// produces no result within it is abandoned and the point fails with
-	// a timeout PointError (0 = no deadline). MaxRetries bounds
-	// retry-with-backoff for retryable failures (see IsRetryable);
-	// RetryBackoff is the first retry's delay, doubled per attempt
-	// (0 = retry immediately).
+	// a timeout PointError (0 = no deadline). It never changes simulation
+	// results and is excluded from the point-cache key.
 	PointTimeout time.Duration
-	MaxRetries   int
-	RetryBackoff time.Duration
 
 	// CheckLevel forces the runtime audit tier for every seed run: "off",
 	// "invariants" or "shadow" (see internal/audit). "" keeps the
 	// environment default (CMPSIM_CHECK). The audit is read-only — any
 	// level produces bit-identical metrics — so the field is canonicalized
-	// out of the point-cache key like the scheduling knobs above.
+	// out of the point-cache key like PointTimeout.
 	CheckLevel string
 
 	Warmup        uint64  // instructions per core
@@ -211,33 +209,6 @@ func (p Point) Mean(f func(*sim.Metrics) float64) float64 {
 		sum += f(&p.Runs[i])
 	}
 	return sum / float64(len(p.Runs))
-}
-
-// workerCount resolves Options.Workers: values below 1 mean one worker
-// per CPU.
-func (o Options) workerCount() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Run measures one data point on the process-wide scheduler: its seeds
-// fan out over the worker pool and the result is memoized, so repeated
-// requests for the same point (from any study) simulate only once. A
-// returned Point (and its error, for invalid requests) is bit-identical
-// to a serial run: seeds are fixed and collected in order.
-func Run(bench string, m Mechanisms, o Options) (Point, error) {
-	return sharedScheduler(o).Submit(bench, m, o).Wait()
-}
-
-// MustRun is Run for drivers iterating known-good benchmark names.
-func MustRun(bench string, m Mechanisms, o Options) Point {
-	p, err := Run(bench, m, o)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 // Speedup returns runtime(base)/runtime(enhanced) between two points.

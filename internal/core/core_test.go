@@ -18,7 +18,9 @@ func tinyOptions() Options {
 }
 
 func TestRunProducesSeededSample(t *testing.T) {
-	p, err := Run("zeus", Base, tinyOptions())
+	s := NewScheduler(2)
+	defer s.Close()
+	p, err := s.Submit("zeus", Base, tinyOptions()).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,12 +36,14 @@ func TestRunProducesSeededSample(t *testing.T) {
 }
 
 func TestRunRejectsBadInput(t *testing.T) {
-	if _, err := Run("nosuch", Base, tinyOptions()); err == nil {
+	s := NewScheduler(1)
+	defer s.Close()
+	if _, err := s.Submit("nosuch", Base, tinyOptions()).Wait(); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 	o := tinyOptions()
 	o.Seeds = 0
-	if _, err := Run("zeus", Base, o); err == nil {
+	if _, err := s.Submit("zeus", Base, o).Wait(); err == nil {
 		t.Fatal("zero seeds accepted")
 	}
 }
@@ -83,7 +87,9 @@ func TestBenchmarkLists(t *testing.T) {
 }
 
 func TestCompressionStudyShape(t *testing.T) {
-	rows := CompressionStudy([]string{"jbb", "apsi"}, tinyOptions())
+	s := NewScheduler(2)
+	defer s.Close()
+	rows := s.CompressionStudy([]string{"jbb", "apsi"}, tinyOptions())
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -101,7 +107,9 @@ func TestCompressionStudyShape(t *testing.T) {
 }
 
 func TestBandwidthStudyUsesInfinitePins(t *testing.T) {
-	rows := BandwidthStudy([]string{"fma3d"}, tinyOptions())
+	s := NewScheduler(2)
+	defer s.Close()
+	rows := s.BandwidthStudy([]string{"fma3d"}, tinyOptions())
 	if len(rows) != 1 || rows[0].None <= 0 {
 		t.Fatalf("rows = %+v", rows)
 	}
@@ -112,7 +120,9 @@ func TestBandwidthStudyUsesInfinitePins(t *testing.T) {
 }
 
 func TestPrefetchPropertiesShape(t *testing.T) {
-	rows := PrefetchProperties([]string{"mgrid", "oltp"}, tinyOptions())
+	s := NewScheduler(2)
+	defer s.Close()
+	rows := s.PrefetchProperties([]string{"mgrid", "oltp"}, tinyOptions())
 	mgrid, oltp := rows[0], rows[1]
 	// Scientific codes barely touch the L1I prefetcher; commercial ones
 	// drive it hard (Table 4's starkest contrast).
@@ -129,7 +139,9 @@ func TestPrefetchPropertiesShape(t *testing.T) {
 }
 
 func TestInteractionStudyConsistency(t *testing.T) {
-	rows := InteractionStudy([]string{"zeus"}, tinyOptions())
+	s := NewScheduler(2)
+	defer s.Close()
+	rows := s.InteractionStudy([]string{"zeus"}, tinyOptions())
 	r := rows[0]
 	// EQ 5 must reconstruct: both = pref × compr × (1 + interaction).
 	lhs := 1 + r.BothPct/100
@@ -140,8 +152,10 @@ func TestInteractionStudyConsistency(t *testing.T) {
 }
 
 func TestMissClassificationSumsTo100(t *testing.T) {
+	s := NewScheduler(2)
+	defer s.Close()
 	o := tinyOptions()
-	rows := MissClassification([]string{"zeus"}, o)
+	rows := s.MissClassification([]string{"zeus"}, o)
 	r := rows[0]
 	sum := r.NotAvoidedPct + r.OnlyComprPct + r.OnlyPrefPct + r.EitherPct
 	if sum < 99.9 || sum > 100.1 {
@@ -153,14 +167,18 @@ func TestMissClassificationSumsTo100(t *testing.T) {
 }
 
 func TestCoreSweepRuns(t *testing.T) {
-	rows := CoreSweep("zeus", []int{1, 2}, tinyOptions())
+	s := NewScheduler(2)
+	defer s.Close()
+	rows := s.CoreSweep("zeus", []int{1, 2}, tinyOptions())
 	if len(rows) != 2 || rows[0].Cores != 1 || rows[1].Cores != 2 {
 		t.Fatalf("rows = %+v", rows)
 	}
 }
 
 func TestBandwidthSweepRuns(t *testing.T) {
-	rows := BandwidthSweep([]string{"zeus"}, []int{10, 40}, tinyOptions())
+	s := NewScheduler(2)
+	defer s.Close()
+	rows := s.BandwidthSweep([]string{"zeus"}, []int{10, 40}, tinyOptions())
 	if len(rows) != 1 {
 		t.Fatal("rows")
 	}
@@ -196,11 +214,17 @@ func TestEffectiveSizeSample(t *testing.T) {
 	// plausibility rather than the full-scale Table 3 value (checked in
 	// EXPERIMENTS.md): the sample must be positive and jbb must beat the
 	// incompressible apsi.
-	jbbRatio, eff := EffectiveSizeSample("jbb", tinyOptions())
+	s := NewScheduler(2)
+	defer s.Close()
+	fJbb := s.Submit("jbb", CacheCompr, tinyOptions())
+	fApsi := s.Submit("apsi", CacheCompr, tinyOptions())
+	jbb, apsi := fJbb.MustWait(), fApsi.MustWait()
+	jbbRatio := jbb.Mean(ratioOf)
+	eff := jbb.Mean(func(m *sim.Metrics) float64 { return m.EffectiveL2Bytes })
 	if jbbRatio <= 0 || eff <= 0 {
 		t.Fatalf("ratio %f eff %f", jbbRatio, eff)
 	}
-	apsiRatio, _ := EffectiveSizeSample("apsi", tinyOptions())
+	apsiRatio := apsi.Mean(ratioOf)
 	if jbbRatio <= apsiRatio {
 		t.Fatalf("jbb ratio %f should exceed apsi %f", jbbRatio, apsiRatio)
 	}
@@ -248,7 +272,9 @@ func TestCodecCanonicalization(t *testing.T) {
 	// An unknown codec must fail the point cleanly, not crash the pool.
 	bad := tinyOptions()
 	bad.Codec = "lz4"
-	if _, err := Run("zeus", Compression, bad); err == nil {
+	s := NewScheduler(1)
+	defer s.Close()
+	if _, err := s.Submit("zeus", Compression, bad).Wait(); err == nil {
 		t.Fatal("unknown codec accepted")
 	}
 }

@@ -10,16 +10,18 @@ import (
 	"cmpsim/internal/stats"
 )
 
-// Every study driver follows the same submit-then-collect pattern: all
-// of a study's data points are submitted to the scheduler first (fanning
-// seed-level jobs over the worker pool, deduplicated against the point
-// cache), then collected in paper order. Rows are therefore emitted in
-// the same order, with bit-identical metrics, as the old serial drivers.
-// The package-level functions run on the process-wide scheduler; the
-// Scheduler methods allow isolated caches (tests, ablation harnesses).
+// Every study driver is a Scheduler method and follows the same
+// submit-then-collect pattern: all of a study's data points are
+// submitted first (fanning seed-level jobs over the worker pool,
+// deduplicated against the point cache), then collected in paper order.
+// Rows are therefore emitted in the same order, with bit-identical
+// metrics, as serial drivers would. Studies run on one scheduler share
+// its cache: Table 3, Figure 3 and Figure 5 all read CompressionStudy's
+// points, and Figure 7 and Table 5 InteractionStudy's, so a second
+// request for a study costs no simulation.
 //
 // Studies degrade gracefully: a failed point (panic, watchdog timeout,
-// exhausted retries, invalid request) does not abort the study — the
+// simulation error, invalid request) does not abort the study — the
 // affected row carries the failure reason in its Failed field, renders
 // as a FAILED(reason) cell in internal/report, and leaves every other
 // row bit-identical to a fault-free run.
@@ -67,11 +69,6 @@ type CompressionRow struct {
 }
 
 // CompressionStudy regenerates Table 3, Figure 3 and Figure 5.
-func CompressionStudy(benchmarks []string, o Options) []CompressionRow {
-	return sharedScheduler(o).CompressionStudy(benchmarks, o)
-}
-
-// CompressionStudy is the scheduler-scoped form of the package function.
 func (s *Scheduler) CompressionStudy(benchmarks []string, o Options) []CompressionRow {
 	type futures struct{ base, cc, lc, both *PointFuture }
 	subs := make([]futures, len(benchmarks))
@@ -127,11 +124,6 @@ type BandwidthRow struct {
 
 // BandwidthStudy regenerates Figure 4. It forces infinite pin bandwidth
 // (the paper's demand definition).
-func BandwidthStudy(benchmarks []string, o Options) []BandwidthRow {
-	return sharedScheduler(o).BandwidthStudy(benchmarks, o)
-}
-
-// BandwidthStudy is the scheduler-scoped form of the package function.
 func (s *Scheduler) BandwidthStudy(benchmarks []string, o Options) []BandwidthRow {
 	o.BandwidthGBps = 0
 	type futures struct{ none, cache, link, both *PointFuture }
@@ -184,11 +176,6 @@ type PrefetcherProps struct {
 
 // PrefetchProperties regenerates Table 4 (prefetching on, compression
 // off, as in the paper's §4.3).
-func PrefetchProperties(benchmarks []string, o Options) []PrefetchPropsRow {
-	return sharedScheduler(o).PrefetchProperties(benchmarks, o)
-}
-
-// PrefetchProperties is the scheduler-scoped form of the package function.
 func (s *Scheduler) PrefetchProperties(benchmarks []string, o Options) []PrefetchPropsRow {
 	subs := make([]*PointFuture, len(benchmarks))
 	for i, b := range benchmarks {
@@ -235,11 +222,6 @@ type PrefetchSpeedupRow struct {
 }
 
 // PrefetchStudy regenerates Figure 6.
-func PrefetchStudy(benchmarks []string, o Options) []PrefetchSpeedupRow {
-	return sharedScheduler(o).PrefetchStudy(benchmarks, o)
-}
-
-// PrefetchStudy is the scheduler-scoped form of the package function.
 func (s *Scheduler) PrefetchStudy(benchmarks []string, o Options) []PrefetchSpeedupRow {
 	type futures struct{ base, pf, ad *PointFuture }
 	subs := make([]futures, len(benchmarks))
@@ -281,11 +263,6 @@ type InteractionRow struct {
 
 // InteractionStudy regenerates Table 5, Figure 9 and the Figure 7 demand
 // ratios (the latter on infinite pins).
-func InteractionStudy(benchmarks []string, o Options) []InteractionRow {
-	return sharedScheduler(o).InteractionStudy(benchmarks, o)
-}
-
-// InteractionStudy is the scheduler-scoped form of the package function.
 func (s *Scheduler) InteractionStudy(benchmarks []string, o Options) []InteractionRow {
 	oInf := o
 	oInf.BandwidthGBps = 0 // Figure 7 bandwidth demand, infinite pins
@@ -351,11 +328,6 @@ type AdaptiveRow struct {
 
 // AdaptiveStudy regenerates Figure 10 (the paper shows the commercial
 // workloads, where adaptation matters).
-func AdaptiveStudy(benchmarks []string, o Options) []AdaptiveRow {
-	return sharedScheduler(o).AdaptiveStudy(benchmarks, o)
-}
-
-// AdaptiveStudy is the scheduler-scoped form of the package function.
 func (s *Scheduler) AdaptiveStudy(benchmarks []string, o Options) []AdaptiveRow {
 	mechs := []Mechanisms{Prefetch, AdaptivePf, PrefCompr, AdaptiveCompr}
 	type futures struct {
@@ -407,11 +379,6 @@ type MissClassRow struct {
 // MissClassification regenerates Figure 8 using per-block miss profiles
 // of the base, compression-only, prefetch-only and combined runs and
 // inclusion–exclusion, as the paper describes.
-func MissClassification(benchmarks []string, o Options) []MissClassRow {
-	return sharedScheduler(o).MissClassification(benchmarks, o)
-}
-
-// MissClassification is the scheduler-scoped form of the package function.
 func (s *Scheduler) MissClassification(benchmarks []string, o Options) []MissClassRow {
 	o.CollectMissProfile = true
 	o.Seeds = 1
@@ -490,11 +457,6 @@ type BandwidthSweepRow struct {
 }
 
 // BandwidthSweep regenerates Figure 11 (10-80 GB/s).
-func BandwidthSweep(benchmarks []string, bandwidths []int, o Options) []BandwidthSweepRow {
-	return sharedScheduler(o).BandwidthSweep(benchmarks, bandwidths, o)
-}
-
-// BandwidthSweep is the scheduler-scoped form of the package function.
 func (s *Scheduler) BandwidthSweep(benchmarks []string, bandwidths []int, o Options) []BandwidthSweepRow {
 	type futures struct{ base, pf, compr, both *PointFuture }
 	subs := make([][]futures, len(benchmarks))
@@ -551,11 +513,6 @@ type CoreSweepRow struct {
 // CoreSweep regenerates Figure 1 (zeus) and Figure 12 (apache, jbb):
 // the mechanisms' improvements as the core count scales, all other
 // parameters fixed.
-func CoreSweep(bench string, coreCounts []int, o Options) []CoreSweepRow {
-	return sharedScheduler(o).CoreSweep(bench, coreCounts, o)
-}
-
-// CoreSweep is the scheduler-scoped form of the package function.
 func (s *Scheduler) CoreSweep(bench string, coreCounts []int, o Options) []CoreSweepRow {
 	mechs := []Mechanisms{Prefetch, AdaptivePf, Compression, PrefCompr, AdaptiveCompr}
 	type futures struct {
@@ -596,14 +553,6 @@ func (s *Scheduler) CoreSweep(bench string, coreCounts []int, o Options) []CoreS
 	return rows
 }
 
-// EffectiveSizeSample reports the time-averaged effective size of the
-// compressed cache for one benchmark (Table 3 support).
-func EffectiveSizeSample(bench string, o Options) (ratio float64, effectiveBytes float64) {
-	p := MustRun(bench, CacheCompr, o)
-	return p.Mean(func(m *sim.Metrics) float64 { return m.CompressionRatio }),
-		p.Mean(func(m *sim.Metrics) float64 { return m.EffectiveL2Bytes })
-}
-
 // CodecRow is one (codec, benchmark) entry of the codec bakeoff: the
 // Table 5 interaction terms re-run with a different line-compression
 // algorithm in the L2, plus the interaction at the most contended point
@@ -630,11 +579,6 @@ const CodecStudyBandwidthGBps = 10
 // (unless o pins one explicitly). The uncompressed baseline exercises
 // no codec, so every codec's speedups are measured against the same
 // shared Base point per (benchmark, bandwidth).
-func CodecStudy(benchmarks []string, o Options) []CodecRow {
-	return sharedScheduler(o).CodecStudy(benchmarks, o)
-}
-
-// CodecStudy is the scheduler-scoped form of the package function.
 func (s *Scheduler) CodecStudy(benchmarks []string, o Options) []CodecRow {
 	names := codec.Names()
 	oBW := o
@@ -717,11 +661,6 @@ type IrregularRow struct {
 // every registered prefetcher. Base and Compression never touch the
 // prefetch engine, so they are submitted with the request's own kind
 // and shared across all engines through the point cache.
-func IrregularStudy(benchmarks []string, o Options) []IrregularRow {
-	return sharedScheduler(o).IrregularStudy(benchmarks, o)
-}
-
-// IrregularStudy is the scheduler-scoped form of the package function.
 func (s *Scheduler) IrregularStudy(benchmarks []string, o Options) []IrregularRow {
 	kinds := prefetch.Names()
 	type futures struct {

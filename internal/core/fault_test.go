@@ -76,39 +76,14 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-func TestTransientRetrySucceeds(t *testing.T) {
+// TestTransientNoRetryBudget: an injected error fails its point on the
+// first attempt. There is no retry budget at all — sim.Run is
+// deterministic, so a second attempt would repeat the first failure.
+func TestTransientNoRetryBudget(t *testing.T) {
 	o := tinyOptions()
 	o.Seeds = 1
-	o.MaxRetries = 3
 	in := faultinject.New(faultinject.Rule{
-		Kind: faultinject.Transient, Benchmark: "zeus", Label: "base", Seed: 0,
-		Count: 2, // first two attempts fail, third succeeds
-	})
-	s := NewScheduler(1)
-	defer s.Close()
-	s.SetFaultHook(in.Hook)
-
-	got, err := s.Submit("zeus", Base, o).Wait()
-	if err != nil {
-		t.Fatalf("point failed despite retry budget: %v", err)
-	}
-	if fired := in.Fired(); fired[0] != 2 {
-		t.Fatalf("fired = %v, want [2]", fired)
-	}
-	if st := s.Stats(); st.SeedRetries != 2 || st.Failed != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if want := faultFreePoint(t, "zeus", Base, o); !reflect.DeepEqual(got, want) {
-		t.Fatal("retried point differs from fault-free run")
-	}
-}
-
-func TestRetryExhaustion(t *testing.T) {
-	o := tinyOptions()
-	o.Seeds = 1
-	o.MaxRetries = 2
-	in := faultinject.New(faultinject.Rule{
-		Kind: faultinject.Transient, Benchmark: "zeus", Label: "base", Seed: 0,
+		Kind: faultinject.Error, Benchmark: "zeus", Label: "base", Seed: 0,
 		Count: faultinject.Forever,
 	})
 	s := NewScheduler(1)
@@ -117,37 +92,17 @@ func TestRetryExhaustion(t *testing.T) {
 
 	_, err := s.Submit("zeus", Base, o).Wait()
 	var pe *PointError
-	if !errors.As(err, &pe) {
-		t.Fatalf("want *PointError, got %v", err)
+	if !errors.As(err, &pe) || pe.Attempts != 1 || pe.Reason != ReasonError {
+		t.Fatalf("want 1-attempt error *PointError, got %v", err)
 	}
-	if pe.Attempts != 3 || pe.Reason != ReasonError {
-		t.Fatalf("PointError = %+v", pe)
-	}
-	if !errors.Is(err, faultinject.ErrTransient) {
+	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("cause not preserved through wrapping: %v", err)
 	}
-	if st := s.Stats(); st.SeedRetries != 2 || st.Failed != 1 {
+	if fired := in.Fired(); fired[0] != 1 {
+		t.Fatalf("hook fired %d times, want 1", fired[0])
+	}
+	if st := s.Stats(); st.Failed != 1 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestTransientNoRetryBudget(t *testing.T) {
-	o := tinyOptions()
-	o.Seeds = 1 // MaxRetries left 0: first transient failure is final
-	in := faultinject.New(faultinject.Rule{
-		Kind: faultinject.Transient, Benchmark: "zeus", Label: "base", Seed: 0,
-	})
-	s := NewScheduler(1)
-	defer s.Close()
-	s.SetFaultHook(in.Hook)
-
-	_, err := s.Submit("zeus", Base, o).Wait()
-	var pe *PointError
-	if !errors.As(err, &pe) || pe.Attempts != 1 {
-		t.Fatalf("want 1-attempt *PointError, got %v", err)
-	}
-	if st := s.Stats(); st.SeedRetries != 0 {
-		t.Fatalf("retried without budget: %+v", st)
 	}
 }
 
@@ -155,7 +110,6 @@ func TestWatchdogTimeout(t *testing.T) {
 	o := tinyOptions()
 	o.Seeds = 1
 	o.PointTimeout = 50 * time.Millisecond
-	o.MaxRetries = 3 // must be ignored: timeouts are not retryable
 	in := faultinject.New(faultinject.Rule{
 		Kind: faultinject.Stall, Benchmark: "zeus", Label: "base", Seed: 0,
 		StallFor: 2 * time.Second,
@@ -187,7 +141,6 @@ func TestWatchdogTimeout(t *testing.T) {
 func TestPanicNotRetried(t *testing.T) {
 	o := tinyOptions()
 	o.Seeds = 1
-	o.MaxRetries = 3
 	in := faultinject.New(faultinject.Rule{
 		Kind: faultinject.Panic, Benchmark: "zeus", Label: "base", Seed: 0,
 		Count: faultinject.Forever,

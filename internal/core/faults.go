@@ -2,12 +2,12 @@
 // two classes of trouble:
 //
 //   - Programmer errors surface immediately: Submit on a closed
-//     scheduler panics, and MustWait/MustRun panic on any point error,
+//     scheduler panics, and MustWait panics on any point error,
 //     because a driver iterating known-good inputs that still fails is
 //     itself broken.
 //   - Point failures — a panicking seed job, a runaway simulation
-//     abandoned by the watchdog, a transient fault that survived its
-//     retries, an invalid request — are data, not disasters: they are
+//     abandoned by the watchdog, an error from the simulation, an
+//     invalid request — are data, not disasters: they are
 //     carried through the future/Observer plumbing as a *PointError and
 //     render as FAILED cells in study rows, so one bad point cannot take
 //     down a sweep.
@@ -23,7 +23,8 @@ import (
 	"cmpsim/internal/sim"
 )
 
-// Failure reasons carried by PointError.
+// Failure reasons carried by PointError. No failure is retried:
+// sim.Run is deterministic, so a second attempt would repeat the first.
 const (
 	ReasonPanic     = "panic"     // the seed job panicked (isolated by recover)
 	ReasonTimeout   = "timeout"   // the watchdog abandoned a runaway simulation
@@ -33,8 +34,8 @@ const (
 )
 
 // ErrPointTimeout marks a seed job abandoned by the per-point watchdog
-// (Options.PointTimeout). Timeouts are not retried: a runaway simulation
-// would most likely run away again, and its goroutine is already burned.
+// (Options.PointTimeout); the runaway goroutine is left to finish into
+// a channel nobody reads.
 var ErrPointTimeout = errors.New("core: point deadline exceeded")
 
 // PointError describes one failed data point: which seed job failed,
@@ -45,7 +46,7 @@ type PointError struct {
 	Mechanisms Mechanisms
 	Options    Options // canonical form (the cache key's option set)
 	Seed       int     // the first failing seed
-	Attempts   int     // simulation attempts for that seed (1 + retries)
+	Attempts   int     // 1 locally; on a fleet, the leases the point used
 	Reason     string  // ReasonPanic, ReasonTimeout or ReasonError
 	Stack      string  // goroutine stack at the panic site (ReasonPanic only)
 	Err        error   // underlying cause
@@ -80,20 +81,12 @@ type panicError struct {
 
 func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.val) }
 
-// IsRetryable reports whether retry-with-backoff may resolve err: some
-// error in its chain implements Retryable() bool and returns true.
-// Panics and watchdog timeouts are never retryable.
-func IsRetryable(err error) bool {
-	var r interface{ Retryable() bool }
-	return errors.As(err, &r) && r.Retryable()
-}
-
 // newPointError classifies err and wraps it with the failing job's
 // identity.
-func (e *pointEntry) newPointError(seed, attempts int, err error) *PointError {
+func (e *pointEntry) newPointError(seed int, err error) *PointError {
 	pe := &PointError{
 		Benchmark: e.bench, Mechanisms: e.mech, Options: e.opts,
-		Seed: seed, Attempts: attempts, Reason: ReasonError, Err: err,
+		Seed: seed, Attempts: 1, Reason: ReasonError, Err: err,
 	}
 	var p *panicError
 	var v *audit.Violation
@@ -109,10 +102,9 @@ func (e *pointEntry) newPointError(seed, attempts int, err error) *PointError {
 	return pe
 }
 
-// simulateSeed runs one seed job with panic isolation, the optional
-// watchdog deadline, and bounded retry-with-backoff for retryable
-// failures. Any failure comes back as a *PointError.
-func (e *pointEntry) simulateSeed(s *Scheduler, seed int) (sim.Metrics, error) {
+// simulateSeed runs one seed job with panic isolation and the optional
+// watchdog deadline. Any failure comes back as a *PointError.
+func (e *pointEntry) simulateSeed(seed int) (sim.Metrics, error) {
 	cfg := e.opts.config(e.bench, e.mech, int64(seed)+1)
 	if e.checkSet {
 		cfg.CheckLevel = e.checkLevel
@@ -120,26 +112,18 @@ func (e *pointEntry) simulateSeed(s *Scheduler, seed int) (sim.Metrics, error) {
 	if e.stateFault != nil {
 		cfg.StateFault = e.stateFault(e.bench, e.mech.Label(), seed)
 	}
-	for attempt := 0; ; attempt++ {
-		met, err := e.attemptOnce(cfg, seed)
-		if err == nil {
-			return met, nil
-		}
-		if !IsRetryable(err) || attempt >= e.retries {
-			return sim.Metrics{}, e.newPointError(seed, attempt+1, err)
-		}
-		s.noteRetry()
-		if e.backoff > 0 {
-			time.Sleep(e.backoff << uint(attempt)) // exponential backoff
-		}
+	met, err := e.runWithDeadline(cfg, seed)
+	if err != nil {
+		return sim.Metrics{}, e.newPointError(seed, err)
 	}
+	return met, nil
 }
 
-// attemptOnce executes one simulation attempt. Without a deadline it
-// runs inline on the worker; with one it runs in a child goroutine the
+// runWithDeadline executes the simulation. Without a deadline it runs
+// inline on the worker; with one it runs in a child goroutine the
 // watchdog abandons on expiry (the runaway goroutine finishes into a
 // buffered channel nobody reads and is then collected).
-func (e *pointEntry) attemptOnce(cfg sim.Config, seed int) (sim.Metrics, error) {
+func (e *pointEntry) runWithDeadline(cfg sim.Config, seed int) (sim.Metrics, error) {
 	if e.timeout <= 0 {
 		return e.guardedRun(cfg, seed)
 	}

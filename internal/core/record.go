@@ -22,19 +22,15 @@ import (
 func CanonicalOptions(o Options) Options { return canonicalOpts(o) }
 
 // canonicalOpts normalizes scheduling-only and aliasing fields so that
-// equivalent requests share one cache entry: Workers and the
-// robustness knobs (PointTimeout, MaxRetries, RetryBackoff) do not affect
-// simulation results, CheckLevel is a read-only audit tier, the
-// registries' default names ("stride", "fpc") select what "" already
-// selects, and DecompressionCycles is ignored by config unless
+// equivalent requests share one cache entry: the PointTimeout watchdog
+// does not affect simulation results, CheckLevel is a read-only audit
+// tier, the registries' default names ("stride", "fpc") select what ""
+// already selects, and DecompressionCycles is ignored by config unless
 // DecompressionSet. RefSource deliberately has no alias: "" means each
 // profile's own kind, which is not the same simulation as "strided" on
 // an irregular benchmark.
 func canonicalOpts(o Options) Options {
-	o.Workers = 0
 	o.PointTimeout = 0
-	o.MaxRetries = 0
-	o.RetryBackoff = 0
 	o.CheckLevel = ""
 	if o.PrefetcherKind == prefetch.DefaultName {
 		o.PrefetcherKind = ""

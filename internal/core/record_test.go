@@ -16,10 +16,7 @@ import (
 // cannot be left ambiguous, because the scheduler cache and the shared
 // result store both key on the same function.
 var schedulingOnlyFields = map[string]bool{
-	"Workers":      true,
 	"PointTimeout": true,
-	"MaxRetries":   true,
-	"RetryBackoff": true,
 	"CheckLevel":   true,
 }
 
@@ -105,7 +102,6 @@ func TestPointKeyAliases(t *testing.T) {
 func TestPointKeyMatchesSchedulerCache(t *testing.T) {
 	a := tinyOptions()
 	b := a
-	b.Workers = 9
 	b.PointTimeout = time.Minute
 	b.CheckLevel = "shadow"
 	if canonicalKey("zeus", Base, a) != canonicalKey("zeus", Base, b) {
@@ -144,7 +140,7 @@ func TestPointRecordValidate(t *testing.T) {
 	}
 
 	bad = good
-	bad.Options.Workers = 4 // non-canonical stored identity
+	bad.Options.PointTimeout = time.Second // non-canonical stored identity
 	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "canonical") {
 		t.Errorf("non-canonical options accepted: %v", err)
 	}

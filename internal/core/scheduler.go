@@ -1,19 +1,20 @@
 // Parallel experiment scheduler: a worker pool that fans out seed-level
 // simulation jobs plus a memoizing point cache, so every unique
 // (benchmark, mechanisms, canonical options) data point is simulated
-// exactly once per process no matter how many studies request it.
+// exactly once per scheduler no matter how many studies request it.
+// The caller owns the scheduler: it picks the pool size, shares one
+// scheduler across the studies that should share points, and closes it.
 //
 // Determinism contract: a point's seeds are fixed (1..Seeds), each seed
 // is an independent sim.Run on a private System, and the runs are
 // assembled in seed order before the point is published. The resulting
 // Point — including the stats.Summarize reduction — is therefore
-// bit-identical whatever the worker count, including Workers == 1.
+// bit-identical whatever the worker count, including one worker.
 //
-// Fault tolerance: every seed job runs with panic isolation, an
-// optional watchdog deadline (Options.PointTimeout) and bounded
-// retry-with-backoff for retryable failures; a failed point resolves
-// its future with a *PointError instead of crashing the pool (see
-// faults.go).
+// Fault tolerance: every seed job runs once, with panic isolation and
+// an optional watchdog deadline (Options.PointTimeout); a failed point
+// resolves its future with a *PointError instead of crashing the pool
+// (see faults.go).
 //
 // Durability contract: an attached PointStore (SetPointStore) is the
 // only durable record. A finished point is persisted, counted, announced
@@ -142,8 +143,6 @@ type pointEntry struct {
 	// Robustness settings captured from the submitting Options (they are
 	// canonicalized out of the cache key but still govern execution).
 	timeout    time.Duration
-	retries    int
-	backoff    time.Duration
 	faultHook  FaultHook
 	stateFault StateFaultHook
 	checkLevel audit.Level
@@ -163,11 +162,11 @@ func (e *pointEntry) key() pointKey {
 	return pointKey{bench: e.bench, mech: e.mech, opts: e.opts}
 }
 
-// runSeed executes one seed's simulation — with panic isolation, the
-// watchdog deadline and retry policy (faults.go) — and finishes the
-// point when it is the last seed to land.
+// runSeed executes one seed's simulation — with panic isolation and the
+// watchdog deadline (faults.go) — and finishes the point when it is the
+// last seed to land.
 func (e *pointEntry) runSeed(s *Scheduler, seed int) {
-	met, err := e.simulateSeed(s, seed)
+	met, err := e.simulateSeed(seed)
 	e.mu.Lock()
 	if err != nil && e.err == nil {
 		e.err = err
@@ -200,7 +199,7 @@ func (e *pointEntry) runSeed(s *Scheduler, seed int) {
 func (e *pointEntry) finish(s *Scheduler) {
 	if e.err == nil {
 		if err := s.storeAdd(e.key(), e.point); err != nil {
-			e.err = e.newPointError(0, 1, fmt.Errorf("persist: %w", err))
+			e.err = e.newPointError(0, fmt.Errorf("persist: %w", err))
 			e.point = Point{}
 		}
 	}
@@ -237,7 +236,7 @@ func (e *pointEntry) runRemote(s *Scheduler, r PointRunner) {
 	if err != nil {
 		var pe *PointError
 		if !errors.As(err, &pe) {
-			err = e.newPointError(0, 1, err)
+			err = e.newPointError(0, err)
 		}
 		e.err = err
 	} else {
@@ -279,7 +278,7 @@ type Scheduler struct {
 	mu         sync.Mutex
 	cond       *sync.Cond
 	queue      []seedJob
-	target     int // pool size; workers spawn lazily up to it
+	target     int // pool size, fixed at construction; workers spawn lazily up to it
 	running    int
 	closed     bool
 	cache      map[pointKey]*pointEntry
@@ -294,7 +293,6 @@ type Scheduler struct {
 	seedRuns  uint64
 	fromStore uint64
 	failed    uint64
-	retries   uint64
 
 	obsPanicOnce sync.Once // first observer panic reported to stderr
 }
@@ -409,13 +407,6 @@ func (s *Scheduler) noteFailed() {
 	s.mu.Unlock()
 }
 
-// noteRetry counts one seed-level retry.
-func (s *Scheduler) noteRetry() {
-	s.mu.Lock()
-	s.retries++
-	s.mu.Unlock()
-}
-
 // NewScheduler returns a scheduler with its own empty cache running at
 // most workers simulations concurrently; workers < 1 means one per CPU.
 func NewScheduler(workers int) *Scheduler {
@@ -427,23 +418,8 @@ func NewScheduler(workers int) *Scheduler {
 	return s
 }
 
-// Workers reports the current pool size.
-func (s *Scheduler) Workers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.target
-}
-
-// grow raises the pool size to at least n workers. The pool never
-// shrinks: for guaranteed-serial execution use NewScheduler(1).
-func (s *Scheduler) grow(n int) {
-	s.mu.Lock()
-	if n > s.target {
-		s.target = n
-		s.spawnLocked()
-	}
-	s.mu.Unlock()
-}
+// Workers reports the pool size NewScheduler resolved.
+func (s *Scheduler) Workers() int { return s.target }
 
 // spawnLocked starts workers up to the target pool size. Callers hold mu.
 func (s *Scheduler) spawnLocked() {
@@ -477,12 +453,13 @@ func (s *Scheduler) worker() {
 
 // Submit requests one data point. It never blocks on simulation work:
 // the point's seed jobs are queued (or the cached entry is found) and a
-// future is returned for collection via Wait. Invalid requests resolve
-// immediately with the same errors Run reports. Progress events fire
-// outside the scheduler lock: PointCached for cache hits, PointRestored
-// for points served from the attached result store, PointStart for newly
-// queued points, PointFinish when the last seed lands (invalid
-// submissions fire PointFinish with the error directly).
+// future is returned for collection via Wait. Invalid requests (unknown
+// benchmark, Seeds < 1, bad CheckLevel) resolve immediately with an
+// error. Progress events fire outside the scheduler lock: PointCached
+// for cache hits, PointRestored for points served from the attached
+// result store, PointStart for newly queued points, PointFinish when the
+// last seed lands (invalid submissions fire PointFinish with the error
+// directly).
 func (s *Scheduler) Submit(bench string, m Mechanisms, o Options) *PointFuture {
 	key := canonicalKey(bench, m, o)
 	s.mu.Lock()
@@ -497,8 +474,7 @@ func (s *Scheduler) Submit(bench string, m Mechanisms, o Options) *PointFuture {
 	e := &pointEntry{
 		bench: bench, mech: m, opts: key.opts,
 		started: time.Now(), notify: s.observer, done: make(chan struct{}),
-		timeout: o.PointTimeout, retries: o.MaxRetries, backoff: o.RetryBackoff,
-		faultHook: s.faultHook, stateFault: s.stateFault,
+		timeout: o.PointTimeout, faultHook: s.faultHook, stateFault: s.stateFault,
 		checkLevel: lvl, checkSet: o.CheckLevel != "",
 	}
 	if lerr == nil {
@@ -538,9 +514,6 @@ func (s *Scheduler) Submit(bench string, m Mechanisms, o Options) *PointFuture {
 			kind = PointStart
 			break
 		}
-		if s.target < 1 {
-			s.target = runtime.GOMAXPROCS(0)
-		}
 		s.seedRuns += uint64(o.Seeds)
 		e.runs = make([]sim.Metrics, o.Seeds)
 		e.pending = o.Seeds
@@ -564,8 +537,9 @@ func (s *Scheduler) Submit(bench string, m Mechanisms, o Options) *PointFuture {
 }
 
 // Close lets the workers exit once the queue drains. Futures already
-// submitted still complete; submitting new work afterwards panics. It
-// exists so tests with private schedulers do not leak parked goroutines.
+// submitted still complete; submitting new work afterwards panics. The
+// creator closes its scheduler after the last Submit, so no parked
+// worker goroutine outlives it.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	s.closed = true
@@ -575,14 +549,13 @@ func (s *Scheduler) Close() {
 
 // SchedulerStats counts cache effectiveness and pipeline health: how
 // much simulation the memoized point cache and the result store avoided,
-// and how many points failed despite isolation and retries.
+// and how many points failed.
 type SchedulerStats struct {
-	Requests    uint64 // Submit calls
-	Unique      uint64 // distinct points actually simulated (locally or via the lease adapter)
-	SeedRuns    uint64 // individual seed-level sim.Run jobs executed locally
-	FromStore   uint64 // points served from the shared result store
-	Failed      uint64 // points that finished with an error
-	SeedRetries uint64 // retry attempts for retryable seed failures
+	Requests  uint64 // Submit calls
+	Unique    uint64 // distinct points actually simulated (locally or via the lease adapter)
+	SeedRuns  uint64 // individual seed-level sim.Run jobs executed locally
+	FromStore uint64 // points served from the shared result store
+	Failed    uint64 // points that finished with an error
 }
 
 // Cached returns how many requests were served from the in-process
@@ -597,31 +570,6 @@ func (s *Scheduler) Stats() SchedulerStats {
 	defer s.mu.Unlock()
 	return SchedulerStats{
 		Requests: s.requests, Unique: s.unique, SeedRuns: s.seedRuns,
-		FromStore: s.fromStore, Failed: s.failed, SeedRetries: s.retries,
+		FromStore: s.fromStore, Failed: s.failed,
 	}
-}
-
-var (
-	defaultOnce  sync.Once
-	defaultSched *Scheduler
-)
-
-// DefaultScheduler returns the process-wide scheduler backing Run,
-// MustRun and the package-level study drivers. Its pool starts at the
-// first caller's worker count and grows if a later Options asks for
-// more; it never shrinks, so use NewScheduler(1) when serial execution
-// itself (not just serial-identical results) is required.
-func DefaultScheduler() *Scheduler {
-	defaultOnce.Do(func() {
-		defaultSched = &Scheduler{cache: make(map[pointKey]*pointEntry)}
-		defaultSched.cond = sync.NewCond(&defaultSched.mu)
-	})
-	return defaultSched
-}
-
-// sharedScheduler returns the default scheduler grown to o's workers.
-func sharedScheduler(o Options) *Scheduler {
-	s := DefaultScheduler()
-	s.grow(o.workerCount())
-	return s
 }

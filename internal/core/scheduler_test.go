@@ -14,7 +14,7 @@ import (
 )
 
 // TestSchedulerDeterminism is the scheduler's regression contract: the
-// same study run serially (Workers: 1) and in parallel must produce
+// same study run serially (one worker) and in parallel must produce
 // bit-identical Points, proving the fan-out introduces no hidden shared
 // state. Fresh schedulers keep the comparison honest — with a shared
 // cache the second run would trivially return the first run's points.
@@ -62,12 +62,10 @@ func TestSchedulerCacheDedup(t *testing.T) {
 
 	// Scheduling-only and aliasing option differences share the entry.
 	o2 := o
-	o2.Workers = 7
 	o2.PrefetcherKind = "stride"
 	o2.DecompressionCycles = 99 // ignored: DecompressionSet is false
 	o2.PointTimeout = time.Minute
-	o2.MaxRetries = 5
-	o2.RetryBackoff = time.Second
+	o2.CheckLevel = "invariants"
 	s.Submit("zeus", Base, o2).MustWait()
 	if got := s.Stats().Unique; got != 1 {
 		t.Fatalf("canonicalization missed: unique = %d", got)

@@ -17,10 +17,17 @@ func TestPaperShape(t *testing.T) {
 	}
 	o := Options{Cores: 8, Seeds: 1, Warmup: 1_200_000, Measure: 400_000,
 		BandwidthGBps: 10, L2MB: 2}
+	// One scheduler for all subtests: they re-request each other's Base
+	// points, which its cache simulates once.
+	s := NewScheduler(0)
+	defer s.Close()
+	run := func(bench string, m Mechanisms, o Options) Point {
+		return s.Submit(bench, m, o).MustWait()
+	}
 
 	t.Run("CommercialCompressesSPECompDoesNot", func(t *testing.T) {
-		jbb := MustRun("jbb", CacheCompr, o)
-		apsi := MustRun("apsi", CacheCompr, o)
+		jbb := run("jbb", CacheCompr, o)
+		apsi := run("apsi", CacheCompr, o)
 		jr := jbb.Mean(ratioOf)
 		ar := apsi.Mean(ratioOf)
 		if jr < 1.3 {
@@ -32,25 +39,25 @@ func TestPaperShape(t *testing.T) {
 	})
 
 	t.Run("CompressionHelpsCommercial", func(t *testing.T) {
-		base := MustRun("oltp", Base, o)
-		compr := MustRun("oltp", Compression, o)
+		base := run("oltp", Base, o)
+		compr := run("oltp", Compression, o)
 		if sp := Speedup(base, compr); sp < 1.0 {
 			t.Errorf("oltp compression speedup %.3f should be positive", sp)
 		}
 	})
 
 	t.Run("PrefetchingHurtsJbb", func(t *testing.T) {
-		base := MustRun("jbb", Base, o)
-		pf := MustRun("jbb", Prefetch, o)
+		base := run("jbb", Base, o)
+		pf := run("jbb", Prefetch, o)
 		if sp := Speedup(base, pf); sp > 1.0 {
 			t.Errorf("jbb prefetch speedup %.3f should be a slowdown", sp)
 		}
 	})
 
 	t.Run("AdaptiveRescuesJbb", func(t *testing.T) {
-		base := MustRun("jbb", Base, o)
-		pf := MustRun("jbb", Prefetch, o)
-		ad := MustRun("jbb", AdaptivePf, o)
+		base := run("jbb", Base, o)
+		pf := run("jbb", Prefetch, o)
+		ad := run("jbb", AdaptivePf, o)
 		if Speedup(base, ad) <= Speedup(base, pf) {
 			t.Errorf("adaptive (%.3f) should beat static prefetching (%.3f) on jbb",
 				Speedup(base, ad), Speedup(base, pf))
@@ -63,8 +70,8 @@ func TestPaperShape(t *testing.T) {
 		// sub-test keeps the paper's full 20 GB/s pins.
 		om := o
 		om.BandwidthGBps = 20
-		base := MustRun("mgrid", Base, om)
-		pf := MustRun("mgrid", Prefetch, om)
+		base := run("mgrid", Base, om)
+		pf := run("mgrid", Prefetch, om)
 		if sp := Speedup(base, pf); sp < 1.05 {
 			t.Errorf("mgrid prefetch speedup %.3f should be strong", sp)
 		}
@@ -73,10 +80,10 @@ func TestPaperShape(t *testing.T) {
 	t.Run("PrefetchBenefitCollapsesWithCores", func(t *testing.T) {
 		o1 := o
 		o1.Cores = 1
-		base1 := MustRun("zeus", Base, o1)
-		pf1 := MustRun("zeus", Prefetch, o1)
-		base8 := MustRun("zeus", Base, o)
-		pf8 := MustRun("zeus", Prefetch, o)
+		base1 := run("zeus", Base, o1)
+		pf1 := run("zeus", Prefetch, o1)
+		base8 := run("zeus", Base, o)
+		pf8 := run("zeus", Prefetch, o)
 		gain1 := Speedup(base1, pf1)
 		gain8 := Speedup(base8, pf8)
 		if gain8 >= gain1 {
@@ -87,8 +94,8 @@ func TestPaperShape(t *testing.T) {
 	t.Run("LinkCompressionCutsCommercialDemand", func(t *testing.T) {
 		oInf := o
 		oInf.BandwidthGBps = 0
-		base := MustRun("oltp", Base, oInf)
-		lc := MustRun("oltp", LinkCompr, oInf)
+		base := run("oltp", Base, oInf)
+		lc := run("oltp", LinkCompr, oInf)
 		bwBase := base.Mean(bwOf)
 		bwLC := lc.Mean(bwOf)
 		if bwLC > bwBase*0.85 {
@@ -100,8 +107,8 @@ func TestPaperShape(t *testing.T) {
 	t.Run("PrefetchingInflatesDemand", func(t *testing.T) {
 		oInf := o
 		oInf.BandwidthGBps = 0
-		base := MustRun("zeus", Base, oInf)
-		pf := MustRun("zeus", Prefetch, oInf)
+		base := run("zeus", Base, oInf)
+		pf := run("zeus", Prefetch, oInf)
 		if pf.Mean(bwOf) <= base.Mean(bwOf) {
 			t.Error("prefetching should increase bandwidth demand")
 		}

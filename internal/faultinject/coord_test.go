@@ -94,7 +94,31 @@ func TestCoordRuleStringNames(t *testing.T) {
 	if KillCoord.String() != "killcoord" || RestartCoord.String() != "restartcoord" {
 		t.Fatalf("kind names: %v %v", KillCoord, RestartCoord)
 	}
-	if !strings.Contains("killcoord restartcoord", KillCoord.String()) {
-		t.Fatal("unreachable")
+	// Every kind round-trips through the spec grammar under a distinct
+	// name; the first value past the table has none.
+	seen := make(map[string]bool)
+	for k := Panic; k <= RestartCoord; k++ {
+		name := k.String()
+		if name == "" || strings.HasPrefix(name, "Kind(") || seen[name] {
+			t.Fatalf("kind %d has name %q", int(k), name)
+		}
+		seen[name] = true
+		spec := "kind=" + name
+		if k == Corrupt {
+			spec += ",fault=flip-sharer" // corrupt rules require a fault name
+		}
+		in, err := Parse(spec)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", spec, err)
+		}
+		if got := in.rules[0].Kind; got != k {
+			t.Fatalf("Parse(%q) kind = %v, want %v", spec, got, k)
+		}
+	}
+	if len(seen) != 11 {
+		t.Fatalf("%d kinds named, want 11", len(seen))
+	}
+	if got := (RestartCoord + 1).String(); got != "Kind(11)" {
+		t.Fatalf("unnamed kind prints %q", got)
 	}
 }

@@ -1,9 +1,9 @@
 // Package faultinject provides deterministic fault injection for the
-// experiment scheduler: seeded rules that fire a panic, a stall, or a
-// transient (retryable) error on the Nth matching seed job. It exists
-// to prove the pipeline's fault tolerance — panic isolation, watchdog
-// deadlines, retry-with-backoff — under `go test -race` and behind the
-// test-only -faultinject flag of cmd/experiments.
+// experiment scheduler: seeded rules that fire a panic, a stall, or an
+// injected error on the Nth matching seed job. It exists to prove the
+// pipeline's fault tolerance — panic isolation, watchdog deadlines,
+// failed points that never take a sweep down — under `go test -race`
+// and behind the test-only -faultinject flag of cmd/experiments.
 //
 // Determinism: an Injector is deterministic with respect to the
 // sequence of Hook invocations it sees. With concurrent workers the
@@ -30,9 +30,9 @@ const (
 	// Stall sleeps for StallFor before letting the job proceed
 	// (exercises the watchdog deadline).
 	Stall
-	// Transient returns a retryable error (exercises retry-with-backoff
-	// and retry exhaustion).
-	Transient
+	// Error returns an injected error (exercises ReasonError point
+	// failures).
+	Error
 	// Corrupt injects a state corruption into the simulation itself
 	// (sim.Config.StateFault) instead of acting in the hook: the run
 	// proceeds until the configured step, flips the named piece of
@@ -80,34 +80,30 @@ const (
 	RestartCoord
 )
 
+// kindNames spells every kind as the spec grammar does; String and
+// Parse both read it.
+var kindNames = [...]string{
+	Panic: "panic", Stall: "stall", Error: "error", Corrupt: "corrupt",
+	Drop: "drop", Delay: "delay", Dup: "dup", CorruptMsg: "corruptmsg", Kill: "kill",
+	KillCoord: "killcoord", RestartCoord: "restartcoord",
+}
+
 // String names the kind as the spec grammar spells it.
 func (k Kind) String() string {
-	switch k {
-	case Panic:
-		return "panic"
-	case Stall:
-		return "stall"
-	case Transient:
-		return "transient"
-	case Corrupt:
-		return "corrupt"
-	case Drop:
-		return "drop"
-	case Delay:
-		return "delay"
-	case Dup:
-		return "dup"
-	case CorruptMsg:
-		return "corruptmsg"
-	case Kill:
-		return "kill"
-	case KillCoord:
-		return "killcoord"
-	case RestartCoord:
-		return "restartcoord"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("Kind(%d)", int(k))
+}
+
+// parseKind is the inverse of String.
+func parseKind(name string) (Kind, bool) {
+	for k, n := range kindNames {
+		if n == name {
+			return Kind(k), true
+		}
+	}
+	return 0, false
 }
 
 // transport reports whether the kind acts at the fleet protocol layer
@@ -164,26 +160,22 @@ const DefaultAfter uint64 = 10_000
 // heartbeat timeouts on its own.
 const DefaultDelay = 50 * time.Millisecond
 
-// ErrTransient classifies injected transient faults: errors.Is(err,
-// faultinject.ErrTransient) holds for every error Hook returns.
-var ErrTransient = errors.New("faultinject: transient fault")
+// ErrInjected classifies injected errors: errors.Is(err,
+// faultinject.ErrInjected) holds for every error Hook returns.
+var ErrInjected = errors.New("faultinject: injected error")
 
-// transientErr is the retryable error Transient rules return.
-type transientErr struct {
+// injectedErr is the error Error rules return.
+type injectedErr struct {
 	bench, label string
 	seed         int
 }
 
-func (e *transientErr) Error() string {
-	return fmt.Sprintf("faultinject: transient fault (%s/%s seed %d)", e.bench, e.label, e.seed)
+func (e *injectedErr) Error() string {
+	return fmt.Sprintf("faultinject: injected error (%s/%s seed %d)", e.bench, e.label, e.seed)
 }
 
-// Is matches ErrTransient so callers can classify without the type.
-func (e *transientErr) Is(target error) bool { return target == ErrTransient }
-
-// Retryable marks the fault as resolvable by retrying (the contract
-// internal/core's IsRetryable checks for).
-func (e *transientErr) Retryable() bool { return true }
+// Is matches ErrInjected so callers can classify without the type.
+func (e *injectedErr) Is(target error) bool { return target == ErrInjected }
 
 // ruleState tracks one rule's match and firing counters.
 type ruleState struct {
@@ -238,7 +230,7 @@ func New(rules ...Rule) *Injector {
 
 // Hook is the scheduler-facing fault hook (core.FaultHook shaped): it
 // counts every rule's matches and acts out the first rule due to fire —
-// panicking, stalling, or returning a transient error.
+// panicking, stalling, or returning an injected error.
 func (in *Injector) Hook(bench, label string, seed int) error {
 	in.mu.Lock()
 	var act *ruleState
@@ -266,7 +258,7 @@ func (in *Injector) Hook(bench, label string, seed int) error {
 		time.Sleep(act.StallFor)
 		return nil
 	default:
-		return &transientErr{bench: bench, label: label, seed: seed}
+		return &injectedErr{bench: bench, label: label, seed: seed}
 	}
 }
 
@@ -398,7 +390,7 @@ func (in *Injector) Fired() []int {
 // test-only -faultinject flag of cmd/experiments accepts. Rules are
 // separated by ';', fields within a rule by ',', each field key=value:
 //
-//	kind=panic|stall|transient|corrupt   (required; seed-job faults)
+//	kind=panic|stall|error|corrupt       (required; seed-job faults)
 //	kind=drop|delay|dup|corruptmsg|kill  (transport faults, fleet workers)
 //	kind=killcoord|restartcoord          (coordinator crash faults)
 //	bench=NAME                   (default any; "*" explicit any)
@@ -434,33 +426,9 @@ func Parse(spec string) (*Injector, error) {
 			}
 			switch k {
 			case "kind":
-				switch v {
-				case "panic":
-					r.Kind = Panic
-				case "stall":
-					r.Kind = Stall
-				case "transient":
-					r.Kind = Transient
-				case "corrupt":
-					r.Kind = Corrupt
-				case "drop":
-					r.Kind = Drop
-				case "delay":
-					r.Kind = Delay
-				case "dup":
-					r.Kind = Dup
-				case "corruptmsg":
-					r.Kind = CorruptMsg
-				case "kill":
-					r.Kind = Kill
-				case "killcoord":
-					r.Kind = KillCoord
-				case "restartcoord":
-					r.Kind = RestartCoord
-				default:
+				if r.Kind, haveKind = parseKind(v); !haveKind {
 					return nil, fmt.Errorf("faultinject: unknown kind %q", v)
 				}
-				haveKind = true
 			case "bench":
 				r.Benchmark = v
 			case "label":

@@ -7,7 +7,7 @@ import (
 )
 
 func TestMatchingAndNth(t *testing.T) {
-	in := New(Rule{Kind: Transient, Benchmark: "zeus", Label: "base", Seed: 1, Nth: 2})
+	in := New(Rule{Kind: Error, Benchmark: "zeus", Label: "base", Seed: 1, Nth: 2})
 
 	if err := in.Hook("zeus", "base", 0); err != nil {
 		t.Fatalf("seed 0 should not match: %v", err)
@@ -22,12 +22,8 @@ func TestMatchingAndNth(t *testing.T) {
 	if err == nil {
 		t.Fatal("second match must fire")
 	}
-	if !errors.Is(err, ErrTransient) {
-		t.Fatalf("fired error %v is not ErrTransient", err)
-	}
-	var r interface{ Retryable() bool }
-	if !errors.As(err, &r) || !r.Retryable() {
-		t.Fatalf("transient fault %v is not retryable", err)
+	if !errors.Is(err, ErrInjected) {
+		t.Fatalf("fired error %v is not ErrInjected", err)
 	}
 	// count defaults to 1: the rule has burnt out.
 	if err := in.Hook("zeus", "base", 1); err != nil {
@@ -40,8 +36,8 @@ func TestMatchingAndNth(t *testing.T) {
 
 func TestCountAndForever(t *testing.T) {
 	in := New(
-		Rule{Kind: Transient, Seed: AnySeed, Count: 2},
-		Rule{Kind: Transient, Seed: AnySeed, Count: Forever},
+		Rule{Kind: Error, Seed: AnySeed, Count: 2},
+		Rule{Kind: Error, Seed: AnySeed, Count: Forever},
 	)
 	for i := 0; i < 5; i++ {
 		if err := in.Hook("zeus", "base", 0); err == nil {
@@ -56,7 +52,7 @@ func TestCountAndForever(t *testing.T) {
 
 func TestDeterministicSequence(t *testing.T) {
 	mk := func() []error {
-		in := New(Rule{Kind: Transient, Benchmark: "zeus", Seed: AnySeed, Nth: 3, Count: 2})
+		in := New(Rule{Kind: Error, Benchmark: "zeus", Seed: AnySeed, Nth: 3, Count: 2})
 		var errs []error
 		for i := 0; i < 6; i++ {
 			errs = append(errs, in.Hook("zeus", "base", i))
@@ -100,7 +96,7 @@ func TestStallKind(t *testing.T) {
 }
 
 func TestParse(t *testing.T) {
-	in, err := Parse("kind=panic,bench=zeus,label=base,seed=0,nth=2; kind=stall,stall=50ms ;kind=transient,count=-1")
+	in, err := Parse("kind=panic,bench=zeus,label=base,seed=0,nth=2; kind=stall,stall=50ms ;kind=error,count=-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +110,8 @@ func TestParse(t *testing.T) {
 	if s := in.rules[1]; s.Kind != Stall || s.StallFor != 50*time.Millisecond || s.Seed != AnySeed {
 		t.Fatalf("stall rule = %+v", s.Rule)
 	}
-	if tr := in.rules[2]; tr.Kind != Transient || tr.Count != Forever {
-		t.Fatalf("transient rule = %+v", tr.Rule)
+	if er := in.rules[2]; er.Kind != Error || er.Count != Forever {
+		t.Fatalf("error rule = %+v", er.Rule)
 	}
 
 	for _, bad := range []string{

@@ -25,13 +25,13 @@ func TestParseTransport(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"kind=drop,msg=hello",      // not an injectable message type
-		"kind=drop,msg=",           // empty msg
-		"kind=kill,worker=",        // empty worker
-		"kind=panic,msg=result",    // msg= on a non-transport kind
-		"kind=transient,worker=w0", // worker= on a non-transport kind
-		"kind=drop,seed=3",         // transport rules cannot pin a seed
-		"kind=delay,delay=-5ms",    // negative delay
+		"kind=drop,msg=hello",   // not an injectable message type
+		"kind=drop,msg=",        // empty msg
+		"kind=kill,worker=",     // empty worker
+		"kind=panic,msg=result", // msg= on a non-transport kind
+		"kind=error,worker=w0",  // worker= on a non-transport kind
+		"kind=drop,seed=3",      // transport rules cannot pin a seed
+		"kind=delay,delay=-5ms", // negative delay
 		"kind=delay,delay=bogus",
 	} {
 		if _, err := Parse(bad); err == nil {
@@ -82,16 +82,16 @@ func TestTransportRulesInvisibleToHook(t *testing.T) {
 	// and simulation rules must never fire through Transport.
 	in := New(
 		Rule{Kind: Drop, Msg: "result", Seed: AnySeed, Count: Forever},
-		Rule{Kind: Transient, Seed: AnySeed, Count: Forever},
+		Rule{Kind: Error, Seed: AnySeed, Count: Forever},
 	)
 	if err := in.Hook("zeus", "base", 0); err == nil {
-		t.Fatal("transient rule should fire through Hook")
+		t.Fatal("error rule should fire through Hook")
 	}
 	act, ok := in.Transport("result", "w0", "zeus", "base")
 	if !ok || act.Kind != Drop {
 		t.Fatalf("drop rule should fire through Transport: %+v %v", act, ok)
 	}
-	// The transient rule fired via Hook only; the drop rule via Transport
+	// The error rule fired via Hook only; the drop rule via Transport
 	// only.
 	if got := in.Fired(); got[0] == 0 || got[1] == 0 {
 		t.Fatalf("fired = %v", got)

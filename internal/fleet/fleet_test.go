@@ -127,12 +127,15 @@ func await(t *testing.T, ch chan pointResult) pointResult {
 func TestLeaseResultHappyPath(t *testing.T) {
 	c := NewCoordinator(Config{})
 	defer c.Shutdown()
-	ch := runAsync(c, "zeus", core.Compression, tinyOpts())
+	o := tinyOpts()
+	o.PointTimeout = time.Minute // scheduling-only: never leased
+	o.CheckLevel = "shadow"
+	ch := runAsync(c, "zeus", core.Compression, o)
 	lease := awaitLease(t, c, "w1")
 	if lease.Benchmark != "zeus" || *lease.Mechanisms != core.Compression {
 		t.Fatalf("lease carries wrong identity: %+v", lease)
 	}
-	if lease.Options.Workers != 0 || lease.Options.CheckLevel != "" {
+	if lease.Options.PointTimeout != 0 || lease.Options.CheckLevel != "" {
 		t.Fatalf("lease options are not canonical: %+v", lease.Options)
 	}
 	if resp := c.Handle(leaseResult(t, "w1", lease)); resp.Type != MsgOK {
@@ -818,7 +821,7 @@ func TestCoordinatorAndWorkerStoreAgree(t *testing.T) {
 	<-errCh
 	// Options with different scheduling knobs must still hit the record.
 	noisy := tinyOpts()
-	noisy.Workers = 7
+	noisy.PointTimeout = time.Minute
 	noisy.CheckLevel = "shadow"
 	if _, ok := st.Lookup("zeus", core.Prefetch, noisy); !ok {
 		t.Fatal("stored point not found under the canonical key")

@@ -28,16 +28,6 @@ func OpenStore(dir string, shards int) (*Store, error) {
 	return &Store{s: s}, nil
 }
 
-// OpenStoreRead opens a result-store directory read-only (it need not
-// exist yet). Adds are refused.
-func OpenStoreRead(dir string) (*Store, error) {
-	s, err := store.OpenRead(dir)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{s: s}, nil
-}
-
 // Lookup returns the stored point for a request, if an intact record
 // with a matching seed count exists. Never trusts a record that fails
 // validation.
@@ -86,9 +76,6 @@ func (st *Store) Loaded() int { return st.s.Loaded() }
 
 // Skipped returns how many corrupt records the open call ignored.
 func (st *Store) Skipped() int { return st.s.Skipped() }
-
-// Reload rescans the directory (read-only stores picking up appends).
-func (st *Store) Reload() error { return st.s.Reload() }
 
 // Dir returns the backing directory.
 func (st *Store) Dir() string { return st.s.Dir() }

@@ -138,16 +138,6 @@ func (m *System) flitsFor(segs uint8) int {
 // message returns with demand priority. It returns the tick the line
 // is on chip.
 func (m *System) Fetch(now timing.Tick, addr cache.BlockAddr, segs uint8) timing.Tick {
-	return m.fetch(now, addr, segs, true)
-}
-
-// FetchLow is Fetch at prefetch priority: the response queues behind
-// all other traffic on the data channel.
-func (m *System) FetchLow(now timing.Tick, addr cache.BlockAddr, segs uint8) timing.Tick {
-	return m.fetch(now, addr, segs, false)
-}
-
-func (m *System) fetch(now timing.Tick, addr cache.BlockAddr, segs uint8, demand bool) timing.Tick {
 	m.Fetches++
 	// Request message: header only, on the address channel.
 	reqDone := m.Addr.Send(now, 0)
@@ -160,7 +150,7 @@ func (m *System) fetch(now timing.Tick, addr cache.BlockAddr, segs uint8, demand
 	// the DRAM produces it.
 	flits := m.flitsFor(segs)
 	m.FetchFlits += uint64(flits)
-	slot := m.Data.Reserve(reqDone, flits, demand)
+	slot := m.Data.Reserve(reqDone, flits, true)
 	if slot < dataReady {
 		slot = dataReady
 	}

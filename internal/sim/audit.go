@@ -133,7 +133,7 @@ func (s *System) auditSweep() {
 		a.Check("stream-bounds", now, s.fe.engL2[c].CheckInvariants())
 	}
 	a.Check("flit-conservation", now, s.mem.CheckInvariants())
-	a.Check("resource-state", now, s.l2s.CheckInvariants())
+	a.Check("resource-state", now, s.l2.CheckInvariants())
 	s.checkInflight(a, now)
 	if a.Level() >= audit.Shadow {
 		s.h.L2.ForEachValid(func(ln *cache.Line) { a.CheckL2Line(now, ln) })

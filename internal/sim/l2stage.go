@@ -3,6 +3,7 @@ package sim
 import (
 	"cmpsim/internal/cache"
 	"cmpsim/internal/coherence"
+	"cmpsim/internal/memory"
 	"cmpsim/internal/timing"
 )
 
@@ -21,15 +22,15 @@ type l2Stage struct {
 	// stores the line compressed and the processor reads it back).
 	decompOnFetch bool
 
-	mem memService
+	mem *memory.System
 
 	hitLatSum timing.Tick // accumulated hit latency (demand hits only)
 	hitLatN   uint64
 }
 
 // newL2Stage builds the stage from the validated Config (geometry and
-// latencies) and the memory service behind it.
-func newL2Stage(cfg Config, mem memService) (*l2Stage, error) {
+// latencies) and the memory stage behind it.
+func newL2Stage(cfg Config, mem *memory.System) (*l2Stage, error) {
 	banks, err := timing.NewBanks(cfg.L2Banks, timing.FromCycles(cfg.L2BankOccupancy))
 	if err != nil {
 		return nil, err
@@ -43,8 +44,10 @@ func newL2Stage(cfg Config, mem memService) (*l2Stage, error) {
 	}, nil
 }
 
-// Demand implements l2Service: bank reservation, then hit latency or
-// the full memory round trip.
+// Demand prices an L1-missing demand access and returns the tick its
+// data is on chip: bank reservation, then the hit latency (plus
+// decompression / dirty-forward penalties) or the full memory round
+// trip.
 func (l *l2Stage) Demand(now timing.Tick, addr cache.BlockAddr, r coherence.AccessResult) timing.Tick {
 	st := l.banks.Acquire(uint64(addr), now)
 	if r.L2Hit {
@@ -67,8 +70,8 @@ func (l *l2Stage) Demand(now timing.Tick, addr cache.BlockAddr, r coherence.Acce
 	return done
 }
 
-// FillForL1 implements l2Service: an L1 prefetch fill served by the L2
-// (hit) or by memory.
+// FillForL1 prices an L1 prefetch fill served by the L2 (hit) or by
+// memory.
 func (l *l2Stage) FillForL1(now timing.Tick, addr cache.BlockAddr, out coherence.PrefetchOutcome) timing.Tick {
 	st := l.banks.Acquire(uint64(addr), now)
 	if out.MemFetch {
@@ -85,9 +88,9 @@ func (l *l2Stage) FillForL1(now timing.Tick, addr cache.BlockAddr, out coherence
 	return st + lat
 }
 
-// FillForL2 implements l2Service: an L2 prefetch fill, always a memory
-// fetch (no decompression — the line stays in its stored form until a
-// demand reference reads it).
+// FillForL2 prices an L2 prefetch fill, always a memory fetch (no
+// decompression — the line stays in its stored form until a demand
+// reference reads it).
 func (l *l2Stage) FillForL2(now timing.Tick, addr cache.BlockAddr, segs uint8) timing.Tick {
 	st := l.banks.Acquire(uint64(addr), now)
 	return l.mem.Fetch(st+l.hitLat, addr, segs)

@@ -13,15 +13,17 @@ import (
 	"cmpsim/internal/workload"
 )
 
-// Compile-time checks that the concrete stages satisfy the stage seams.
-var (
-	_ memService = (*memory.System)(nil)
-	_ l2Service  = (*l2Stage)(nil)
-)
-
-// System is one assembled CMP instance: the coherent cache hierarchy
-// plus the three timing stages (frontEnd, l2Stage, memory.System) and
-// the attribution counters the Metrics are computed from.
+// System is one assembled CMP instance: the coherent cache hierarchy,
+// three timing stages and the attribution counters the Metrics are
+// computed from. The stages are the front end (frontEnd: core issue,
+// reference generation, prefetch engines), the shared L2 (l2Stage:
+// banked, compressed or plain) and off-chip memory (memory.System: pin
+// link and DRAM banks). Each stage owns its timing state
+// (timing.Resource / timing.Banks / timing.Port) and its latency
+// constants, already quantized to ticks; System only orchestrates the
+// event order and the attribution counters. Core and bank counts are
+// free parameters: nothing assumes a specific core count or a
+// power-of-two bank geometry.
 type System struct {
 	cfg   Config
 	prof  workload.Profile
@@ -29,10 +31,9 @@ type System struct {
 	data  *workload.DataModel
 
 	h   *coherence.Hierarchy
-	mem *memory.System // concrete memory stage (counter snapshots)
+	mem *memory.System // off-chip memory stage
 	fe  *frontEnd      // core issue + generators + prefetch engines
-	l2  l2Service      // shared-L2 pricing seam
-	l2s *l2Stage       // the same stage, concrete (hit stats, audit)
+	l2  *l2Stage       // shared-L2 timing stage
 
 	// inflight is the MSHR-equivalent table of outstanding prefetch
 	// fills: block → completion tick.
@@ -84,11 +85,10 @@ func NewSystem(cfg Config) (*System, error) {
 		inflight: make(map[cache.BlockAddr]timing.Tick),
 		dirtyRng: rand.New(rand.NewSource(cfg.Seed ^ 0x5EED)),
 	}
-	s.l2s, err = newL2Stage(cfg, s.mem)
+	s.l2, err = newL2Stage(cfg, s.mem)
 	if err != nil {
 		return nil, err
 	}
-	s.l2 = s.l2s
 
 	var l2 cache.L2
 	if cfg.CacheCompression {
@@ -289,7 +289,7 @@ func (s *System) step(c int) {
 
 	// Fast path: with auditing and telemetry off, a plain L1 hit (no
 	// prefetch bit to consume, no store upgrade) retires here without
-	// building an AccessResult or touching the staged L2/memory seams.
+	// building an AccessResult or touching the L2 or memory stage.
 	// Prefetch training still observes the access: active streams
 	// advance on every demand reference, hit or miss.
 	if s.fastOK && s.tel == nil && s.h.FastHit(c, kind, addr) {
@@ -547,7 +547,7 @@ func (s *System) rawTotals() totals {
 	t.dramQDelay = s.mem.DRAMWaits
 	t.effSizeSum = s.effSizeSum
 	t.effSizeN = s.effSizeN
-	t.hitLatSum, t.hitLatN = s.l2s.hitStats()
+	t.hitLatSum, t.hitLatN = s.l2.hitStats()
 	t.pfIssued = s.pfIssued
 	t.pfHits = s.pfHits
 	t.pfPartial = s.pfPartial

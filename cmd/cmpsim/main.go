@@ -43,11 +43,8 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cmpsim: ")
 
-	var pfKind string
-	flag.StringVar(&pfKind, "prefetcher",
-		prefetch.DefaultName, "prefetch engine: "+strings.Join(prefetch.Names(), ", "))
-	flag.StringVar(&pfKind, "pf-kind", prefetch.DefaultName, "alias for -prefetcher")
 	var (
+		pfKind   = flag.String("prefetcher", prefetch.DefaultName, "prefetch engine: "+strings.Join(prefetch.Names(), ", "))
 		bench    = flag.String("bench", "zeus", "benchmark: "+strings.Join(workload.Names(), ", "))
 		source   = flag.String("workload", "", "reference-source kind override: "+strings.Join(workload.SourceNames(), ", ")+" (default: the benchmark's own)")
 		cores    = flag.Int("cores", 8, "number of processor cores")
@@ -84,7 +81,7 @@ func main() {
 	if _, err := workload.ByName(*bench); err != nil {
 		usageErr("-bench: %v", err)
 	}
-	if _, err := prefetch.ByName(pfKind); err != nil {
+	if _, err := prefetch.ByName(*pfKind); err != nil {
 		usageErr("-prefetcher: %v", err)
 	}
 	if *source != "" && !workload.SourceRegistered(*source) {
@@ -130,8 +127,8 @@ func main() {
 	cfg.L2Bytes = *l2MB << 20
 	cfg.L1PrefetchDepth = *l1depth
 	cfg.L2PrefetchDepth = *l2depth
-	if pfKind != prefetch.DefaultName {
-		cfg.PrefetcherKind = pfKind
+	if *pfKind != prefetch.DefaultName {
+		cfg.PrefetcherKind = *pfKind
 	}
 	cfg.RefSource = *source
 	cfg.Memory.LinkBytesPerCycle = *bwGBps / cfg.ClockGHz

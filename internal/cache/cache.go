@@ -104,11 +104,17 @@ func (s *Stats) MissRate() float64 {
 }
 
 // tagValid is OR-ed into a line's address to form its entry in the
-// struct-of-arrays tag mirror: valid lines store Addr|tagValid, invalid
-// ways store 0, so a lookup key (a|tagValid) can never match an invalid
-// way. Block addresses must stay below 2^63 (byte addresses below 2^69),
-// far above any simulated footprint.
-const tagValid BlockAddr = 1 << 63
+// struct-of-arrays tag mirror: valid lines store Addr|tagValid and
+// invalid ways never carry the bit, so a lookup key (a|tagValid) can
+// never match an invalid way. An invalid way stores 0, except that the
+// compressed cache mirrors a tag still recording a victim as
+// Addr|tagVictim, so a victim match never touches Line structs. Block
+// addresses must stay below 2^62 (a 64-bit byte address needs only 58
+// bits of block address).
+const (
+	tagValid  BlockAddr = 1 << 63
+	tagVictim BlockAddr = 1 << 62
+)
 
 // SetAssoc is a conventional set-associative write-back cache with true
 // LRU replacement. Each set is ordered most-recently-used first. An

@@ -21,17 +21,24 @@ import "fmt"
 // "4-way to 8-way"), i.e. 32 segments per set, which also matches the
 // decoupled variable-segment cache of the ISCA 2004 paper.
 // Tag metadata is mirrored struct-of-arrays style (see SetAssoc): tagw
-// holds one word per (set, tag) in LRU order so demand lookups scan
-// contiguous memory; segsUsed and valid cache the per-set segment
+// holds one word per (set, tag) in LRU order so demand lookups, free-tag
+// tests and victim-tag matches scan one contiguous line of tag words
+// instead of Line structs; segsUsed and valid cache the per-set segment
 // occupancy and global valid-line count that the packing and sampling
-// paths would otherwise recompute by scanning Line structs.
+// paths would otherwise recompute.
 type Compressed struct {
-	sets     [][]Line    // ordered MRU first; invalid tags keep stale Addr
-	tagw     []BlockAddr // nsets*tags mirror: Addr|tagValid, 0 = invalid
-	segsUsed []int32     // per-set occupied data segments
-	valid    int         // current valid-line count
-	tags     int         // tags per set
-	dataSegs int         // data segments per set
+	// lines holds every set's tags, set-major (set si is
+	// lines[si*tags : (si+1)*tags]), each set ordered MRU first;
+	// invalid tags keep a stale Addr.
+	lines []Line
+	// tagw mirrors lines one word per tag: Addr|tagValid for a valid
+	// line, Addr|tagVictim for an invalid tag that still records a
+	// victim, 0 otherwise.
+	tagw     []BlockAddr
+	segsUsed []int32 // per-set occupied data segments
+	valid    int     // current valid-line count
+	tags     int     // tags per set
+	dataSegs int     // data segments per set
 	setMask  BlockAddr
 	Stats    Stats
 
@@ -55,25 +62,21 @@ func NewCompressed(dataBytes, tagsPerSet, dataSegsPerSet int) *Compressed {
 	nsets := dataBytes / (dataSegsPerSet * SegmentBytes)
 	checkPow2(nsets, "compressed cache set count")
 	c := &Compressed{
-		sets:     make([][]Line, nsets),
+		lines:    make([]Line, nsets*tagsPerSet),
 		tagw:     make([]BlockAddr, nsets*tagsPerSet),
 		segsUsed: make([]int32, nsets),
 		tags:     tagsPerSet,
 		dataSegs: dataSegsPerSet,
 		setMask:  BlockAddr(nsets - 1),
 	}
-	backing := make([]Line, nsets*tagsPerSet)
-	for i := range c.sets {
-		c.sets[i] = backing[i*tagsPerSet : (i+1)*tagsPerSet : (i+1)*tagsPerSet]
-		for w := range c.sets[i] {
-			c.sets[i][w].Owner = -1
-		}
+	for i := range c.lines {
+		c.lines[i].Owner = -1
 	}
 	return c
 }
 
 // Sets returns the number of sets.
-func (c *Compressed) Sets() int { return len(c.sets) }
+func (c *Compressed) Sets() int { return len(c.segsUsed) }
 
 // TagsPerSet returns the number of address tags per set.
 func (c *Compressed) TagsPerSet() int { return c.tags }
@@ -83,16 +86,22 @@ func (c *Compressed) DataSegsPerSet() int { return c.dataSegs }
 
 // CapacityBytes returns the physical data capacity.
 func (c *Compressed) CapacityBytes() int {
-	return len(c.sets) * c.dataSegs * SegmentBytes
+	return c.Sets() * c.dataSegs * SegmentBytes
 }
 
 func (c *Compressed) setIndex(a BlockAddr) int { return int(a & c.setMask) }
+
+// set returns set si's lines and tag words.
+func (c *Compressed) set(si int) ([]Line, []BlockAddr) {
+	lo, hi := si*c.tags, si*c.tags+c.tags
+	return c.lines[lo:hi:hi], c.tagw[lo:hi:hi]
+}
 
 // findWay scans the set's tag mirror for a valid line holding a and
 // returns the tag index, or -1.
 func (c *Compressed) findWay(si int, a BlockAddr) int {
 	key := a | tagValid
-	tg := c.tagw[si*c.tags : si*c.tags+c.tags]
+	_, tg := c.set(si)
 	for i, t := range tg {
 		if t == key {
 			return i
@@ -106,7 +115,7 @@ func (c *Compressed) findWay(si int, a BlockAddr) int {
 func (c *Compressed) Lookup(a BlockAddr) *Line {
 	si := c.setIndex(a)
 	if i := c.findWay(si, a); i >= 0 {
-		return &c.sets[si][i]
+		return &c.lines[si*c.tags+i]
 	}
 	return nil
 }
@@ -118,7 +127,7 @@ func (c *Compressed) Access(a BlockAddr) (ln *Line, wasPrefetch, compressed, ok 
 	c.Stats.Accesses++
 	si := c.setIndex(a)
 	if i := c.findWay(si, a); i >= 0 {
-		set := c.sets[si]
+		set, _ := c.set(si)
 		wasPrefetch = set[i].Prefetch
 		if wasPrefetch {
 			set[i].Prefetch = false
@@ -142,11 +151,10 @@ func (c *Compressed) touch(si, i int) {
 	if i == 0 {
 		return
 	}
-	set := c.sets[si]
+	set, tg := c.set(si)
 	ln := set[i]
 	copy(set[1:i+1], set[0:i])
 	set[0] = ln
-	tg := c.tagw[si*c.tags : si*c.tags+c.tags]
 	t := tg[i]
 	copy(tg[1:i+1], tg[0:i])
 	tg[0] = t
@@ -171,17 +179,16 @@ func (c *Compressed) Fill(a BlockAddr, segs uint8, prefetch bool, vbuf []Line) (
 		panic(fmt.Sprintf("cache: fill with %d segments", segs))
 	}
 	si := c.setIndex(a)
-	set := c.sets[si]
 	if c.findWay(si, a) >= 0 {
 		panic(fmt.Sprintf("cache: duplicate fill of block %#x", uint64(a)))
 	}
 	c.Stats.Fills++
 	victims = c.makeRoom(si, int(segs), vbuf)
 	// Claim the least-recently-used invalid tag (there is one now).
-	tg := c.tagw[si*c.tags : si*c.tags+c.tags]
+	set, tg := c.set(si)
 	vi := -1
-	for i := len(set) - 1; i >= 0; i-- {
-		if tg[i] == 0 {
+	for i := len(tg) - 1; i >= 0; i-- {
+		if tg[i]&tagValid == 0 {
 			vi = i
 			break
 		}
@@ -204,12 +211,11 @@ func (c *Compressed) Fill(a BlockAddr, segs uint8, prefetch bool, vbuf []Line) (
 // makeRoom evicts LRU valid lines until the set has a free tag and at
 // least need free segments. Evicted lines are appended to vbuf.
 func (c *Compressed) makeRoom(si, need int, vbuf []Line) []Line {
-	set := c.sets[si]
-	tg := c.tagw[si*c.tags : si*c.tags+c.tags]
+	_, tg := c.set(si)
 	for {
 		freeTag := false
 		for i := range tg {
-			if tg[i] == 0 {
+			if tg[i]&tagValid == 0 {
 				freeTag = true
 				break
 			}
@@ -219,8 +225,8 @@ func (c *Compressed) makeRoom(si, need int, vbuf []Line) []Line {
 		}
 		// Evict the LRU valid line.
 		vi := -1
-		for i := len(set) - 1; i >= 0; i-- {
-			if tg[i] != 0 {
+		for i := len(tg) - 1; i >= 0; i-- {
+			if tg[i]&tagValid != 0 {
 				vi = i
 				break
 			}
@@ -228,7 +234,7 @@ func (c *Compressed) makeRoom(si, need int, vbuf []Line) []Line {
 		if vi == -1 {
 			panic("cache: set has no valid line to evict but no room")
 		}
-		victim := set[vi]
+		victim := c.drop(si, vi)
 		c.Stats.Evictions++
 		if victim.Dirty {
 			c.Stats.DirtyEvicts++
@@ -237,12 +243,20 @@ func (c *Compressed) makeRoom(si, need int, vbuf []Line) []Line {
 			c.Stats.UselessPf++
 		}
 		vbuf = append(vbuf, victim)
-		set[vi].reset() // Addr retained: victim tag
-		set[vi].VictimTag = true
-		tg[vi] = 0
-		c.segsUsed[si] -= int32(victim.Segs)
-		c.valid--
 	}
+}
+
+// drop invalidates tag i of set si and returns the line as it was. The
+// tag keeps the address as victim history, mirrored as Addr|tagVictim.
+func (c *Compressed) drop(si, i int) Line {
+	set, tg := c.set(si)
+	ln := set[i]
+	set[i].reset() // Addr retained: victim tag
+	set[i].VictimTag = true
+	tg[i] = ln.Addr | tagVictim
+	c.segsUsed[si] -= int32(ln.Segs)
+	c.valid--
+	return ln
 }
 
 // Resize changes the stored size of a (e.g. a dirty writeback whose new
@@ -253,11 +267,11 @@ func (c *Compressed) Resize(a BlockAddr, segs uint8, vbuf []Line) (victims []Lin
 		panic(fmt.Sprintf("cache: resize to %d segments", segs))
 	}
 	si := c.setIndex(a)
-	set := c.sets[si]
 	idx := c.findWay(si, a)
 	if idx == -1 {
 		return vbuf, false
 	}
+	set, tg := c.set(si)
 	old := set[idx].Segs
 	if segs <= old {
 		set[idx].Segs = segs
@@ -266,12 +280,11 @@ func (c *Compressed) Resize(a BlockAddr, segs uint8, vbuf []Line) (victims []Lin
 	}
 	grow := int(segs - old)
 	victims = vbuf
-	tg := c.tagw[si*c.tags : si*c.tags+c.tags]
 	for c.dataSegs-int(c.segsUsed[si]) < grow {
 		// Evict the LRU valid line other than a itself.
 		vi := -1
-		for i := len(set) - 1; i >= 0; i-- {
-			if tg[i] != 0 && set[i].Addr != a {
+		for i := len(tg) - 1; i >= 0; i-- {
+			if tg[i]&tagValid != 0 && tg[i] != a|tagValid {
 				vi = i
 				break
 			}
@@ -280,7 +293,7 @@ func (c *Compressed) Resize(a BlockAddr, segs uint8, vbuf []Line) (victims []Lin
 			// Only a remains; an uncompressed line always fits alone.
 			break
 		}
-		victim := set[vi]
+		victim := c.drop(si, vi)
 		c.Stats.Evictions++
 		c.ExpansionEvicts++
 		if victim.Dirty {
@@ -290,13 +303,8 @@ func (c *Compressed) Resize(a BlockAddr, segs uint8, vbuf []Line) (victims []Lin
 			c.Stats.UselessPf++
 		}
 		victims = append(victims, victim)
-		set[vi].reset()
-		set[vi].VictimTag = true
-		tg[vi] = 0
-		c.segsUsed[si] -= int32(victim.Segs)
-		c.valid--
 	}
-	// reset() does not reorder the set, so idx is still correct.
+	// drop does not reorder the set, so idx is still correct.
 	set[idx].Segs = segs
 	c.segsUsed[si] += int32(segs - old)
 	return victims, true
@@ -307,15 +315,8 @@ func (c *Compressed) Resize(a BlockAddr, segs uint8, vbuf []Line) (victims []Lin
 func (c *Compressed) Invalidate(a BlockAddr) Line {
 	si := c.setIndex(a)
 	if i := c.findWay(si, a); i >= 0 {
-		set := c.sets[si]
-		ln := set[i]
 		c.Stats.Invals++
-		set[i].reset()
-		set[i].VictimTag = true
-		c.tagw[si*c.tags+i] = 0
-		c.segsUsed[si] -= int32(ln.Segs)
-		c.valid--
-		return ln
+		return c.drop(si, i)
 	}
 	return Line{}
 }
@@ -325,10 +326,12 @@ func (c *Compressed) Invalidate(a BlockAddr) Line {
 // miss was caused by a replacement". The matching tag is cleared so one
 // replacement is only counted once.
 func (c *Compressed) InvalidTagMatch(a BlockAddr) bool {
-	set := c.sets[c.setIndex(a)]
-	for i := len(set) - 1; i >= 0; i-- {
-		if !set[i].Valid && set[i].VictimTag && set[i].Addr == a {
+	key := a | tagVictim
+	set, tg := c.set(c.setIndex(a))
+	for i := len(tg) - 1; i >= 0; i-- {
+		if tg[i] == key {
 			set[i].VictimTag = false
+			tg[i] = 0
 			return true
 		}
 	}
@@ -339,10 +342,10 @@ func (c *Compressed) InvalidTagMatch(a BlockAddr) bool {
 // victim addresses in a's set — the paper's "unused compression tags"
 // whose availability limits harmful-prefetch detection (§5.4).
 func (c *Compressed) VictimTagCount(a BlockAddr) int {
-	set := c.sets[c.setIndex(a)]
+	_, tg := c.set(c.setIndex(a))
 	n := 0
-	for i := range set {
-		if !set[i].Valid && set[i].VictimTag {
+	for _, t := range tg {
+		if t&tagVictim != 0 {
 			n++
 		}
 	}
@@ -352,7 +355,7 @@ func (c *Compressed) VictimTagCount(a BlockAddr) int {
 // AnyPrefetchInSet reports whether any valid line in a's set has its
 // prefetch bit set.
 func (c *Compressed) AnyPrefetchInSet(a BlockAddr) bool {
-	set := c.sets[c.setIndex(a)]
+	set, _ := c.set(c.setIndex(a))
 	for i := range set {
 		if set[i].Valid && set[i].Prefetch {
 			return true
@@ -381,11 +384,9 @@ func (c *Compressed) UsedSegments() int {
 // ForEachValid calls fn for every valid line; the cache must not be
 // mutated during iteration.
 func (c *Compressed) ForEachValid(fn func(*Line)) {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].Valid {
-				fn(&set[i])
-			}
+	for i := range c.lines {
+		if c.lines[i].Valid {
+			fn(&c.lines[i])
 		}
 	}
 }
@@ -393,21 +394,25 @@ func (c *Compressed) ForEachValid(fn func(*Line)) {
 // CheckInvariants validates internal consistency (test and audit
 // support): no duplicate valid tags in a set, segment budget respected,
 // valid lines have legal sizes, invalid tags own no segments, and the
-// struct-of-arrays mirrors (tag words, per-set segment counts, global
-// valid-line count) exactly tracking the Line array. It returns a
-// descriptive error string, or "".
+// struct-of-arrays mirrors (tag and victim words, per-set segment
+// counts, global valid-line count) exactly tracking the Line array. It
+// returns a descriptive error string, or "".
 func (c *Compressed) CheckInvariants() string {
 	nvalid := 0
-	for si, set := range c.sets {
+	for si := range c.segsUsed {
+		set, tg := c.set(si)
 		used := 0
 		seen := map[BlockAddr]bool{}
 		for i := range set {
 			want := BlockAddr(0)
-			if set[i].Valid {
+			switch {
+			case set[i].Valid:
 				want = set[i].Addr | tagValid
 				nvalid++
+			case set[i].VictimTag:
+				want = set[i].Addr | tagVictim
 			}
-			if got := c.tagw[si*c.tags+i]; got != want {
+			if got := tg[i]; got != want {
 				return fmt.Sprintf("set %d tag %d: tag mirror %#x desynced from line (want %#x)",
 					si, i, uint64(got), uint64(want))
 			}
@@ -450,7 +455,8 @@ func (c *Compressed) CheckInvariants() string {
 // revived line so the duplicate-tag violation is the one that fires.
 // It reports whether a suitable set was found.
 func (c *Compressed) InjectDuplicateTag() bool {
-	for si, set := range c.sets {
+	for si := range c.segsUsed {
+		set, tg := c.set(si)
 		vi, ii := -1, -1
 		for i := range set {
 			if set[i].Valid && vi == -1 {
@@ -466,7 +472,7 @@ func (c *Compressed) InjectDuplicateTag() bool {
 		set[ii].Valid = true
 		set[ii].Addr = set[vi].Addr
 		set[ii].Segs = 1
-		c.tagw[si*c.tags+ii] = set[ii].Addr | tagValid
+		tg[ii] = set[ii].Addr | tagValid
 		c.segsUsed[si]++
 		c.valid++
 		return true

@@ -5,13 +5,16 @@ import (
 	"testing"
 )
 
-// FuzzCompressedSetOps drives arbitrary fill/resize/invalidate/access
-// sequences against one set of the decoupled variable-segment cache and
-// cross-checks every step against a brute-force shadow set (a plain
-// address → segments map with no LRU, packing or tag machinery). After
-// each operation the two must agree on membership in both directions,
-// per-line stored size, total segment usage — and CheckInvariants()
-// must hold, which is the same sweep the runtime auditor runs.
+// FuzzCompressedSetOps drives arbitrary fill/resize/invalidate/access/
+// victim-match sequences against one set of the decoupled
+// variable-segment cache and cross-checks every step against a
+// brute-force shadow set (a plain address → segments map with no LRU,
+// packing or tag machinery). After each operation the two must agree on
+// membership in both directions, per-line stored size, total segment
+// usage — and CheckInvariants() must hold, which is the same sweep the
+// runtime auditor runs. A victim match must agree with a scan of the
+// set's Line structs, and VictimTagCount must drop by one exactly when
+// it matches.
 func FuzzCompressedSetOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x01})
 	f.Add([]byte{0x04, 0x01, 0x3c, 0x02, 0x1c, 0x03, 0x08, 0x01})
@@ -61,8 +64,8 @@ func FuzzCompressedSetOps(f *testing.F) {
 		}
 
 		for i := 0; i+1 < len(ops); i += 2 {
-			kind := ops[i] % 4
-			segs := 1 + (ops[i]/4)%MaxSegs
+			kind := ops[i] % 5
+			segs := 1 + (ops[i]/5)%MaxSegs
 			addr := BlockAddr(ops[i+1] % 16)
 			_, present := shadow[addr]
 			var op string
@@ -98,6 +101,26 @@ func FuzzCompressedSetOps(f *testing.F) {
 					t.Fatalf("%s returned %+v, shadow holds %d segs", op, ln, shadow[addr])
 				}
 				delete(shadow, addr)
+			case 4: // victim match
+				op = fmt.Sprintf("victim match %#x", uint64(addr))
+				want := false
+				for j := len(c.lines) - 1; j >= 0; j-- {
+					if ln := c.lines[j]; !ln.Valid && ln.VictimTag && ln.Addr == addr {
+						want = true
+						break
+					}
+				}
+				before := c.VictimTagCount(addr)
+				if got := c.InvalidTagMatch(addr); got != want {
+					t.Fatalf("%s = %v, Line scan says %v", op, got, want)
+				}
+				drop := 0
+				if want {
+					drop = 1
+				}
+				if after := c.VictimTagCount(addr); after != before-drop {
+					t.Fatalf("%s: victim tags %d -> %d, want a drop of %d", op, before, after, drop)
+				}
 			default: // demand access
 				op = fmt.Sprintf("access %#x", uint64(addr))
 				ln, _, compressed, ok := c.Access(addr)

@@ -153,13 +153,13 @@ func (s *System) checkInflight(a *audit.Auditor, now timing.Tick) {
 	var badAddr cache.BlockAddr
 	var badT timing.Tick
 	found := false
-	for addr, t := range s.inflight {
+	s.inflight.forEach(func(addr cache.BlockAddr, t timing.Tick) {
 		if t < 0 || t > now+horizon {
 			if !found || addr < badAddr {
 				badAddr, badT, found = addr, t, true
 			}
 		}
-	}
+	})
 	if found {
 		a.Fail("mshr-inflight", now, -1, -1, badAddr,
 			fmt.Sprintf("in-flight completion time %v with current cycle %v", badT, now))
@@ -242,7 +242,7 @@ func (s *System) applyStateFault() {
 	case "drop-flit":
 		s.mem.FetchFlits++
 	case "leak-mshr":
-		s.inflight[cache.BlockAddr(0xDEAD_BEEF)] = timing.Tick(1) << 62
+		s.inflight.put(cache.BlockAddr(0xDEAD_BEEF), timing.Tick(1)<<62)
 	case "corrupt-value":
 		// Mutate block contents without telling the shadow model.
 		s.data.Dirty(s.ref.Addr)

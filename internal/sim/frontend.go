@@ -99,26 +99,6 @@ func (fe *frontEnd) refill(c int) {
 // count returns the number of cores.
 func (fe *frontEnd) count() int { return len(fe.cores) }
 
-// nextCore picks the unfinished core with the smallest local clock —
-// the simulator's deterministic event order. targets holds each core's
-// retired-instruction goal; -1 means every core reached its target.
-// Same-clock ties (exact in the integer tick domain) resolve to the
-// lowest core index. Progress is measured by consumed instructions
-// (cpu.Core.Instrs), not generated ones: with batching the generators
-// run ahead of the cores by up to one refBatch window.
-func (fe *frontEnd) nextCore(targets []uint64) int {
-	c := -1
-	for i := range fe.cores {
-		if fe.cores[i].Instrs >= targets[i] {
-			continue
-		}
-		if c == -1 || fe.cores[i].Now < fe.cores[c].Now {
-			c = i
-		}
-	}
-	return c
-}
-
 // maxNow returns the furthest-ahead core clock, the simulator's notion
 // of elapsed wall time (Metrics.Cycles uses the same basis).
 func (fe *frontEnd) maxNow() timing.Tick {

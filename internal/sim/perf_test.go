@@ -9,8 +9,8 @@ import (
 // TestStepAllocFree is the allocation regression gate for the issue
 // loop: a warmed system must retire references — both the L1-hit fast
 // path and the full staged path — without per-step heap allocations.
-// The budget tolerates rare map growth in the data model and in-flight
-// tracker, nothing per-event.
+// The budget tolerates the rare doubling of the data model's size memo
+// and of the in-flight table, nothing per-event.
 func TestStepAllocFree(t *testing.T) {
 	cfg := smallConfig("zeus").WithMechanisms(true, true, true, true)
 	cfg.CheckLevel = audit.Off // auditing forces the slow path and allocates
@@ -25,11 +25,7 @@ func TestStepAllocFree(t *testing.T) {
 	}
 	const steps = 20000
 	fastBefore, stepsBefore := s.fastSteps, s.steps
-	allocs := testing.AllocsPerRun(1, func() {
-		for i := 0; i < steps; i++ {
-			s.step(s.fe.nextCore(targets))
-		}
-	})
+	allocs := testing.AllocsPerRun(1, func() { s.runTo(targets, steps) })
 	fast, total := s.fastSteps-fastBefore, s.steps-stepsBefore
 	if fast == 0 {
 		t.Fatal("fast path never engaged on a warmed all-mechanisms run")

@@ -273,7 +273,7 @@ func TestCoreCountIsFreeParameter(t *testing.T) {
 // TestHeavyBankConflict funnels every L2 and DRAM access through a
 // single bank with prefetching on: the worst case for the in-flight
 // prefetch table (resolveInflight sees many partial hits because
-// serialized fills complete late) and for pruneInflight (entries
+// serialized fills complete late) and for its pruning (entries
 // accumulate behind the bank backlog). The invariant audit runs the
 // mshr-inflight and resource-state sweeps throughout.
 func TestHeavyBankConflict(t *testing.T) {
@@ -415,10 +415,7 @@ func BenchmarkSystemStep(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := s.fe.nextCore(targets)
-		s.step(c)
-	}
+	s.runTo(targets, b.N)
 }
 
 func TestSequentialPrefetcherKind(t *testing.T) {

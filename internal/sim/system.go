@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 
 	"cmpsim/internal/audit"
@@ -37,7 +38,7 @@ type System struct {
 
 	// inflight is the MSHR-equivalent table of outstanding prefetch
 	// fills: block → completion tick.
-	inflight map[cache.BlockAddr]timing.Tick
+	inflight inflightTable
 
 	dirtyRng *rand.Rand
 
@@ -82,7 +83,7 @@ func NewSystem(cfg Config) (*System, error) {
 		codec:    cdc,
 		data:     workload.NewDataModelCodec(prof, cfg.Seed, cdc),
 		mem:      memory.New(memCfg),
-		inflight: make(map[cache.BlockAddr]timing.Tick),
+		inflight: newInflightTable(),
 		dirtyRng: rand.New(rand.NewSource(cfg.Seed ^ 0x5EED)),
 	}
 	s.l2, err = newL2Stage(cfg, s.mem)
@@ -246,12 +247,47 @@ func (s *System) phase(n uint64) {
 	for i, c := range s.fe.cores {
 		targets[i] = c.Instrs + n
 	}
-	for {
-		c := s.fe.nextCore(targets)
-		if c == -1 {
+	s.runTo(targets, math.MaxInt)
+}
+
+// finished is the clock a core that reached its target reads as.
+const finished = timing.Tick(math.MaxInt64)
+
+// runTo runs up to max steps, each on the unfinished core with the
+// smallest local clock — the simulator's deterministic event order —
+// until every core has retired targets[i] instructions. Same-clock ties
+// (exact in the integer tick domain) go to the lowest core index.
+// Progress is measured by consumed instructions (cpu.Core.Instrs), not
+// generated ones: with batching the generators run ahead of the cores
+// by up to one refBatch window. The clocks live in one contiguous array
+// that only the stepped core's entry changes, since a step advances no
+// other core; a finished core reads as the maximum tick.
+func (s *System) runTo(targets []uint64, max int) {
+	cores := s.fe.cores
+	clocks := make([]timing.Tick, len(cores))
+	for i, c := range cores {
+		clocks[i] = finished
+		if c.Instrs < targets[i] {
+			clocks[i] = c.Now
+		}
+	}
+	for ; max > 0; max-- {
+		// Branch-free argmin: clocks are non-negative, so t-min cannot
+		// overflow and its sign bit says whether t is the new minimum.
+		c, min := 0, clocks[0]
+		for i, t := range clocks {
+			lt := (t - min) >> 63 // -1 when t < min, else 0
+			min += (t - min) & lt
+			c ^= (c ^ i) & int(lt)
+		}
+		if min == finished {
 			return
 		}
 		s.step(c)
+		clocks[c] = finished
+		if cores[c].Instrs < targets[c] {
+			clocks[c] = cores[c].Now
+		}
 	}
 }
 
@@ -263,9 +299,9 @@ func (s *System) step(c int) {
 	}
 	if s.steps&0x1FFF == 0 {
 		s.sampleEffectiveSize()
-		if s.steps&0xFFFFF == 0 {
-			s.pruneInflight()
-		}
+		// Drop completed in-flight entries so the table stays small
+		// enough to stay in cache.
+		s.inflight.prune(s.fe.minNow())
 	}
 	core := s.fe.cores[c]
 	s.ref = *s.fe.nextRef(c)
@@ -375,10 +411,7 @@ func (s *System) resolveInflight(addr cache.BlockAddr, now timing.Tick, r cohere
 	if src == coherence.PfNone {
 		return 0
 	}
-	t, ok := s.inflight[addr]
-	if ok {
-		delete(s.inflight, addr)
-	}
+	t, ok := s.inflight.take(addr)
 	if ok && t > now {
 		s.pfPartial[src]++
 		return t
@@ -453,9 +486,9 @@ func (s *System) issueL1Prefetches(c int, kind coherence.Kind, src coherence.PfS
 		if out.L2PrefetchHit {
 			// The L1 prefetch consumed an L2 prefetched line: credit the
 			// prefetcher that staged it and its adaptive controller.
-			if t, ok := s.inflight[a]; ok && t > now {
+			if i := s.inflight.find(a); i >= 0 && s.inflight.slots[i].done > now {
 				s.pfPartial[out.L2PfBy]++
-				delete(s.inflight, a)
+				s.inflight.removeAt(i)
 			} else {
 				s.pfHits[out.L2PfBy]++
 			}
@@ -465,7 +498,7 @@ func (s *System) issueL1Prefetches(c int, kind coherence.Kind, src coherence.PfS
 		for _, wb := range out.Writebacks {
 			s.auditWriteback(now, wb)
 		}
-		s.inflight[a] = done
+		s.inflight.put(a, done)
 		for i := 0; i < out.L1UselessEvict; i++ {
 			ad.Useless()
 		}
@@ -488,7 +521,7 @@ func (s *System) issueL2Prefetches(c int, now timing.Tick, reqs []cache.BlockAdd
 		for _, wb := range out.Writebacks {
 			s.auditWriteback(now, wb)
 		}
-		s.inflight[a] = done
+		s.inflight.put(a, done)
 		for i := 0; i < out.L2UselessEvict; i++ {
 			s.fe.adL2.Useless()
 		}
@@ -503,16 +536,6 @@ func (s *System) sampleEffectiveSize() {
 	}
 	s.effSizeSum += uint64(s.h.L2.ValidLines() * cache.LineBytes)
 	s.effSizeN++
-}
-
-// pruneInflight drops completed in-flight entries so the map stays small.
-func (s *System) pruneInflight() {
-	minNow := s.fe.minNow()
-	for a, t := range s.inflight {
-		if t < minNow {
-			delete(s.inflight, a)
-		}
-	}
 }
 
 // rawTotals snapshots every cumulative counter.

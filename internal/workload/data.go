@@ -25,12 +25,20 @@ import (
 type DataModel struct {
 	seed  uint64
 	codec codec.Codec
-	// Cumulative thresholds over a 16-bit dial for word categories:
-	// zero | se4 | se8 | se16 | repbyte | zeropad16 | random.
-	thZero, thSE4, thSE8, thSE16, thRep, thPad uint32
+	// th holds the cumulative class thresholds over a 16-bit dial:
+	// zero | se4 | se8 | se16 | repbyte | zeropad16 | random. A word's
+	// class is the number of thresholds at or below its dial.
+	th [6]uint32
 
-	versions map[cache.BlockAddr]uint32
-	sizes    map[cache.BlockAddr]uint8 // memoized size of current version
+	// memo is the size memo, an open-addressed table probed linearly
+	// from a multiplicative hash. Each slot packs
+	// address<<memoSegBits | segments; 0 segments means "not sized"
+	// (Dirty clears them), and the all-zero word is an empty slot.
+	memo      []uint64
+	memoUsed  int  // occupied slots
+	memoShift uint // 64 - log2(len(memo))
+
+	versions map[cache.BlockAddr]uint32 // dirtied blocks only
 
 	// poisonNext > 0 makes the next SizeOf calls memoize a deliberately
 	// wrong size (fault injection: exercises the shadow FPC checker).
@@ -38,6 +46,15 @@ type DataModel struct {
 
 	lineBuf [cache.LineBytes]byte
 }
+
+const (
+	memoSegBits = 4
+	memoSegMask = 1<<memoSegBits - 1
+	// memoLimit bounds the memoized addresses: one shifted left by
+	// memoSegBits must still fit in a slot.
+	memoLimit   = 1 << (64 - memoSegBits)
+	memoMinBits = 10 // log2 of the initial slot count
+)
 
 // knobThresholds converts a compressibility knob c ∈ [0,1] into the
 // cumulative category thresholds. At c=0 every word is random
@@ -73,14 +90,7 @@ func splitmix64(x uint64) uint64 {
 // c's size function.
 func NewDataModelCodec(p Profile, seed int64, c codec.Codec) *DataModel {
 	knob := CalibrateKnobCodec(p.TargetRatio, uint64(seed), c)
-	d := &DataModel{
-		seed:     uint64(seed) * 0x9E3779B97F4A7C15,
-		codec:    c,
-		versions: make(map[cache.BlockAddr]uint32),
-		sizes:    make(map[cache.BlockAddr]uint8),
-	}
-	d.thZero, d.thSE4, d.thSE8, d.thSE16, d.thRep, d.thPad = knobThresholds(knob)
-	return d
+	return newRawModel(knob, uint64(seed)*0x9E3779B97F4A7C15, c)
 }
 
 // Codec returns the codec this model prices sizes with.
@@ -89,40 +99,43 @@ func (d *DataModel) Codec() codec.Codec { return d.codec }
 // newRawModel builds a model directly from a knob (calibration support).
 func newRawModel(knob float64, seed uint64, c codec.Codec) *DataModel {
 	d := &DataModel{
-		seed:     seed,
-		codec:    c,
-		versions: make(map[cache.BlockAddr]uint32),
-		sizes:    make(map[cache.BlockAddr]uint8),
+		seed:      seed,
+		codec:     c,
+		memo:      make([]uint64, 1<<memoMinBits),
+		memoShift: 64 - memoMinBits,
+		versions:  make(map[cache.BlockAddr]uint32),
 	}
-	d.thZero, d.thSE4, d.thSE8, d.thSE16, d.thRep, d.thPad = knobThresholds(knob)
+	d.th[0], d.th[1], d.th[2], d.th[3], d.th[4], d.th[5] = knobThresholds(knob)
 	return d
 }
 
-// synthWord produces the w-th 32-bit word of a block's contents.
+// synthWord produces the w-th 32-bit word of a block's contents. The
+// thresholds are cumulative, so the number of them at or below the
+// dial is the class the first failing "dial < threshold" test would
+// pick; every class's value is computed and the class indexes them, so
+// no branch depends on the (random) dial.
 func (d *DataModel) synthWord(a cache.BlockAddr, ver uint32, w int) uint32 {
 	h := splitmix64(d.seed ^ uint64(a)<<8 ^ uint64(ver)<<40 ^ uint64(w))
 	dial := uint32(h & 0xFFFF)
 	val := uint32(h >> 16)
-	switch {
-	case dial < d.thZero:
-		return 0
-	case dial < d.thSE4:
-		return uint32(int32(val%16) - 8)
-	case dial < d.thSE8:
-		return uint32(int32(val%256) - 128)
-	case dial < d.thSE16:
-		return uint32(int32(val%65536) - 32768)
-	case dial < d.thRep:
-		b := val & 0xFF
-		return b | b<<8 | b<<16 | b<<24
-	case dial < d.thPad:
-		return val << 16
-	default:
-		if val == 0 {
-			val = 0xDEADBEEF // keep the random class incompressible
-		}
-		return val
+	// (t - dial - 1) has bit 31 set exactly when t <= dial: both are
+	// below 2^17, so the difference wraps only when negative.
+	cls := (d.th[0]-dial-1)>>31 + (d.th[1]-dial-1)>>31 + (d.th[2]-dial-1)>>31 +
+		(d.th[3]-dial-1)>>31 + (d.th[4]-dial-1)>>31 + (d.th[5]-dial-1)>>31
+	random := val
+	if random == 0 {
+		random = 0xDEADBEEF // keep the random class incompressible
 	}
+	words := [8]uint32{
+		0,
+		uint32(int32(val%16) - 8),
+		uint32(int32(val%256) - 128),
+		uint32(int32(val%65536) - 32768),
+		val & 0xFF * 0x01010101, // repeated byte
+		val << 16,
+		random,
+	}
+	return words[cls&7]
 }
 
 // FillLine writes the block's current contents into dst (≥ 64 bytes).
@@ -143,27 +156,84 @@ func (d *DataModel) Line(a cache.BlockAddr) []byte {
 // SizeOf returns the block's current compressed size in segments under
 // the model's codec, memoized per version.
 func (d *DataModel) SizeOf(a cache.BlockAddr) uint8 {
-	if d.poisonNext > 0 {
-		d.poisonNext--
-		d.FillLine(a, d.lineBuf[:])
-		s := 9 - uint8(d.codec.CompressedSizeSegments(d.lineBuf[:])) // legal but wrong
-		d.sizes[a] = s
-		return s
-	}
-	if s, ok := d.sizes[a]; ok {
-		return s
+	i, found := -1, false
+	if memoizable(a) {
+		i, found = d.memoFind(a)
+		// An empty slot reads as 0 segments, like an unsized one.
+		if s := uint8(d.memo[i] & memoSegMask); s != 0 && d.poisonNext == 0 {
+			return s
+		}
 	}
 	d.FillLine(a, d.lineBuf[:])
 	s := uint8(d.codec.CompressedSizeSegments(d.lineBuf[:]))
-	d.sizes[a] = s
+	if d.poisonNext > 0 {
+		d.poisonNext--
+		s = 9 - s // legal but wrong
+	}
+	switch {
+	case found:
+		d.memo[i] = uint64(a)<<memoSegBits | uint64(s)
+	case i >= 0:
+		d.memoInsert(i, a, s)
+	}
 	return s
+}
+
+// memoizable reports whether a has a memo slot. Address 0 would pack
+// to the empty-slot word once Dirty cleared its size, and addresses at
+// or above memoLimit do not fit beside the size bits; neither occurs in
+// a simulated footprint, and since a size is a pure function of (seed,
+// address, version) recomputing them on every call is exact.
+func memoizable(a cache.BlockAddr) bool { return a-1 < memoLimit-1 }
+
+// memoHome returns the slot a's probe chain starts at.
+func (d *DataModel) memoHome(a cache.BlockAddr) int {
+	return int(uint64(a) * 0x9E3779B97F4A7C15 >> d.memoShift)
+}
+
+// memoFind returns the slot holding a and true, or the empty slot that
+// ends a's probe chain and false.
+func (d *DataModel) memoFind(a cache.BlockAddr) (int, bool) {
+	mask := len(d.memo) - 1
+	for i := d.memoHome(a); ; i = (i + 1) & mask {
+		s := d.memo[i]
+		if s == 0 {
+			return i, false
+		}
+		if s>>memoSegBits == uint64(a) {
+			return i, true
+		}
+	}
+}
+
+// memoInsert stores a's size in the empty slot i that memoFind
+// returned, doubling the table once it is three quarters full.
+func (d *DataModel) memoInsert(i int, a cache.BlockAddr, segs uint8) {
+	d.memo[i] = uint64(a)<<memoSegBits | uint64(segs)
+	d.memoUsed++
+	if d.memoUsed*4 <= len(d.memo)*3 {
+		return
+	}
+	old := d.memo
+	d.memo = make([]uint64, 2*len(old))
+	d.memoShift--
+	for _, s := range old {
+		if s != 0 {
+			j, _ := d.memoFind(cache.BlockAddr(s >> memoSegBits))
+			d.memo[j] = s
+		}
+	}
 }
 
 // Dirty records a store that changed the block's contents: the version
 // bumps and the memoized size is invalidated.
 func (d *DataModel) Dirty(a cache.BlockAddr) {
 	d.versions[a]++
-	delete(d.sizes, a)
+	if memoizable(a) {
+		if i, ok := d.memoFind(a); ok {
+			d.memo[i] &^= memoSegMask
+		}
+	}
 }
 
 // Version returns the block's current content version: the number of

@@ -325,3 +325,12 @@ func BenchmarkSizeOfCold(b *testing.B) {
 		d.SizeOf(cache.BlockAddr(i))
 	}
 }
+
+func BenchmarkFillLine(b *testing.B) {
+	d := NewDataModelCodec(MustByName("jbb"), 1, codec.Default())
+	var line [cache.LineBytes]byte
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.FillLine(cache.BlockAddr(i), line[:])
+	}
+}

@@ -52,8 +52,9 @@ const (
 	memoSegMask = 1<<memoSegBits - 1
 	// memoLimit bounds the memoized addresses: one shifted left by
 	// memoSegBits must still fit in a slot.
-	memoLimit   = 1 << (64 - memoSegBits)
-	memoMinBits = 10 // log2 of the initial slot count
+	memoLimit    = 1 << (64 - memoSegBits)
+	memoMinBits  = 10 // log2 of the initial slot count
+	memoGrowBits = 2  // log2 of the growth factor
 )
 
 // knobThresholds converts a compressibility knob c ∈ [0,1] into the
@@ -207,7 +208,11 @@ func (d *DataModel) memoFind(a cache.BlockAddr) (int, bool) {
 }
 
 // memoInsert stores a's size in the empty slot i that memoFind
-// returned, doubling the table once it is three quarters full.
+// returned, quadrupling the table once it is three quarters full.
+// Growing four-fold rather than two-fold lets a long run's table reach
+// its final size early, so the run's live heap stays flat afterwards:
+// a late step in live heap makes the run's peak memory depend on where
+// the garbage collector's cycles happen to fall (DESIGN.md §6f).
 func (d *DataModel) memoInsert(i int, a cache.BlockAddr, segs uint8) {
 	d.memo[i] = uint64(a)<<memoSegBits | uint64(segs)
 	d.memoUsed++
@@ -215,8 +220,8 @@ func (d *DataModel) memoInsert(i int, a cache.BlockAddr, segs uint8) {
 		return
 	}
 	old := d.memo
-	d.memo = make([]uint64, 2*len(old))
-	d.memoShift--
+	d.memo = make([]uint64, len(old)<<memoGrowBits)
+	d.memoShift -= memoGrowBits
 	for _, s := range old {
 		if s != 0 {
 			j, _ := d.memoFind(cache.BlockAddr(s >> memoSegBits))

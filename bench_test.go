@@ -24,7 +24,11 @@ var exhibits = core.NewScheduler(0)
 
 // point runs one data point on the exhibit scheduler.
 func point(bench string, m core.Mechanisms, o core.Options) core.Point {
-	return exhibits.Submit(bench, m, o).MustWait()
+	p, err := exhibits.Submit(bench, m, o).Wait()
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // benchOptions is the scaled-down system all exhibit benchmarks use.

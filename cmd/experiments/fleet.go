@@ -13,7 +13,6 @@ package main
 import (
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"os/exec"
@@ -27,15 +26,14 @@ import (
 	"cmpsim/internal/core"
 	"cmpsim/internal/faultinject"
 	"cmpsim/internal/fleet"
-	"cmpsim/internal/report"
 )
 
 // runWorkerMode runs the process as one fleet worker until the
-// coordinator says done. Exit codes: 0 done, 1 transport/config error,
-// 2 invalid check level (before any lease), 3 killed by a fault rule,
-// 4 drained by SIGINT/SIGTERM (in-flight point finished and reported
-// first), 130 second signal.
-func runWorkerMode(mode, id, check, faults string, workers, callRetries int, callBackoff time.Duration, progress bool) int {
+// coordinator says done. Exit codes: 0 done, 1 transport error, 2
+// invalid check level or -worker mode (before any lease), 3 killed by a
+// fault rule, 4 drained by SIGINT/SIGTERM (in-flight point finished and
+// reported first), 130 second signal.
+func runWorkerMode(mode, id, check string, injector *faultinject.Injector, workers, callRetries int, callBackoff time.Duration, progress bool) int {
 	// The audit tier is the worker's own (satellite contract: CheckLevel
 	// is canonicalized out of the point key, so leases never carry it).
 	// Both the flag — validated by run() already — and the environment
@@ -61,16 +59,9 @@ func runWorkerMode(mode, id, check, faults string, workers, callRetries int, cal
 
 	sched := core.NewScheduler(workers)
 	defer sched.Close()
-	var injector *faultinject.Injector
-	if faults != "" {
-		in, err := faultinject.Parse(faults)
-		if err != nil {
-			log.Print(err)
-			return 2
-		}
-		injector = in
-		sched.SetFaultHook(in.Hook)
-		sched.SetStateFaultHook(in.StateFault)
+	if injector != nil {
+		sched.SetFaultHook(injector.Hook)
+		sched.SetStateFaultHook(injector.StateFault)
 		fmt.Fprintf(os.Stderr, "[worker %s: faultinject active]\n", id)
 	}
 
@@ -176,21 +167,4 @@ func spawnFleet(coord *fleet.Coordinator, n int, extra []string) (wait func(), e
 		}()
 	}
 	return wg.Wait, nil
-}
-
-// printFleetStats renders the coordinator's accounting to w.
-func printFleetStats(w io.Writer, st fleet.Stats) {
-	rows := make([]report.FleetWorkerRow, 0, len(st.Workers))
-	for _, r := range st.Workers {
-		rows = append(rows, report.FleetWorkerRow{
-			Worker: r.Worker, Leases: r.Leases, Results: r.Results, Failures: r.Failures,
-			Duplicates: r.Duplicates, Malformed: r.Malformed, Lost: r.Lost,
-		})
-	}
-	report.Fleet(w, rows, report.FleetTotals{
-		Points: st.Points, FromStore: st.FromStore, Recovered: st.Recovered,
-		Completed: st.Completed, Failed: st.Failed, Requeues: st.Requeues,
-		Expired: st.Expired, Lost: st.Lost, Duplicates: st.Duplicates,
-		Malformed: st.Malformed,
-	})
 }

@@ -61,6 +61,43 @@ func TestInvalidCheckLevelExitsTwo(t *testing.T) {
 	}
 }
 
+// TestFlagErrorsExitTwo: every flag error run() detects is a usage
+// error, reported with exit 2 before anything simulates. That includes
+// -format csv on a study with no CSV form, which must not fall back to
+// printing its text table.
+func TestFlagErrorsExitTwo(t *testing.T) {
+	grid := []string{"-benchmarks", "zeus", "-quick", "-cores", "2",
+		"-warmup", "50000", "-measure", "30000", "-seeds", "1"}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string // stderr must contain this
+	}{
+		{"csv without a CSV form", []string{"-run", "fig4", "-format", "csv"}, "no CSV form for fig4 (use -format json)"},
+		{"csv on two studies", []string{"-run", "table3,fig8,fig10", "-format", "csv"}, "no CSV form for fig8, fig10"},
+		{"unknown study", []string{"-run", "nosuch"}, `unknown experiment "nosuch"`},
+		{"unknown format", []string{"-run", "table3", "-format", "xml"}, `unknown -format "xml"`},
+		{"negative seeds", []string{"-run", "table3", "-seeds", "-1"}, "-seeds -1"},
+		{"negative workers", []string{"-run", "table3", "-workers", "-1"}, "-workers -1"},
+		{"negative point timeout", []string{"-run", "table3", "-point-timeout", "-1s"}, "-point-timeout"},
+		{"bad fault spec", []string{"-run", "table3", "-faultinject", "kind=nosuch"}, "nosuch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Later flags win, so the case's own -seeds overrides grid's.
+			_, stderr, code := experiments(t, nil, append(append([]string{}, grid...), tc.args...)...)
+			if code != 2 {
+				t.Fatalf("exit = %d, want 2; stderr:\n%s", code, stderr)
+			}
+			if !strings.Contains(stderr, tc.want) {
+				t.Errorf("stderr lacks %q:\n%s", tc.want, stderr)
+			}
+			if strings.Contains(stderr, "done in") {
+				t.Errorf("simulation ran despite the flag error:\n%s", stderr)
+			}
+		})
+	}
+}
+
 // TestStudiesShareOneScheduler: table3, fig3 and fig5 read the same
 // compression-study points, so on the suite's one scheduler fig3 and
 // fig5 simulate nothing and are served entirely from its cache.

@@ -86,36 +86,44 @@ func run() int {
 		flag.Usage()
 		return 2
 	}
+	// Every flag error is a configuration error, not a run failure: exit
+	// 2 before any simulation (or, in worker mode, any lease).
 	switch *format {
 	case "text", "json", "csv":
 	default:
 		log.Printf("unknown -format %q (want text, json or csv)", *format)
-		return 1
+		return 2
 	}
 	outFormat = *format
 	if *seeds < 0 {
 		log.Printf("-seeds %d must be >= 0", *seeds)
-		return 1
+		return 2
 	}
 	if *workers < 0 {
 		log.Printf("-workers %d must be >= 0", *workers)
-		return 1
+		return 2
 	}
 	if *pointTO < 0 {
 		log.Print("-point-timeout must be >= 0")
-		return 1
+		return 2
 	}
-	// An invalid check level is a configuration error, not a run failure:
-	// exit 2 before any simulation (or, in worker mode, any lease).
 	if _, err := audit.ParseLevel(*check); err != nil {
 		log.Printf("-check: %v", err)
 		return 2
 	}
-	// So is an unknown prefetcher kind; the registry error lists the
-	// registered names.
+	// The registry error lists the registered prefetcher names.
 	if _, err := prefetch.ByName(*pfName); err != nil {
 		log.Printf("-prefetcher: %v", err)
 		return 2
+	}
+	var injector *faultinject.Injector
+	if *faults != "" {
+		in, err := faultinject.Parse(*faults)
+		if err != nil {
+			log.Print(err)
+			return 2
+		}
+		injector = in
 	}
 	if *fleetN < 0 {
 		log.Printf("-fleet %d must be >= 0", *fleetN)
@@ -134,7 +142,7 @@ func run() int {
 			log.Print("-store belongs on the coordinator, not on workers")
 			return 2
 		}
-		return runWorkerMode(*workerMode, *workerID, *check, *faults, *workers, *wRetries, *wBackoff, *progress)
+		return runWorkerMode(*workerMode, *workerID, *check, injector, *workers, *wRetries, *wBackoff, *progress)
 	}
 
 	o := core.DefaultOptions()
@@ -211,12 +219,22 @@ func run() int {
 			selected = append(selected, strings.TrimSpace(name))
 		}
 	}
-	// Validate every name before simulating anything.
+	// Validate every name, and that each can print in the chosen format,
+	// before simulating anything.
+	var noCSV []string
 	for _, name := range selected {
-		if _, ok := all[name]; !ok {
+		e, ok := all[name]
+		if !ok {
 			log.Printf("unknown experiment %q (use -list)", name)
-			return 1
+			return 2
 		}
+		if !e.hasCSV {
+			noCSV = append(noCSV, name)
+		}
+	}
+	if outFormat == "csv" && len(noCSV) > 0 {
+		log.Printf("-format csv: no CSV form for %s (use -format json)", strings.Join(noCSV, ", "))
+		return 2
 	}
 
 	if *timeline != "" {
@@ -256,16 +274,9 @@ func run() int {
 		}()
 	}
 
-	var injector *faultinject.Injector
-	if *faults != "" {
-		in, err := faultinject.Parse(*faults)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		injector = in
-		sched.SetFaultHook(in.Hook)
-		sched.SetStateFaultHook(in.StateFault)
+	if injector != nil {
+		sched.SetFaultHook(injector.Hook)
+		sched.SetStateFaultHook(injector.StateFault)
 		fmt.Fprintln(os.Stderr, "[faultinject active: results are intentionally degraded]")
 	}
 	var fstore *fleet.Store
@@ -353,7 +364,7 @@ func run() int {
 	for _, name := range selected {
 		before := sched.Stats()
 		start := time.Now()
-		all[name]()
+		all[name].run()
 		d := sched.Stats()
 		fmt.Fprintf(os.Stderr, "[%s done in %s: %d points simulated (%d runs), %d served from cache, %d from store, %d failed]\n",
 			name, time.Since(start).Round(time.Millisecond),
@@ -372,7 +383,7 @@ func run() int {
 			// before the listener goes away with the process.
 			time.Sleep(2 * fleet.DefaultPollInterval)
 		}
-		printFleetStats(os.Stderr, coord.Stats())
+		report.Fleet(os.Stderr, coord.Stats())
 	}
 	total := sched.Stats()
 	fmt.Fprintf(os.Stderr, "[suite done in %s: %d unique points, %d cached requests, %d from store, %d failed, %d workers]\n",
@@ -464,87 +475,68 @@ func exportPointTimelines(dir string, ev core.PointEvent) error {
 	return nil
 }
 
-// emit renders rows in the selected format, falling back to the
-// text renderer when no structured encoding applies.
-func emit(text func(), rows any, csvFn func() error) {
-	switch outFormat {
-	case "json":
-		if err := report.WriteJSON(os.Stdout, rows); err != nil {
-			log.Fatal(err)
-		}
-	case "csv":
-		if csvFn != nil {
-			if err := csvFn(); err != nil {
-				log.Fatal(err)
-			}
-			return
-		}
-		fallthrough
-	default:
-		text()
-	}
+// experiment is one study of the suite: run simulates it and prints its
+// rows in outFormat. hasCSV reports whether it has a CSV form, so
+// -format csv on one without is refused before anything simulates.
+type experiment struct {
+	run    func()
+	hasCSV bool
 }
 
-// experimentTable maps experiment names to runners that print results,
-// all submitting to s. benches restricts most studies' benchmark set;
-// fig10 and the core sweeps pin their own benchmarks as the paper does.
-func experimentTable(s *core.Scheduler, o core.Options, benches []string) map[string]func() {
-	w := os.Stdout
+// study builds an experiment from the call that simulates a study's
+// rows and the renderers that print them to stdout; csv is nil for a
+// study with no CSV form.
+func study[R any](rows func() R, text func(io.Writer, R), csv func(io.Writer, R) error) experiment {
+	return experiment{hasCSV: csv != nil, run: func() {
+		r := rows()
+		var err error
+		switch outFormat {
+		case "json":
+			err = report.WriteJSON(os.Stdout, r)
+		case "csv":
+			err = csv(os.Stdout, r)
+		default:
+			text(os.Stdout, r)
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+	}}
+}
+
+// experimentTable maps experiment names to the studies they print, all
+// submitting to s. benches restricts most studies' benchmark set; fig10
+// and the core sweeps pin their own benchmarks as the paper does.
+func experimentTable(s *core.Scheduler, o core.Options, benches []string) map[string]experiment {
 	coreCounts := []int{1, 2, 4, 8, 16}
-	return map[string]func(){
-		"table3": func() {
-			rows := s.CompressionStudy(benches, o)
-			emit(func() { report.Table3(w, rows) }, rows, func() error { return report.CompressionCSV(w, rows) })
-		},
-		"fig3": func() {
-			rows := s.CompressionStudy(benches, o)
-			emit(func() { report.Fig3(w, rows) }, rows, func() error { return report.CompressionCSV(w, rows) })
-		},
-		"fig4": func() {
-			rows := s.BandwidthStudy(benches, o)
-			emit(func() { report.Fig4(w, rows) }, rows, nil)
-		},
-		"fig5": func() {
-			rows := s.CompressionStudy(benches, o)
-			emit(func() { report.Fig5(w, rows) }, rows, func() error { return report.CompressionCSV(w, rows) })
-		},
-		"table4": func() {
-			rows := s.PrefetchProperties(benches, o)
-			emit(func() { report.Table4(w, rows) }, rows, nil)
-		},
-		"fig6": func() {
-			rows := s.PrefetchStudy(benches, o)
-			emit(func() { report.Fig6(w, rows) }, rows, nil)
-		},
-		"fig7": func() {
-			rows := s.InteractionStudy(benches, o)
-			emit(func() { report.Fig7(w, rows) }, rows, func() error { return report.InteractionCSV(w, rows) })
-		},
-		"fig8": func() {
-			rows := s.MissClassification(benches, o)
-			emit(func() { report.Fig8(w, rows) }, rows, nil)
-		},
-		"table5": func() {
-			rows := s.InteractionStudy(benches, o)
-			emit(func() { report.Table5(w, rows) }, rows, func() error { return report.InteractionCSV(w, rows) })
-		},
-		"fig10": func() {
-			rows := s.AdaptiveStudy(core.CommercialBenchmarks(), o)
-			emit(func() { report.Fig10(w, rows) }, rows, nil)
-		},
-		"fig11": func() {
-			rows := s.BandwidthSweep(benches, []int{10, 20, 40, 80}, o)
-			emit(func() { report.Fig11(w, rows) }, rows, func() error { return report.BandwidthSweepCSV(w, rows) })
-		},
-		"fig1": func() {
-			rows := s.CoreSweep("zeus", coreCounts, o)
-			emit(func() { report.CoreSweep(w, "Figure 1 (zeus)", rows) }, rows, func() error { return report.CoreSweepCSV(w, rows) })
-		},
-		"codecs": func() {
-			rows := s.CodecStudy(benches, o)
-			emit(func() { report.CodecTable(w, rows) }, rows, func() error { return report.CodecCSV(w, rows) })
-		},
-		"irregular": func() {
+	compression := func() []core.CompressionRow { return s.CompressionStudy(benches, o) }
+	interaction := func() []core.InteractionRow { return s.InteractionStudy(benches, o) }
+	coreSweep := func(title string) func(io.Writer, []core.CoreSweepRow) {
+		return func(w io.Writer, rows []core.CoreSweepRow) { report.CoreSweep(w, title, rows) }
+	}
+	return map[string]experiment{
+		"table3": study(compression, report.Table3, report.CompressionCSV),
+		"fig3":   study(compression, report.Fig3, report.CompressionCSV),
+		"fig4": study(func() []core.BandwidthRow { return s.BandwidthStudy(benches, o) },
+			report.Fig4, nil),
+		"fig5": study(compression, report.Fig5, report.CompressionCSV),
+		"table4": study(func() []core.PrefetchPropsRow { return s.PrefetchProperties(benches, o) },
+			report.Table4, nil),
+		"fig6": study(func() []core.PrefetchSpeedupRow { return s.PrefetchStudy(benches, o) },
+			report.Fig6, nil),
+		"fig7": study(interaction, report.Fig7, report.InteractionCSV),
+		"fig8": study(func() []core.MissClassRow { return s.MissClassification(benches, o) },
+			report.Fig8, nil),
+		"table5": study(interaction, report.Table5, report.InteractionCSV),
+		"fig10": study(func() []core.AdaptiveRow { return s.AdaptiveStudy(core.CommercialBenchmarks(), o) },
+			report.Fig10, nil),
+		"fig11": study(func() []core.BandwidthSweepRow { return s.BandwidthSweep(benches, []int{10, 20, 40, 80}, o) },
+			report.Fig11, report.BandwidthSweepCSV),
+		"fig1": study(func() []core.CoreSweepRow { return s.CoreSweep("zeus", coreCounts, o) },
+			coreSweep("Figure 1 (zeus)"), report.CoreSweepCSV),
+		"codecs": study(func() []core.CodecRow { return s.CodecStudy(benches, o) },
+			report.CodecTable, report.CodecCSV),
+		"irregular": study(func() []core.IrregularRow {
 			// -benchmarks may mix suites; only its irregular names apply
 			// here. With none selected the study runs the whole suite.
 			irr := make(map[string]bool)
@@ -560,18 +552,14 @@ func experimentTable(s *core.Scheduler, o core.Options, benches []string) map[st
 			if len(sel) == 0 {
 				sel = core.IrregularBenchmarks()
 			}
-			rows := s.IrregularStudy(sel, o)
-			emit(func() { report.IrregularTable(w, rows) }, rows, func() error { return report.IrregularCSV(w, rows) })
-		},
-		"fig12": func() {
-			ra := s.CoreSweep("apache", coreCounts, o)
-			rj := s.CoreSweep("jbb", coreCounts, o)
-			emit(func() {
-				report.CoreSweep(w, "Figure 12 (apache)", ra)
-				report.CoreSweep(w, "Figure 12 (jbb)", rj)
-			}, append(append([]core.CoreSweepRow{}, ra...), rj...), func() error {
-				return report.CoreSweepCSV(w, append(append([]core.CoreSweepRow{}, ra...), rj...))
-			})
-		},
+			return s.IrregularStudy(sel, o)
+		}, report.IrregularTable, report.IrregularCSV),
+		// Rows are apache's sweep then jbb's, one per core count.
+		"fig12": study(func() []core.CoreSweepRow {
+			return append(s.CoreSweep("apache", coreCounts, o), s.CoreSweep("jbb", coreCounts, o)...)
+		}, func(w io.Writer, rows []core.CoreSweepRow) {
+			coreSweep("Figure 12 (apache)")(w, rows[:len(coreCounts)])
+			coreSweep("Figure 12 (jbb)")(w, rows[len(coreCounts):])
+		}, report.CoreSweepCSV),
 	}
 }

@@ -163,16 +163,11 @@ type Auditor struct {
 	ShadowChecks uint64
 }
 
-// New builds an auditor for the given level checking against the
-// default codec. data supplies block contents for the shadow model and
-// may be nil below Shadow.
-func New(level Level, data LineSource) *Auditor {
-	return NewCodec(level, data, codec.Default())
-}
-
-// NewCodec builds an auditor whose shadow size checks and roundtrips
-// use codec c — the same codec the simulation prices sizes with, or the
-// "truth" comparison below would flag every fill.
+// NewCodec builds an auditor for the given level whose shadow size
+// checks and roundtrips use codec c — the same codec the simulation
+// prices sizes with, or the "truth" comparison below would flag every
+// fill. data supplies block contents for the shadow model and may be
+// nil below Shadow.
 func NewCodec(level Level, data LineSource, c codec.Codec) *Auditor {
 	if !level.Valid() {
 		panic(fmt.Sprintf("audit: invalid level %d", level))
@@ -292,13 +287,6 @@ func (a *Auditor) roundTrip(cycle timing.Tick, addr cache.BlockAddr, segs int) {
 		a.Fail("shadow-fpc", cycle, -1, -1, addr,
 			fmt.Sprintf("%s roundtrip did not reproduce the line", a.codec.Name()))
 	}
-}
-
-// RecordedSize returns the segments recorded for addr at its last L2
-// fill/resize (sweep support).
-func (a *Auditor) RecordedSize(addr cache.BlockAddr) (uint8, bool) {
-	s, ok := a.sizes[addr]
-	return s, ok
 }
 
 // CheckL2Line verifies one resident L2 line against the shadow size

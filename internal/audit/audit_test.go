@@ -10,6 +10,13 @@ import (
 	"cmpsim/internal/timing"
 )
 
+// RecordedSize returns the segments recorded for addr at its last L2
+// fill/resize.
+func (a *Auditor) RecordedSize(addr cache.BlockAddr) (uint8, bool) {
+	s, ok := a.sizes[addr]
+	return s, ok
+}
+
 func TestLevelStringValidEnabled(t *testing.T) {
 	cases := []struct {
 		l       Level
@@ -87,9 +94,9 @@ func TestNewRejectsBadConfigurations(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("invalid level", func() { New(Level(42), nil) })
-	mustPanic("shadow without data", func() { New(Shadow, nil) })
-	if a := New(Invariants, nil); a.Level() != Invariants {
+	mustPanic("invalid level", func() { NewCodec(Level(42), nil, codec.Default()) })
+	mustPanic("shadow without data", func() { NewCodec(Shadow, nil, codec.Default()) })
+	if a := NewCodec(Invariants, nil, codec.Default()); a.Level() != Invariants {
 		t.Fatal("invariants level should not need a LineSource")
 	}
 }
@@ -110,7 +117,7 @@ func capture(fn func()) (v *Violation) {
 }
 
 func TestCheckRaisesOnlyOnDetail(t *testing.T) {
-	a := New(Invariants, nil)
+	a := NewCodec(Invariants, nil, codec.Default())
 	if v := capture(func() { a.Check("msi", 10, "") }); v != nil {
 		t.Fatalf("empty detail raised %v", v)
 	}
@@ -144,7 +151,7 @@ func (p *patternSource) set(a cache.BlockAddr, fill func(i int) byte) uint8 {
 
 func TestShadowValueModel(t *testing.T) {
 	src := &patternSource{}
-	a := New(Shadow, src)
+	a := NewCodec(Shadow, src, codec.Default())
 	a.OnStore(1)
 	a.OnStore(1)
 	a.OnStore(2)
@@ -170,7 +177,7 @@ func TestShadowValueModel(t *testing.T) {
 
 func TestShadowFPCChecks(t *testing.T) {
 	src := &patternSource{}
-	a := New(Shadow, src)
+	a := NewCodec(Shadow, src, codec.Default())
 	// Small per-word values: sign-extendable, so FPC compresses them.
 	segs := src.set(7, func(i int) byte {
 		if i%4 == 0 {
@@ -215,7 +222,7 @@ func TestShadowFPCChecks(t *testing.T) {
 
 func TestCheckL2LineSweep(t *testing.T) {
 	src := &patternSource{}
-	a := New(Shadow, src)
+	a := NewCodec(Shadow, src, codec.Default())
 	segs := src.set(3, func(i int) byte { return 0 })
 	a.OnL2Data(1, 3, segs, true)
 	ln := &cache.Line{Addr: 3, Valid: true, Segs: segs}
@@ -233,7 +240,7 @@ func TestCheckL2LineSweep(t *testing.T) {
 }
 
 func TestLowLevelsAreFreeOfShadowState(t *testing.T) {
-	a := New(Off, nil)
+	a := NewCodec(Off, nil, codec.Default())
 	a.OnStore(1)
 	a.OnLoad(1, 0, 1, 42) // would mismatch if checked
 	a.OnL2Data(1, 1, 3, true)

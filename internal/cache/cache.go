@@ -95,14 +95,6 @@ type Stats struct {
 	Invals       uint64
 }
 
-// MissRate returns misses per access, or 0 when no accesses occurred.
-func (s *Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // tagValid is OR-ed into a line's address to form its entry in the
 // struct-of-arrays tag mirror: valid lines store Addr|tagValid and
 // invalid ways never carry the bit, so a lookup key (a|tagValid) can
@@ -172,15 +164,6 @@ func NewSetAssoc(totalBytes, ways, victimTags int) *SetAssoc {
 	}
 	return c
 }
-
-// Sets returns the number of sets.
-func (c *SetAssoc) Sets() int { return len(c.sets) }
-
-// Ways returns the associativity.
-func (c *SetAssoc) Ways() int { return c.ways }
-
-// CapacityBytes returns the data capacity.
-func (c *SetAssoc) CapacityBytes() int { return len(c.sets) * c.ways * LineBytes }
 
 func (c *SetAssoc) setIndex(a BlockAddr) int { return int(a & c.setMask) }
 

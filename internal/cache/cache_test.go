@@ -6,6 +6,15 @@ import (
 	"testing/quick"
 )
 
+// Sets returns the number of sets.
+func (c *SetAssoc) Sets() int { return len(c.sets) }
+
+// Ways returns the associativity.
+func (c *SetAssoc) Ways() int { return c.ways }
+
+// CapacityBytes returns the data capacity.
+func (c *SetAssoc) CapacityBytes() int { return len(c.sets) * c.ways * LineBytes }
+
 func TestNewSetAssocGeometry(t *testing.T) {
 	c := NewSetAssoc(64*1024, 4, 0) // 64 KB 4-way: 256 sets
 	if c.Sets() != 256 || c.Ways() != 4 {

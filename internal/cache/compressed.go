@@ -75,20 +75,6 @@ func NewCompressed(dataBytes, tagsPerSet, dataSegsPerSet int) *Compressed {
 	return c
 }
 
-// Sets returns the number of sets.
-func (c *Compressed) Sets() int { return len(c.segsUsed) }
-
-// TagsPerSet returns the number of address tags per set.
-func (c *Compressed) TagsPerSet() int { return c.tags }
-
-// DataSegsPerSet returns the data capacity of one set in segments.
-func (c *Compressed) DataSegsPerSet() int { return c.dataSegs }
-
-// CapacityBytes returns the physical data capacity.
-func (c *Compressed) CapacityBytes() int {
-	return c.Sets() * c.dataSegs * SegmentBytes
-}
-
 func (c *Compressed) setIndex(a BlockAddr) int { return int(a & c.setMask) }
 
 // set returns set si's lines and tag words.
@@ -310,17 +296,6 @@ func (c *Compressed) Resize(a BlockAddr, segs uint8, vbuf []Line) (victims []Lin
 	return victims, true
 }
 
-// Invalidate removes a, returning the line as it was (Valid=false if
-// absent). The invalid tag keeps the address as victim history.
-func (c *Compressed) Invalidate(a BlockAddr) Line {
-	si := c.setIndex(a)
-	if i := c.findWay(si, a); i >= 0 {
-		c.Stats.Invals++
-		return c.drop(si, i)
-	}
-	return Line{}
-}
-
 // InvalidTagMatch scans the invalid tags of a's set in LRU-stack order
 // and reports whether any records address a — the paper's test for "this
 // miss was caused by a replacement". The matching tag is cleared so one
@@ -338,20 +313,6 @@ func (c *Compressed) InvalidTagMatch(a BlockAddr) bool {
 	return false
 }
 
-// VictimTagCount returns the number of invalid tags currently holding
-// victim addresses in a's set — the paper's "unused compression tags"
-// whose availability limits harmful-prefetch detection (§5.4).
-func (c *Compressed) VictimTagCount(a BlockAddr) int {
-	_, tg := c.set(c.setIndex(a))
-	n := 0
-	for _, t := range tg {
-		if t&tagVictim != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // AnyPrefetchInSet reports whether any valid line in a's set has its
 // prefetch bit set.
 func (c *Compressed) AnyPrefetchInSet(a BlockAddr) bool {
@@ -366,20 +327,6 @@ func (c *Compressed) AnyPrefetchInSet(a BlockAddr) bool {
 
 // ValidLines returns the number of valid cached lines.
 func (c *Compressed) ValidLines() int { return c.valid }
-
-// EffectiveBytes returns the effective cache size: valid lines × 64 B.
-// With incompressible data this equals at most CapacityBytes; with
-// compressible data it can reach 2× (tags permitting).
-func (c *Compressed) EffectiveBytes() int { return c.ValidLines() * LineBytes }
-
-// UsedSegments returns the total data segments currently occupied.
-func (c *Compressed) UsedSegments() int {
-	n := 0
-	for _, u := range c.segsUsed {
-		n += int(u)
-	}
-	return n
-}
 
 // ForEachValid calls fn for every valid line; the cache must not be
 // mutated during iteration.

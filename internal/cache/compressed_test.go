@@ -6,6 +6,48 @@ import (
 	"testing/quick"
 )
 
+// Sets returns the number of sets.
+func (c *Compressed) Sets() int { return len(c.segsUsed) }
+
+// TagsPerSet returns the number of address tags per set.
+func (c *Compressed) TagsPerSet() int { return c.tags }
+
+// DataSegsPerSet returns the data capacity of one set in segments.
+func (c *Compressed) DataSegsPerSet() int { return c.dataSegs }
+
+// CapacityBytes returns the physical data capacity.
+func (c *Compressed) CapacityBytes() int {
+	return c.Sets() * c.dataSegs * SegmentBytes
+}
+
+// EffectiveBytes returns the effective cache size: valid lines × 64 B.
+// With incompressible data this equals at most CapacityBytes; with
+// compressible data it can reach 2× (tags permitting).
+func (c *Compressed) EffectiveBytes() int { return c.ValidLines() * LineBytes }
+
+// UsedSegments returns the total data segments currently occupied.
+func (c *Compressed) UsedSegments() int {
+	n := 0
+	for _, u := range c.segsUsed {
+		n += int(u)
+	}
+	return n
+}
+
+// VictimTagCount returns the number of invalid tags currently holding
+// victim addresses in a's set — the paper's "unused compression tags"
+// whose availability limits harmful-prefetch detection (§5.4).
+func (c *Compressed) VictimTagCount(a BlockAddr) int {
+	_, tg := c.set(c.setIndex(a))
+	n := 0
+	for _, t := range tg {
+		if t&tagVictim != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // oneSet returns a single-set compressed cache with the paper geometry:
 // 8 tags, 32 data segments (4 uncompressed lines).
 func oneSet() *Compressed {
@@ -178,20 +220,6 @@ func TestResizeAbsent(t *testing.T) {
 	}
 }
 
-func TestCompressedInvalidate(t *testing.T) {
-	c := oneSet()
-	_, ins := c.Fill(3, 2, false, nil)
-	ins.Dirty = true
-	ln := c.Invalidate(3)
-	if !ln.Valid || !ln.Dirty || ln.Segs != 2 {
-		t.Fatalf("invalidate returned %+v", ln)
-	}
-	// The invalid tag acts as victim history.
-	if !c.InvalidTagMatch(3) {
-		t.Fatal("invalidated address should match invalid tag")
-	}
-}
-
 func TestCompressedLRUOrderAcrossAccess(t *testing.T) {
 	c := oneSet()
 	for a := BlockAddr(0); a < 4; a++ {
@@ -250,8 +278,8 @@ func TestEffectiveSizeTracksCompressibility(t *testing.T) {
 	}
 }
 
-// Property: invariants hold under arbitrary fill/access/resize/invalidate
-// sequences, and the segment budget is never exceeded.
+// Property: invariants hold under arbitrary fill/access/resize/
+// victim-match sequences, and the segment budget is never exceeded.
 func TestCompressedInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -272,7 +300,7 @@ func TestCompressedInvariantsProperty(t *testing.T) {
 				buf = buf[:0]
 				c.Resize(a, segs, buf)
 			case 3:
-				c.Invalidate(a)
+				c.InvalidTagMatch(a)
 			}
 			if msg := c.CheckInvariants(); msg != "" {
 				t.Logf("seed %d op %d: %s", seed, op, msg)

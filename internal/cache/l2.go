@@ -18,8 +18,6 @@ type L2 interface {
 	// evict other lines in a compressed L2 and is a no-op when a is
 	// absent or the cache is uncompressed.
 	Resize(a BlockAddr, segs uint8, vbuf []Line) (victims []Line, found bool)
-	// Invalidate removes a, returning the prior line state.
-	Invalidate(a BlockAddr) Line
 	// VictimMatch reports (and consumes) whether a was recently replaced
 	// in its set, per the victim-address history available to the
 	// adaptive prefetcher.
@@ -29,7 +27,7 @@ type L2 interface {
 	AnyPrefetchInSet(a BlockAddr) bool
 	// BaseStats exposes the underlying hit/miss counters.
 	BaseStats() *Stats
-	// ValidLines counts resident lines; EffectiveBytes is that × 64.
+	// ValidLines counts resident lines.
 	ValidLines() int
 	// ForEachValid visits every resident line; fn must not mutate the
 	// cache.

@@ -134,16 +134,6 @@ func MustByName(name string) Codec {
 	return c
 }
 
-// Canonical normalizes a codec name for cache keys and labels: the
-// empty string becomes the default codec's name; anything else is
-// returned unchanged (validation is ByName's job).
-func Canonical(name string) string {
-	if name == "" {
-		return DefaultName
-	}
-	return name
-}
-
 // segsForBytes converts an encoded byte length to the segment count,
 // clamped to the raw-storage convention.
 func segsForBytes(n int) int {

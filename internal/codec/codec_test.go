@@ -136,9 +136,6 @@ func TestRegistry(t *testing.T) {
 	if _, err := ByName("huffman"); err == nil {
 		t.Fatal("ByName on an unknown codec did not fail")
 	}
-	if Canonical("") != DefaultName || Canonical("bdi") != "bdi" {
-		t.Fatal("Canonical normalization wrong")
-	}
 	if len(All()) != len(want) {
 		t.Fatalf("All() has %d codecs, want %d", len(All()), len(want))
 	}

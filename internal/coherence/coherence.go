@@ -180,9 +180,6 @@ func New(cfg Config) *Hierarchy {
 	return h
 }
 
-// Cores returns the configured core count.
-func (h *Hierarchy) Cores() int { return h.cfg.Cores }
-
 // l1For selects core c's L1 for the access kind.
 func (h *Hierarchy) l1For(core int, kind Kind) *cache.SetAssoc {
 	if kind == IFetch {

@@ -2,8 +2,7 @@
 // two classes of trouble:
 //
 //   - Programmer errors surface immediately: Submit on a closed
-//     scheduler panics, and MustWait panics on any point error,
-//     because a driver iterating known-good inputs that still fails is
+//     scheduler panics, because a caller that submits after closing is
 //     itself broken.
 //   - Point failures — a panicking seed job, a runaway simulation
 //     abandoned by the watchdog, an error from the simulation, an

@@ -256,15 +256,6 @@ func (f *PointFuture) Wait() (Point, error) {
 	return f.e.point, f.e.err
 }
 
-// MustWait is Wait for drivers iterating known-good benchmark names.
-func (f *PointFuture) MustWait() Point {
-	p, err := f.Wait()
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 type seedJob struct {
 	entry *pointEntry
 	seed  int

@@ -13,6 +13,15 @@ import (
 	"cmpsim/internal/sim"
 )
 
+// MustWait is Wait for tests iterating known-good benchmark names.
+func (f *PointFuture) MustWait() Point {
+	p, err := f.Wait()
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // TestSchedulerDeterminism is the scheduler's regression contract: the
 // same study run serially (one worker) and in parallel must produce
 // bit-identical Points, proving the fan-out introduces no hidden shared

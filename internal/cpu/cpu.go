@@ -174,21 +174,10 @@ func (c *Core) enforceROB() {
 	}
 }
 
-// Outstanding returns the number of in-flight misses.
-func (c *Core) Outstanding() int { return len(c.outstanding) }
-
 // Drain waits for all outstanding misses (end of simulation).
 func (c *Core) Drain() {
 	for len(c.outstanding) > 0 {
 		c.waitFor(c.earliestDone())
 		c.retireCompleted()
 	}
-}
-
-// IPC returns retired instructions per cycle so far.
-func (c *Core) IPC() float64 {
-	if c.Now == 0 {
-		return 0
-	}
-	return float64(c.Instrs) / c.Now.Cycles()
 }

@@ -8,6 +8,17 @@ import (
 	"cmpsim/internal/timing"
 )
 
+// Outstanding returns the number of in-flight misses.
+func (c *Core) Outstanding() int { return len(c.outstanding) }
+
+// IPC returns retired instructions per cycle so far.
+func (c *Core) IPC() float64 {
+	if c.Now == 0 {
+		return 0
+	}
+	return float64(c.Instrs) / c.Now.Cycles()
+}
+
 // cy converts whole cycles to ticks for test readability.
 func cy(n int64) timing.Tick { return timing.FromIntCycles(n) }
 

@@ -228,17 +228,15 @@ func New(rules ...Rule) *Injector {
 	return in
 }
 
-// Hook is the scheduler-facing fault hook (core.FaultHook shaped): it
-// counts every rule's matches and acts out the first rule due to fire —
-// panicking, stalling, or returning an injected error.
-func (in *Injector) Hook(bench, label string, seed int) error {
+// fire counts a match on every rule pred accepts and fires the first
+// one due, in rule order. It returns the fired rule, or nil. Every hook
+// below is fire with its own rule predicate.
+func (in *Injector) fire(pred func(*ruleState) bool) *ruleState {
 	in.mu.Lock()
+	defer in.mu.Unlock()
 	var act *ruleState
 	for _, r := range in.rules {
-		if r.Kind == Corrupt || r.Kind.transport() || r.Kind.coordinator() || !r.matches(bench, label, seed) {
-			// Corrupt rules act through StateFault, transport rules
-			// through Transport and coordinator rules through Coord —
-			// none through the seed-job fault hook.
+		if !pred(r) {
 			continue
 		}
 		r.matched++
@@ -247,7 +245,19 @@ func (in *Injector) Hook(bench, label string, seed int) error {
 			act = r
 		}
 	}
-	in.mu.Unlock()
+	return act
+}
+
+// Hook is the scheduler-facing fault hook (core.FaultHook shaped): it
+// counts every rule's matches and acts out the first rule due to fire —
+// panicking, stalling, or returning an injected error.
+func (in *Injector) Hook(bench, label string, seed int) error {
+	act := in.fire(func(r *ruleState) bool {
+		// Corrupt rules act through StateFault, transport rules through
+		// Transport and coordinator rules through Coord — none through
+		// the seed-job fault hook.
+		return r.Kind != Corrupt && !r.Kind.transport() && !r.Kind.coordinator() && r.matches(bench, label, seed)
+	})
 	if act == nil {
 		return nil
 	}
@@ -267,19 +277,7 @@ func (in *Injector) Hook(bench, label string, seed int) error {
 // returns the "fault@step" spec of the first one due to fire, or "" when
 // no corruption applies to this seed job.
 func (in *Injector) StateFault(bench, label string, seed int) string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	var act *ruleState
-	for _, r := range in.rules {
-		if r.Kind != Corrupt || !r.matches(bench, label, seed) {
-			continue
-		}
-		r.matched++
-		if act == nil && r.matched >= r.Nth && (r.Count == Forever || r.fired < r.Count) {
-			r.fired++
-			act = r
-		}
-	}
+	act := in.fire(func(r *ruleState) bool { return r.Kind == Corrupt && r.matches(bench, label, seed) })
 	if act == nil {
 		return ""
 	}
@@ -300,19 +298,7 @@ type TransportAction struct {
 // should pass untouched. Transport rules that pin a seed never fire
 // (protocol messages carry whole points, not seeds).
 func (in *Injector) Transport(msg, worker, bench, label string) (TransportAction, bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	var act *ruleState
-	for _, r := range in.rules {
-		if !r.Kind.transport() || !r.matchesTransport(msg, worker, bench, label) {
-			continue
-		}
-		r.matched++
-		if act == nil && r.matched >= r.Nth && (r.Count == Forever || r.fired < r.Count) {
-			r.fired++
-			act = r
-		}
-	}
+	act := in.fire(func(r *ruleState) bool { return r.Kind.transport() && r.matchesTransport(msg, worker, bench, label) })
 	if act == nil {
 		return TransportAction{}, false
 	}
@@ -326,19 +312,7 @@ func (in *Injector) Transport(msg, worker, bench, label string) (TransportAction
 // when the coordinator should process the request normally. The caller
 // (fleet.Coordinator via Config.Crash) performs the actual crash.
 func (in *Injector) Coord(msg, worker string) (Kind, bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	var act *ruleState
-	for _, r := range in.rules {
-		if !r.Kind.coordinator() || !r.matchesCoord(msg, worker) {
-			continue
-		}
-		r.matched++
-		if act == nil && r.matched >= r.Nth && (r.Count == Forever || r.fired < r.Count) {
-			r.fired++
-			act = r
-		}
-	}
+	act := in.fire(func(r *ruleState) bool { return r.Kind.coordinator() && r.matchesCoord(msg, worker) })
 	if act == nil {
 		return 0, false
 	}

@@ -202,14 +202,6 @@ func (r *recovery) sortedKeys() []string {
 	return keys
 }
 
-// Entries returns how many intact events the open scan replayed.
-func (j *Journal) Entries() int {
-	if j == nil {
-		return 0
-	}
-	return j.rec.entries
-}
-
 // Skipped returns how many corrupt or undecodable events were ignored.
 func (j *Journal) Skipped() int {
 	if j == nil {
@@ -217,9 +209,6 @@ func (j *Journal) Skipped() int {
 	}
 	return j.rec.skipped + j.j.Skipped()
 }
-
-// Healed reports whether the open scan repaired a truncated tail.
-func (j *Journal) Healed() bool { return j != nil && j.j.Healed() }
 
 // Path returns the backing file.
 func (j *Journal) Path() string {

@@ -17,6 +17,14 @@ import (
 	"cmpsim/internal/core"
 )
 
+// Entries returns how many intact events the open scan replayed.
+func (j *Journal) Entries() int {
+	if j == nil {
+		return 0
+	}
+	return j.rec.entries
+}
+
 // crashCoordinator abandons c the way a SIGKILL would: the journal's
 // file handle is released (the process is gone) but nothing is failed,
 // flushed, truncated, or shut down.

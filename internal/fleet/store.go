@@ -68,9 +68,6 @@ func (st *Store) Add(rec core.PointRecord) error {
 	return st.s.Put(rec.Key(), val)
 }
 
-// Len returns how many distinct points this process's view holds.
-func (st *Store) Len() int { return st.s.Len() }
-
 // Loaded returns how many intact records the open call restored.
 func (st *Store) Loaded() int { return st.s.Loaded() }
 

@@ -21,10 +21,6 @@ import (
 	"cmpsim/internal/faultinject"
 )
 
-// Runner simulates one whole data point locally — cmd/experiments wires
-// it to a core.Scheduler's Submit+Wait. The options are canonical.
-type Runner func(bench string, m core.Mechanisms, o core.Options) (core.Point, error)
-
 // ErrKilled is returned by RunWorker when a kind=kill fault rule fires:
 // the worker abandons everything mid-point without a word to the
 // coordinator, exactly like a crashed process.
@@ -45,8 +41,12 @@ const (
 
 // WorkerConfig tunes one worker loop.
 type WorkerConfig struct {
-	ID     string // worker id carried on every request
-	Runner Runner // simulates one point; required
+	ID string // worker id carried on every request
+
+	// Runner simulates one whole point locally; required. cmd/experiments
+	// wires it to a core.Scheduler's Submit+Wait. The options are
+	// canonical.
+	Runner core.PointRunner
 
 	// HeartbeatInterval spaces the keep-alives sent while a point runs;
 	// it must be comfortably under the coordinator's HeartbeatTimeout.
@@ -348,7 +348,7 @@ func (cfg *WorkerConfig) runLease(call Caller, lease Message, logf func(string, 
 
 // runGuarded isolates runner panics into classified failures so a
 // broken simulation reports instead of crashing the worker loop.
-func runGuarded(run Runner, bench string, m core.Mechanisms, o core.Options) (p core.Point, err error) {
+func runGuarded(run core.PointRunner, bench string, m core.Mechanisms, o core.Options) (p core.Point, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = &workerPanic{val: rec, stack: string(debug.Stack())}

@@ -55,9 +55,6 @@ func NewChannel(bytesPerCycle float64) *Channel {
 	return &Channel{port: p}
 }
 
-// Infinite reports whether the channel models unlimited bandwidth.
-func (c *Channel) Infinite() bool { return c.port.Infinite() }
-
 // Occupancy returns the ticks one message of the given payload size
 // occupies the channel (0 for an infinite channel).
 func (c *Channel) Occupancy(flits int) timing.Tick {
@@ -94,21 +91,12 @@ func (c *Channel) SendLow(now timing.Tick, flits int) (done timing.Tick) {
 	return c.Reserve(now, flits, false) + c.Occupancy(flits)
 }
 
-// BusyUntil returns the tick at which the channel next frees.
-func (c *Channel) BusyUntil() timing.Tick { return c.port.BusyUntil() }
-
 // BusyTicks returns the cumulative channel occupancy.
 func (c *Channel) BusyTicks() timing.Tick { return c.port.BusyTicks() }
 
 // QueueDelay returns the cumulative ticks messages waited for the
 // channel.
 func (c *Channel) QueueDelay() timing.Tick { return c.port.WaitTicks() }
-
-// Utilization returns the fraction of an elapsed window the channel was
-// busy (0 for an infinite channel).
-func (c *Channel) Utilization(elapsed timing.Tick) float64 {
-	return c.port.Utilization(elapsed)
-}
 
 // CheckInvariants verifies flit conservation and reservation-state
 // sanity (audit support): every byte on the channel is accounted for by
@@ -125,14 +113,4 @@ func (c *Channel) CheckInvariants() string {
 		return fmt.Sprintf("port granted %d slots for %d messages", c.port.Grants(), c.Messages)
 	}
 	return c.port.CheckInvariants()
-}
-
-// DemandGBps converts the observed byte count to the paper's bandwidth
-// demand metric in GB/s, given the elapsed window and the clock in GHz.
-func (c *Channel) DemandGBps(elapsed timing.Tick, clockGHz float64) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	seconds := elapsed.Cycles() / (clockGHz * 1e9)
-	return float64(c.TotalBytes) / 1e9 / seconds
 }

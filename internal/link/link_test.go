@@ -1,7 +1,6 @@
 package link
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -41,7 +40,7 @@ func TestQueueingDelaysSecondMessage(t *testing.T) {
 
 func TestInfiniteChannelNeverQueues(t *testing.T) {
 	c := NewChannel(0)
-	if !c.Infinite() {
+	if !c.port.Infinite() {
 		t.Fatal("channel should be infinite")
 	}
 	for i := 0; i < 100; i++ {
@@ -61,30 +60,6 @@ func TestCompressedMessageIsCheaper(t *testing.T) {
 	small := c2.Send(0, 2)
 	if small >= full {
 		t.Fatalf("2-flit message (%v) should be faster than 8-flit (%v)", small, full)
-	}
-}
-
-func TestDemandGBps(t *testing.T) {
-	c := NewChannel(0)
-	c.Send(0, 8) // 72 bytes
-	// 72 bytes over 5e9 cycles at 5 GHz = 1 second -> 72e-9 GB/s.
-	got := c.DemandGBps(cy(5e9), 5.0)
-	if math.Abs(got-72e-9) > 1e-12 {
-		t.Fatalf("demand = %g", got)
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	c := NewChannel(4.0)
-	c.Send(0, 8) // busy 18 cycles
-	if u := c.Utilization(cy(36)); math.Abs(u-0.5) > 1e-9 {
-		t.Fatalf("utilization = %f", u)
-	}
-	if u := c.Utilization(cy(9)); u != 1 {
-		t.Fatalf("utilization should clamp to 1, got %f", u)
-	}
-	if u := c.Utilization(0); u != 0 {
-		t.Fatalf("zero window utilization = %f", u)
 	}
 }
 

@@ -109,14 +109,8 @@ func New(cfg Config) *System {
 	}
 }
 
-// TotalBytes returns bytes moved across the pins in both channels.
-func (m *System) TotalBytes() uint64 { return m.Addr.TotalBytes + m.Data.TotalBytes }
-
 // DataBusyTicks returns the data channel's cumulative occupancy.
 func (m *System) DataBusyTicks() timing.Tick { return m.Data.BusyTicks() }
-
-// Config returns the active configuration.
-func (m *System) Config() Config { return m.cfg }
 
 // flitsFor returns the payload flit count for a line of the given
 // compressed size under the active link-compression setting.
@@ -202,15 +196,4 @@ func (m *System) CheckInvariants() string {
 		return fmt.Sprintf("%d bank grants for %d fetches + %d writebacks", m.banks.Grants(), m.Fetches, m.Writebacks)
 	}
 	return ""
-}
-
-// UncontendedFetchLatency returns the no-queueing round-trip latency of
-// a fetch with the given compressed size: the lower bound the timing
-// model approaches when bandwidth is plentiful.
-func (m *System) UncontendedFetchLatency(segs uint8) timing.Tick {
-	lat := m.dramLat
-	if !m.Data.Infinite() {
-		lat += m.Addr.Occupancy(0) + m.Data.Occupancy(m.flitsFor(segs))
-	}
-	return lat
 }

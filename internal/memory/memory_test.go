@@ -18,9 +18,6 @@ func TestFetchLatencyUncontended(t *testing.T) {
 	if done != want {
 		t.Fatalf("fetch done = %v, want %v", done, want)
 	}
-	if got := m.UncontendedFetchLatency(cache.MaxSegs); got != want {
-		t.Fatalf("uncontended latency = %v, want %v", got, want)
-	}
 }
 
 func TestLinkCompressionShortensResponse(t *testing.T) {
@@ -119,7 +116,7 @@ func TestInfiniteBandwidthMeasurementMode(t *testing.T) {
 		t.Fatalf("infinite-bw fetch = %v, want %gcy", done, cfg.DRAMLatency)
 	}
 	// Bytes are still counted for the bandwidth-demand metric.
-	if m.TotalBytes() == 0 {
+	if m.Data.TotalBytes == 0 {
 		t.Fatal("bytes must be accounted in measurement mode")
 	}
 }

@@ -17,9 +17,6 @@ func TestRegistry(t *testing.T) {
 	if _, err := ByName(""); err != nil {
 		t.Fatalf("empty name must resolve to the default: %v", err)
 	}
-	if Canonical("") != DefaultName || Canonical("markov") != "markov" {
-		t.Error("Canonical misbehaves")
-	}
 	_, err := ByName("nosuch")
 	if err == nil || !strings.Contains(err.Error(), "stride") {
 		t.Errorf("unknown-kind error must list registered names, got %v", err)

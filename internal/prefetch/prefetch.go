@@ -433,17 +433,6 @@ func (e *Engine) TriggerStream(a cache.BlockAddr, stride int64) []cache.BlockAdd
 	return e.reqbuf
 }
 
-// ActiveStreams returns the number of valid stream entries.
-func (e *Engine) ActiveStreams() int {
-	n := 0
-	for i := range e.streams {
-		if e.streams[i].valid {
-			n++
-		}
-	}
-	return n
-}
-
 // StreamStride returns the stride of the most recently used active
 // stream, or 0 when none is active (test and trigger support).
 func (e *Engine) StreamStride() int64 {
@@ -611,6 +600,3 @@ func (a *Adaptive) Harmful() {
 
 // Cap returns the current startup-prefetch bound.
 func (a *Adaptive) Cap() int { return a.counter }
-
-// Disabled reports whether prefetching is currently shut off.
-func (a *Adaptive) Disabled() bool { return a.counter == 0 }

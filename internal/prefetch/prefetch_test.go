@@ -8,6 +8,20 @@ import (
 	"cmpsim/internal/cache"
 )
 
+// ActiveStreams returns the number of valid stream entries.
+func (e *Engine) ActiveStreams() int {
+	n := 0
+	for i := range e.streams {
+		if e.streams[i].valid {
+			n++
+		}
+	}
+	return n
+}
+
+// Disabled reports whether prefetching is currently shut off.
+func (a *Adaptive) Disabled() bool { return a.counter == 0 }
+
 func collectStartup(e *Engine, start cache.BlockAddr, stride int64, misses int) []cache.BlockAddr {
 	var out []cache.BlockAddr
 	a := start

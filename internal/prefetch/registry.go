@@ -72,12 +72,3 @@ func MustByName(name string) Factory {
 	}
 	return f
 }
-
-// Canonical maps a kind name to its canonical spelling: the empty
-// string and DefaultName are the same kind.
-func Canonical(name string) string {
-	if name == "" {
-		return DefaultName
-	}
-	return name
-}

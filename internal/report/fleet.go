@@ -1,45 +1,20 @@
 // Fleet progress rendering: the per-worker accounting table and the
-// sweep totals line a coordinator prints after a distributed run. The
-// row types mirror internal/fleet's stats without importing it, so
-// report stays a pure rendering layer.
+// sweep totals line a coordinator prints after a distributed run.
 package report
 
 import (
 	"fmt"
 	"io"
+
+	"cmpsim/internal/fleet"
 )
 
-// FleetWorkerRow is one worker's accounting.
-type FleetWorkerRow struct {
-	Worker     string
-	Leases     int
-	Results    int
-	Failures   int
-	Duplicates int
-	Malformed  int
-	Lost       bool
-}
-
-// FleetTotals is the sweep-wide accounting.
-type FleetTotals struct {
-	Points     int
-	FromStore  int
-	Recovered  int // points rebuilt from the coordinator journal at startup
-	Completed  int
-	Failed     int
-	Requeues   int
-	Expired    int
-	Lost       int
-	Duplicates int
-	Malformed  int
-}
-
 // Fleet prints the per-worker table followed by the totals line.
-func Fleet(w io.Writer, rows []FleetWorkerRow, t FleetTotals) {
+func Fleet(w io.Writer, t fleet.Stats) {
 	fmt.Fprintln(w, "Fleet: per-worker progress")
 	fmt.Fprintf(w, "  %-12s %7s %7s %8s %5s %9s %5s\n",
 		"worker", "leases", "results", "failures", "dups", "malformed", "lost")
-	for _, r := range rows {
+	for _, r := range t.Workers {
 		lost := ""
 		if r.Lost {
 			lost = "LOST"

@@ -55,10 +55,6 @@ func StateFaultNames() []string {
 	return names
 }
 
-// StateFaultLevel returns the minimum CheckLevel that detects the named
-// fault (test support), or Off for unknown names.
-func StateFaultLevel(name string) audit.Level { return stateFaults[name] }
-
 // parseStateFault splits a "name@step" spec and validates both halves.
 func parseStateFault(spec string) (name string, step uint64, err error) {
 	name, at, ok := strings.Cut(spec, "@")

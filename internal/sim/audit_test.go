@@ -8,6 +8,10 @@ import (
 	"cmpsim/internal/audit"
 )
 
+// StateFaultLevel returns the minimum CheckLevel that detects the named
+// fault, or Off for unknown names.
+func StateFaultLevel(name string) audit.Level { return stateFaults[name] }
+
 // auditTestConfig is a small compressed+prefetching system: every fault
 // class has live state to corrupt (compressed L2 sets, streams, MSHR
 // entries, link traffic).

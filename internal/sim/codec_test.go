@@ -28,14 +28,6 @@ func TestGeometryMatchesCacheConstants(t *testing.T) {
 	if cache.DefaultSegsPerSet != cache.DefaultLinesPerSet*cache.MaxSegs {
 		t.Error("segment budget is not LinesPerSet lines of data area")
 	}
-	// The ratio estimators saturate at the tag-limit bound derived from
-	// the same constants.
-	if got := workload.RatioForMeanSegs(1); got != cache.MaxEffectiveRatio {
-		t.Errorf("RatioForMeanSegs(1) = %g, want %g", got, cache.MaxEffectiveRatio)
-	}
-	if got := workload.RatioForMeanSegs(float64(cache.MaxSegs)); got != 1 {
-		t.Errorf("RatioForMeanSegs(MaxSegs) = %g, want 1", got)
-	}
 }
 
 // codecTestConfig is a short full-stack run with compression on.

@@ -115,10 +115,6 @@ type Metrics struct {
 // Engine returns the metrics for one prefetcher class.
 func (m *Metrics) Engine(src coherence.PfSource) EngineMetrics { return m.Engines[src] }
 
-// Runtime returns the measured runtime in cycles (convenience for the
-// speedup computations).
-func (m *Metrics) Runtime() float64 { return m.Cycles }
-
 // totals is the flat counter snapshot used to compute measurement-window
 // deltas (snapshot at measurement start, subtract at end). The windowing
 // contract: no Metrics field may read a cumulative simulator counter

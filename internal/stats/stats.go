@@ -11,7 +11,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sample summarizes a set of measurements of one data point.
@@ -112,47 +111,4 @@ func Interaction(speedupA, speedupB, speedupAB float64) float64 {
 // InteractionPct returns Interaction × 100.
 func InteractionPct(speedupA, speedupB, speedupAB float64) float64 {
 	return Interaction(speedupA, speedupB, speedupAB) * 100
-}
-
-// Ratio is a simple safe division helper for rate metrics: a/b, or 0
-// when b is 0.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
-
-// Pct returns a/b as a percentage, or 0 when b is 0.
-func Pct(a, b float64) float64 { return Ratio(a, b) * 100 }
-
-// GeoMean returns the geometric mean of positive values (used for
-// summary speedup rows). It panics if any value is non-positive.
-func GeoMean(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	logsum := 0.0
-	for _, v := range values {
-		if v <= 0 {
-			panic(fmt.Sprintf("stats: GeoMean of non-positive value %f", v))
-		}
-		logsum += math.Log(v)
-	}
-	return math.Exp(logsum / float64(len(values)))
-}
-
-// Median returns the median of values (0 for an empty slice). The input
-// is not modified.
-func Median(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), values...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
 }

@@ -140,48 +140,6 @@ func TestInteractionRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestRatioAndPct(t *testing.T) {
-	if Ratio(1, 0) != 0 || Pct(1, 0) != 0 {
-		t.Fatal("division by zero must yield 0")
-	}
-	if !approx(Pct(1, 4), 25, 1e-12) {
-		t.Fatalf("pct = %f", Pct(1, 4))
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if !approx(GeoMean([]float64{1, 4}), 2, 1e-12) {
-		t.Fatal("geomean of {1,4}")
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("empty geomean")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-positive geomean should panic")
-		}
-	}()
-	GeoMean([]float64{1, 0})
-}
-
-func TestMedian(t *testing.T) {
-	if Median([]float64{3, 1, 2}) != 2 {
-		t.Fatal("odd median")
-	}
-	if !approx(Median([]float64{4, 1, 2, 3}), 2.5, 1e-12) {
-		t.Fatal("even median")
-	}
-	if Median(nil) != 0 {
-		t.Fatal("empty median")
-	}
-	// Input must not be reordered.
-	in := []float64{3, 1, 2}
-	Median(in)
-	if in[0] != 3 || in[1] != 1 {
-		t.Fatal("median mutated its input")
-	}
-}
-
 // Property: the CI shrinks as n grows for fixed variance.
 func TestCIShrinksWithN(t *testing.T) {
 	prev := math.Inf(1)

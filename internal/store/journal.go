@@ -105,14 +105,6 @@ func (j *Journal) Skipped() int {
 	return j.skipped
 }
 
-// Healed reports whether the open scan found (and repaired) a tail
-// truncated by a mid-write kill.
-func (j *Journal) Healed() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.healed
-}
-
 // Path returns the backing file.
 func (j *Journal) Path() string { return j.path }
 

@@ -12,6 +12,14 @@ type testEvent struct {
 	S string `json:"s"`
 }
 
+// Healed reports whether the open scan found (and repaired) a tail
+// truncated by a mid-write kill.
+func (j *Journal) Healed() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.healed
+}
+
 func openJournal(t *testing.T, path string) *Journal {
 	t.Helper()
 	j, err := OpenJournal(path)

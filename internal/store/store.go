@@ -1,21 +1,18 @@
 // Package store implements the content-addressed result store shared
-// across sweep processes: a directory of sharded, checksummed JSONL
-// files mapping canonical string keys to opaque JSON values. Every
-// record is CRC-32 checksummed and fsync'd on append; truncated tails
-// are healed and corrupt records skipped, never trusted. Shard files let
-// a coordinator and any number of readers share one directory.
+// across sweep runs: a directory of sharded, checksummed JSONL files
+// mapping canonical string keys to opaque JSON values. Every record is
+// CRC-32 checksummed and fsync'd on append; truncated tails are healed
+// and corrupt records skipped, never trusted.
 //
 // Record format (one JSON object per line of shard-NNN.jsonl):
 //
 //	{"v":1,"crc":<IEEE CRC-32 of data>,"data":{"key":K,"value":V}}
 //
-// Concurrency contract: any number of processes may read a store
-// directory at any time (a reader never trusts a record that fails to
-// parse or checksum, so scanning mid-append is safe); at most one
-// process may write a given shard. Shard assignment is content-driven
-// (ShardOf hashes the key), so the usual deployment is one writing
-// coordinator per directory. Within a process a Store is safe for
-// concurrent use.
+// Concurrency contract: one writing process per directory. Open loads
+// the directory once and there is no reader mode; another process sees
+// new records only by opening the directory again. Shard assignment is
+// content-driven (ShardOf hashes the key). Within a process a Store is
+// safe for concurrent use.
 package store
 
 import (
@@ -35,10 +32,10 @@ import (
 // files are skipped rather than misread.
 const Version = 1
 
-// DefaultShards is the shard-file count writers create when the caller
+// DefaultShards is the shard-file count a store creates when the caller
 // has no opinion. More shards means more independent append streams;
-// readers always scan every shard file present regardless of the count
-// they were opened with.
+// Open always scans every shard file present regardless of the count it
+// was given.
 const DefaultShards = 8
 
 // payload is the checksummed body of one record.
@@ -107,20 +104,18 @@ func shardPath(dir string, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d.jsonl", shard))
 }
 
-// Store is one process's view of a store directory. Writers (Open) own
-// every shard they append to; readers (OpenRead) never modify the
-// directory and can Reload to pick up records appended by the writer.
+// Store is one process's view of a store directory: what Open loaded
+// plus this process's own Puts. It owns every shard it appends to.
 type Store struct {
-	mu       sync.Mutex
-	dir      string
-	shards   int
-	readOnly bool
-	closed   bool             // writer mode: Close called, Put refused
-	files    map[int]*os.File // writer mode: open append handles per shard
-	mem      map[string]json.RawMessage
-	loaded   int
-	skipped  int
-	healed   int
+	mu      sync.Mutex
+	dir     string
+	shards  int
+	closed  bool             // Close called, Put refused
+	files   map[int]*os.File // open append handles per shard
+	mem     map[string]json.RawMessage
+	loaded  int
+	skipped int
+	healed  int
 }
 
 // Open opens (creating if needed) a store directory for reading and
@@ -143,24 +138,9 @@ func Open(dir string, shards int) (*Store, error) {
 	return s, nil
 }
 
-// OpenRead opens a store directory read-only. The directory may not
-// exist yet (an empty store); the writer creates it. Use Reload to pick
-// up records appended since.
-func OpenRead(dir string) (*Store, error) {
-	s := &Store{dir: dir, shards: DefaultShards, readOnly: true, mem: make(map[string]json.RawMessage)}
-	if err := s.scan(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// scan (re)loads every shard file in the directory. Writer mode heals
-// truncated tails; read-only mode just skips them.
+// scan loads every shard file in the directory and heals truncated
+// tails.
 func (s *Store) scan() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mem = make(map[string]json.RawMessage)
-	s.loaded, s.skipped = 0, 0
 	paths, err := filepath.Glob(filepath.Join(s.dir, "shard-*.jsonl"))
 	if err != nil {
 		return fmt.Errorf("store: scan %s: %w", s.dir, err)
@@ -178,9 +158,6 @@ func (s *Store) scan() error {
 func (s *Store) scanFile(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil // raced with nothing yet written
-		}
 		return fmt.Errorf("store: open shard %s: %w", path, err)
 	}
 	defer f.Close()
@@ -204,14 +181,12 @@ func (s *Store) scanFile(path string) error {
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("store: read shard %s: %w", path, err)
 	}
-	if !s.readOnly {
-		healed, err := healTail(path)
-		if err != nil {
-			return err
-		}
-		if healed {
-			s.healed++
-		}
+	healed, err := healTail(path)
+	if err != nil {
+		return err
+	}
+	if healed {
+		s.healed++
 	}
 	return nil
 }
@@ -239,8 +214,7 @@ func healTail(path string) (bool, error) {
 	return true, nil
 }
 
-// Get returns the value stored for key in this process's view (Open,
-// the last Reload, plus this process's own Puts).
+// Get returns the value stored for key in this process's view.
 func (s *Store) Get(key string) (json.RawMessage, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -248,46 +222,19 @@ func (s *Store) Get(key string) (json.RawMessage, bool) {
 	return v, ok
 }
 
-// Len returns how many distinct keys this process's view holds.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.mem)
-}
-
-// Keys returns every key in this process's view, sorted.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.mem))
-	for k := range s.mem {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Loaded returns how many intact records the last scan restored.
+// Loaded returns how many intact records Open restored.
 func (s *Store) Loaded() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.loaded
 }
 
-// Skipped returns how many corrupt or incompatible records the last
-// scan detected and ignored.
+// Skipped returns how many corrupt or incompatible records Open
+// detected and ignored.
 func (s *Store) Skipped() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.skipped
-}
-
-// Healed returns how many shard files had a truncated tail healed over
-// this store's lifetime (writer mode only).
-func (s *Store) Healed() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.healed
 }
 
 // Dir returns the backing directory.
@@ -296,12 +243,8 @@ func (s *Store) Dir() string { return s.dir }
 // Put appends one record to the key's shard and syncs it, so a kill at
 // any moment loses at most the record being written. A key already in
 // this process's view is a no-op (first write wins; values are expected
-// to be deterministic functions of the key). Read-only and closed
-// stores refuse.
+// to be deterministic functions of the key). A closed store refuses.
 func (s *Store) Put(key string, value []byte) error {
-	if s.readOnly {
-		return fmt.Errorf("store: Put on read-only store %s", s.dir)
-	}
 	rec, err := EncodeRecord(key, value)
 	if err != nil {
 		return err
@@ -342,14 +285,7 @@ func (s *Store) shardFileLocked(shard int) (*os.File, error) {
 	return f, nil
 }
 
-// Reload rescans the directory, replacing this process's view with
-// everything intact on disk (picking up records appended by the
-// writing process since Open/the last Reload).
-func (s *Store) Reload() error {
-	return s.scan()
-}
-
-// Close releases the writer's append handles. The in-memory view stays
+// Close releases the append handles. The in-memory view stays
 // usable for Get; Put after Close fails.
 func (s *Store) Close() error {
 	s.mu.Lock()

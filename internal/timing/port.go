@@ -76,9 +76,6 @@ func (p *Port) Reserve(at Tick, bytes int, demand bool) (start Tick) {
 	return start
 }
 
-// BusyUntil returns the tick at which the port next frees.
-func (p *Port) BusyUntil() Tick { return p.server.BusyUntil() }
-
 // BusyTicks returns the cumulative occupancy.
 func (p *Port) BusyTicks() Tick { return p.server.BusyTicks }
 
@@ -87,19 +84,6 @@ func (p *Port) WaitTicks() Tick { return p.server.WaitTicks }
 
 // Grants returns the number of reserved messages.
 func (p *Port) Grants() uint64 { return p.server.Grants }
-
-// Utilization returns the fraction of an elapsed window the port was
-// busy (0 for an infinite port; capped at 1).
-func (p *Port) Utilization(elapsed Tick) float64 {
-	if elapsed <= 0 || p.Infinite() {
-		return 0
-	}
-	u := float64(p.server.BusyTicks) / float64(elapsed)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
 
 // CheckInvariants verifies server-state sanity (audit support): the
 // underlying Resource's accumulators and the priority horizon ordering

@@ -24,8 +24,8 @@ func TestPortLowPriorityQueuesFIFO(t *testing.T) {
 	if start := p.Reserve(0, 8, false); start != occ {
 		t.Fatalf("second low start %d, want %d", start, occ)
 	}
-	if p.BusyUntil() != 2*occ || p.WaitTicks() != occ || p.Grants() != 2 {
-		t.Fatalf("until=%d wait=%d grants=%d", p.BusyUntil(), p.WaitTicks(), p.Grants())
+	if p.server.BusyUntil() != 2*occ || p.WaitTicks() != occ || p.Grants() != 2 {
+		t.Fatalf("until=%d wait=%d grants=%d", p.server.BusyUntil(), p.WaitTicks(), p.Grants())
 	}
 }
 
@@ -38,15 +38,15 @@ func TestPortDemandOvertakesBacklog(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p.Reserve(0, 10, false)
 	}
-	busyAll := p.BusyUntil() // 30 cycles
+	busyAll := p.server.BusyUntil() // 30 cycles
 	// A demand message of 4 bytes at t=0 waits at most its own
 	// occupancy (the residual bound), not the 30-cycle backlog.
 	start := p.Reserve(0, 4, true)
 	if want := p.Cost(4); start != want {
 		t.Fatalf("demand start %d, want residual bound %d", start, want)
 	}
-	if p.BusyUntil() != busyAll {
-		t.Fatalf("demand overlap must not extend the horizon: %d vs %d", p.BusyUntil(), busyAll)
+	if p.server.BusyUntil() != busyAll {
+		t.Fatalf("demand overlap must not extend the horizon: %d vs %d", p.server.BusyUntil(), busyAll)
 	}
 	// Demand traffic still queues behind demand traffic.
 	start2 := p.Reserve(0, 4, true)
@@ -76,20 +76,6 @@ func TestPortInfinite(t *testing.T) {
 	}
 	if p.BusyTicks() != 0 || p.WaitTicks() != 0 || p.Grants() != 5 {
 		t.Fatalf("infinite stats busy=%d wait=%d grants=%d", p.BusyTicks(), p.WaitTicks(), p.Grants())
-	}
-	if p.Utilization(1000) != 0 {
-		t.Fatal("infinite port has utilization")
-	}
-}
-
-func TestPortUtilizationCapped(t *testing.T) {
-	p := newPort(t, 1)
-	p.Reserve(0, 100, false)
-	if u := p.Utilization(50 * TicksPerCycle); u != 1 {
-		t.Fatalf("utilization %g, want capped at 1", u)
-	}
-	if u := p.Utilization(200 * TicksPerCycle); u != 0.5 {
-		t.Fatalf("utilization %g, want 0.5", u)
 	}
 }
 

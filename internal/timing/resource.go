@@ -87,9 +87,6 @@ func NewBanks(n int, occ Tick) (*Banks, error) {
 	return &Banks{banks: make([]Resource, n), occ: occ}, nil
 }
 
-// Len returns the bank count.
-func (b *Banks) Len() int { return len(b.banks) }
-
 // Occupancy returns the fixed per-grant occupancy.
 func (b *Banks) Occupancy() Tick { return b.occ }
 

@@ -2,6 +2,9 @@ package timing
 
 import "testing"
 
+// Len returns the bank count.
+func (b *Banks) Len() int { return len(b.banks) }
+
 func TestResourceFIFOReservation(t *testing.T) {
 	var r Resource
 	if start := r.Acquire(100, 40); start != 100 {

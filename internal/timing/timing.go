@@ -67,9 +67,6 @@ func ExactCycles(cycles float64) (Tick, bool) {
 // Cycles converts t back to float64 cycles (reporting only).
 func (t Tick) Cycles() float64 { return float64(t) / TicksPerCycle }
 
-// WholeCycles returns t truncated to whole cycles (reporting only).
-func (t Tick) WholeCycles() int64 { return int64(t) / TicksPerCycle }
-
 // String formats t as a cycle count for error messages and dumps.
 func (t Tick) String() string { return fmt.Sprintf("%.4fcy", t.Cycles()) }
 

@@ -33,8 +33,8 @@ func TestCyclesRoundTrip(t *testing.T) {
 			t.Errorf("FromCycles(%g).Cycles() = %g", c, got)
 		}
 	}
-	if FromIntCycles(400).WholeCycles() != 400 {
-		t.Error("FromIntCycles/WholeCycles mismatch")
+	if FromIntCycles(400).Cycles() != 400 {
+		t.Error("FromIntCycles/Cycles mismatch")
 	}
 }
 

@@ -94,9 +94,6 @@ func NewDataModelCodec(p Profile, seed int64, c codec.Codec) *DataModel {
 	return newRawModel(knob, uint64(seed)*0x9E3779B97F4A7C15, c)
 }
 
-// Codec returns the codec this model prices sizes with.
-func (d *DataModel) Codec() codec.Codec { return d.codec }
-
 // newRawModel builds a model directly from a knob (calibration support).
 func newRawModel(knob float64, seed uint64, c codec.Codec) *DataModel {
 	d := &DataModel{
@@ -260,42 +257,6 @@ func (d *DataModel) ForEachVersion(fn func(cache.BlockAddr, uint32)) {
 // support — proves the shadow FPC checker catches a size pipeline that
 // disagrees with block contents.
 func (d *DataModel) PoisonNextSizes(n int) { d.poisonNext = n }
-
-// MeanSegs estimates the expected compressed size over n sample blocks.
-func (d *DataModel) MeanSegs(n int) float64 {
-	var buf [cache.LineBytes]byte
-	total := 0
-	for i := 0; i < n; i++ {
-		a := cache.BlockAddr(0x40000000 + i)
-		ver := uint32(0)
-		for w := 0; w < cache.LineBytes/4; w++ {
-			binary.LittleEndian.PutUint32(buf[w*4:], d.synthWord(a, ver, w))
-		}
-		total += d.codec.CompressedSizeSegments(buf[:])
-	}
-	return float64(total) / float64(n)
-}
-
-// RatioForMeanSegs converts a mean compressed size to the effective
-// cache-size ratio of the paper's compressed L2: a set of
-// cache.DefaultSegsPerSet segments and cache.DefaultTagsPerSet tags
-// holds min(tags, segs/E[s]) lines versus cache.DefaultLinesPerSet
-// uncompressed ones, so relative to the uncompressed baseline the ratio
-// is min(MaxEffectiveRatio, MaxSegs/E[s]). It is an upper bound: real
-// sets lose space to packing granularity (see PackedRatio).
-func RatioForMeanSegs(meanSegs float64) float64 {
-	if meanSegs <= 0 {
-		return cache.MaxEffectiveRatio
-	}
-	r := float64(cache.MaxSegs) / meanSegs
-	if r > cache.MaxEffectiveRatio {
-		r = cache.MaxEffectiveRatio
-	}
-	if r < 1 {
-		r = 1
-	}
-	return r
-}
 
 // PackedRatio estimates the achieved effective-size ratio by actually
 // packing n sample lines into simulated sets of the compressed-L2

@@ -241,6 +241,3 @@ func (g *Generator) Next(r *Ref) {
 	r.Addr = g.nextIBlock()
 	r.Blocking = true // the front end stalls on an I-miss
 }
-
-// Profile returns the generator's benchmark profile.
-func (g *Generator) Profile() Profile { return g.p }

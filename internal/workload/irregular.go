@@ -135,9 +135,6 @@ func (g *irrGen) Counts() (instructions, dataRefs, ifetches uint64) {
 	return g.instructions, g.dataRefs, g.ifetches
 }
 
-// Profile returns the source's benchmark profile.
-func (g *irrGen) Profile() Profile { return g.p }
-
 // chaseWalk is the data-dependent pointer walk shared by the ptrchase
 // source and the service mix's maintenance phase. The successor of a
 // node is a fixed hash of its index — the software analogue of reading

@@ -3,8 +3,8 @@ package workload
 import "fmt"
 
 // RefSource is the contract between a per-core reference generator and
-// the simulator's front end: batched generation plus the counters the
-// trace tooling reads. Implementations must be deterministic in
+// the simulator's front end: batched generation plus its emission
+// counters. Implementations must be deterministic in
 // (Profile, core, seed), hold only core-private mutable state, and
 // never end (see DESIGN.md §6i).
 type RefSource interface {
@@ -14,8 +14,6 @@ type RefSource interface {
 	// Counts reports instructions retired, data references and
 	// instruction-block fetches emitted so far.
 	Counts() (instructions, dataRefs, ifetches uint64)
-	// Profile returns the profile the source was built from.
-	Profile() Profile
 }
 
 // SourceFactory builds the reference source for one core of a run.

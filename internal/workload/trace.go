@@ -37,7 +37,6 @@ var (
 type TraceWriter struct {
 	w        *bufio.Writer
 	prevAddr uint64
-	count    uint64
 	buf      [2 * binary.MaxVarintLen64]byte
 }
 
@@ -81,13 +80,9 @@ func (t *TraceWriter) Write(r Ref) error {
 	delta := int64(uint64(r.Addr)) - int64(t.prevAddr)
 	n += binary.PutUvarint(t.buf[n:], zigzag(delta))
 	t.prevAddr = uint64(r.Addr)
-	t.count++
 	_, err := t.w.Write(t.buf[:n])
 	return err
 }
-
-// Count returns the references written so far.
-func (t *TraceWriter) Count() uint64 { return t.count }
 
 // Flush drains buffered output.
 func (t *TraceWriter) Flush() error { return t.w.Flush() }
@@ -97,7 +92,6 @@ type TraceReader struct {
 	r         *bufio.Reader
 	Benchmark string
 	prevAddr  uint64
-	count     uint64
 }
 
 // NewTraceReader validates the header and returns a reader.
@@ -147,33 +141,11 @@ func (t *TraceReader) Next(r *Ref) error {
 	}
 	addr := uint64(int64(t.prevAddr) + unzigzag(dz))
 	t.prevAddr = addr
-	t.count++
 	r.Gap = uint32(gap)
 	r.Kind = coherence.Kind(kind & 0x3)
 	r.Blocking = kind&4 != 0
 	r.Addr = cache.BlockAddr(addr)
 	return nil
-}
-
-// NextN fills refs with up to len(refs) records and returns the number
-// read. A clean end of trace yields (n, io.EOF) with n possibly
-// non-zero; any other error reports the record that failed.
-func (t *TraceReader) NextN(refs []Ref) (int, error) {
-	for i := range refs {
-		if err := t.Next(&refs[i]); err != nil {
-			return i, err
-		}
-	}
-	return len(refs), nil
-}
-
-// Count returns the references read so far.
-func (t *TraceReader) Count() uint64 { return t.count }
-
-// Record captures n references from the profile's own reference source
-// into w.
-func Record(w io.Writer, p Profile, core int, seed int64, n int) error {
-	return RecordSource(w, "", p, core, seed, n)
 }
 
 // RecordSource captures n references from a reference source of the

@@ -15,7 +15,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	p := MustByName("zeus")
 	var buf bytes.Buffer
 	const n = 5000
-	if err := Record(&buf, p, 0, 7, n); err != nil {
+	if err := RecordSource(&buf, "", p, 0, 7, n); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := NewTraceReader(&buf)
@@ -40,16 +40,13 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err := tr.Next(&got); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
 	}
-	if tr.Count() != n {
-		t.Fatalf("count = %d", tr.Count())
-	}
 }
 
 func TestTraceCompactness(t *testing.T) {
 	p := MustByName("mgrid") // strided: deltas tiny
 	var buf bytes.Buffer
 	const n = 10000
-	if err := Record(&buf, p, 0, 1, n); err != nil {
+	if err := RecordSource(&buf, "", p, 0, 1, n); err != nil {
 		t.Fatal(err)
 	}
 	perRef := float64(buf.Len()) / n

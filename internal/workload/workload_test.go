@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,21 @@ import (
 	"cmpsim/internal/codec"
 	"cmpsim/internal/coherence"
 )
+
+// MeanSegs estimates the expected compressed size over n sample blocks.
+func (d *DataModel) MeanSegs(n int) float64 {
+	var buf [cache.LineBytes]byte
+	total := 0
+	for i := 0; i < n; i++ {
+		a := cache.BlockAddr(0x40000000 + i)
+		ver := uint32(0)
+		for w := 0; w < cache.LineBytes/4; w++ {
+			binary.LittleEndian.PutUint32(buf[w*4:], d.synthWord(a, ver, w))
+		}
+		total += d.codec.CompressedSizeSegments(buf[:])
+	}
+	return float64(total) / float64(n)
+}
 
 func TestAllProfilesValidate(t *testing.T) {
 	for _, name := range Names() {
@@ -269,18 +285,6 @@ func TestStridedRunsAreTrainable(t *testing.T) {
 	}
 	if maxRun < 8 {
 		t.Fatalf("longest unit-stride run %d; streams are not trainable", maxRun)
-	}
-}
-
-func TestRatioForMeanSegsBounds(t *testing.T) {
-	if RatioForMeanSegs(8) != 1 {
-		t.Fatal("mean 8 segs must give ratio 1")
-	}
-	if RatioForMeanSegs(4) != 2 {
-		t.Fatal("mean 4 segs must cap at ratio 2")
-	}
-	if RatioForMeanSegs(0) != 2 {
-		t.Fatal("degenerate mean must cap at 2")
 	}
 }
 

@@ -143,6 +143,13 @@ func main() {
 		}
 	}
 
+	// Flags can combine into a configuration no single check above sees,
+	// such as an L2 size without a power-of-two set count.
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "cmpsim: %v\n", err)
+		os.Exit(2)
+	}
+
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
 		if err != nil {

@@ -66,3 +66,24 @@ func TestPrefetcherFlagSelectsEngine(t *testing.T) {
 		t.Fatalf("unexpected output:\n%s", stdout)
 	}
 }
+
+// TestBadCacheGeometryExitsTwo: an -l2mb that gives no power-of-two set
+// count is refused with the reason and exit 2, before any simulation
+// and without a panic, with or without compression.
+func TestBadCacheGeometryExitsTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-l2mb", "3", "-compress"},
+		{"-l2mb", "3"},
+	} {
+		stdout, stderr, code := cmpsim(t, append(args, "-cores", "1", "-warmup", "0", "-instr", "1000")...)
+		if code != 2 {
+			t.Fatalf("%v: exit = %d, want 2; stderr:\n%s", args, code, stderr)
+		}
+		if !strings.Contains(stderr, "power of two") || strings.Contains(stderr, "goroutine") {
+			t.Fatalf("%v: stderr does not state the geometry error cleanly:\n%s", args, stderr)
+		}
+		if stdout != "" {
+			t.Fatalf("%v: simulation ran:\n%s", args, stdout)
+		}
+	}
+}

@@ -1,7 +1,8 @@
 // Package cache implements the cache structures of the HPCA 2007
-// compression+prefetching CMP study: conventional set-associative caches
-// (private L1s and the uncompressed shared-L2 baseline) and the decoupled
-// variable-segment compressed cache used for the compressed shared L2.
+// compression+prefetching CMP study: the private L1s (L1, one packed
+// word per way), the conventional set-associative uncompressed
+// shared-L2 baseline (SetAssoc) and the decoupled variable-segment
+// compressed cache used for the compressed shared L2.
 //
 // All caches operate on 64-byte block addresses (BlockAddr). They are
 // purely functional state machines: hits, fills, evictions and
@@ -46,19 +47,20 @@ const (
 // DefaultTagsPerSet lines in DefaultLinesPerSet lines' worth of space.
 const MaxEffectiveRatio = float64(DefaultTagsPerSet) / float64(DefaultLinesPerSet)
 
-// Line is one cache tag and its metadata. The same structure serves L1s
-// (coherence state in Dirty: M==dirty, S==clean) and the shared L2
-// (Sharers/Owner track on-chip L1 copies; Segs tracks compressed size).
+// Line is one shared-L2 tag and its metadata: Sharers/ISharers/Owner
+// track on-chip L1 copies and Segs the compressed size. The 4-byte
+// fields sit ahead of the 1-byte ones so the struct packs into 24 bytes
+// (TestLineSize pins it).
 type Line struct {
 	Addr     BlockAddr
+	Sharers  uint32 // bitmask of cores whose L1D holds the line
+	ISharers uint32 // bitmask of cores whose L1I holds the line
 	Valid    bool
 	Dirty    bool
-	Prefetch bool   // set while a prefetched line is unreferenced (paper §3)
-	PfBy     uint8  // prefetcher that brought the line (0 none; see coherence.PfSource)
-	Segs     uint8  // occupied 8-byte segments, 1..8; 8 = uncompressed
-	Sharers  uint32 // L2 only: bitmask of cores whose L1D holds the line
-	ISharers uint32 // L2 only: bitmask of cores whose L1I holds the line
-	Owner    int8   // L2 only: core holding the line in M state, or -1
+	Prefetch bool  // set while a prefetched line is unreferenced (paper §3)
+	PfBy     uint8 // prefetcher that brought the line (0 none; see coherence.PfSource)
+	Segs     uint8 // occupied 8-byte segments, 1..8; 8 = uncompressed
+	Owner    int8  // core holding the line in M state, or -1
 
 	// VictimTag marks an invalid tag that still records the address of
 	// the line that last occupied it (the compressed cache's extra-tag
@@ -109,12 +111,12 @@ const (
 )
 
 // SetAssoc is a conventional set-associative write-back cache with true
-// LRU replacement. Each set is ordered most-recently-used first. An
-// optional victim-tag FIFO per set records recently replaced block
-// addresses so the adaptive prefetcher can detect harmful prefetches even
-// without the compressed cache's extra tags (paper §5.4 notes the
-// adaptive algorithm has four extra tags per set when compression is
-// disabled).
+// LRU replacement: the uncompressed shared L2 (UncompressedL2). Each set
+// is ordered most-recently-used first. An optional victim-tag FIFO per
+// set records recently replaced block addresses so the adaptive
+// prefetcher can detect harmful prefetches even without the compressed
+// cache's extra tags (paper §5.4 notes the adaptive algorithm has four
+// extra tags per set when compression is disabled).
 //
 // Tag metadata is mirrored struct-of-arrays style: tags holds one word
 // per (set, way) in LRU order, kept exactly in sync with sets, so the
@@ -211,28 +213,6 @@ func (c *SetAssoc) Access(a BlockAddr) (ln *Line, wasPrefetch bool, ok bool) {
 	}
 	c.Stats.Misses++
 	return nil, false, false
-}
-
-// FastHit handles the plain-hit case of a demand access in one step: the
-// line is valid, its prefetch bit is clear (no adaptive event, no L2
-// inclusion-bit bookkeeping), and a store finds it already dirty (no
-// upgrade walk). On success the hit is fully accounted (stats + LRU
-// promotion) exactly as Access would have. On failure nothing is
-// mutated — the caller must run the full access path.
-func (c *SetAssoc) FastHit(a BlockAddr, store bool) bool {
-	si := c.setIndex(a)
-	i := c.findWay(si, a)
-	if i < 0 {
-		return false
-	}
-	ln := &c.sets[si][i]
-	if ln.Prefetch || (store && !ln.Dirty) {
-		return false
-	}
-	c.Stats.Accesses++
-	c.Stats.Hits++
-	c.touch(si, i)
-	return true
 }
 
 // touch moves way i of set si to the MRU (front) position in both the
@@ -349,24 +329,6 @@ func (c *SetAssoc) AnyPrefetchInSet(a BlockAddr) bool {
 		}
 	}
 	return false
-}
-
-// Invalidate removes a from the cache, returning a copy of the line as
-// it was (Valid=false if it was not present).
-func (c *SetAssoc) Invalidate(a BlockAddr) Line {
-	si := c.setIndex(a)
-	if i := c.findWay(si, a); i >= 0 {
-		set := c.sets[si]
-		ln := set[i]
-		c.Stats.Invals++
-		set[i].reset()
-		// Keep Addr for victim-tag purposes of plain caches too.
-		set[i].Addr = a
-		c.tags[si*c.ways+i] = 0
-		c.valid--
-		return ln
-	}
-	return Line{}
 }
 
 // ValidLines returns the number of valid lines currently cached.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // Sets returns the number of sets.
@@ -50,6 +51,14 @@ func TestNewSetAssocRejectsBadGeometry(t *testing.T) {
 	mustPanic("zero capacity", func() { NewSetAssoc(0, 4, 0) })
 	mustPanic("zero ways", func() { NewSetAssoc(64*1024, 0, 0) })
 	mustPanic("non-pow2 sets", func() { NewSetAssoc(3*64*LineBytes, 4, 0) })
+}
+
+// TestLineSize pins Line's packing: a new field that re-pads it grows
+// every compressed-L2 tag (131,072 of them in the 4 MB L2).
+func TestLineSize(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 24 {
+		t.Fatalf("cache.Line is %d bytes, want 24", got)
+	}
 }
 
 func TestSetAssocHitMiss(t *testing.T) {
@@ -171,22 +180,6 @@ func TestAnyPrefetchInSet(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := NewSetAssoc(4*LineBytes, 4, 0)
-	_, ins := c.Fill(9, false)
-	ins.Dirty = true
-	ln := c.Invalidate(9)
-	if !ln.Valid || !ln.Dirty || ln.Addr != 9 {
-		t.Fatalf("invalidate returned %+v", ln)
-	}
-	if c.Lookup(9) != nil {
-		t.Fatal("9 still present after invalidate")
-	}
-	if got := c.Invalidate(9); got.Valid {
-		t.Fatal("second invalidate should report absent")
-	}
-}
-
 func TestSetIndexingSpreadsSets(t *testing.T) {
 	c := NewSetAssoc(1024*LineBytes, 4, 0) // 256 sets
 	// Blocks that differ in set bits must not conflict.
@@ -213,7 +206,7 @@ func TestForEachValid(t *testing.T) {
 }
 
 // Property: a SetAssoc cache never exceeds its way budget per set and
-// Lookup agrees with the history of fills/invalidates.
+// Lookup agrees with the history of fills and evictions.
 func TestSetAssocModelProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -235,8 +228,9 @@ func TestSetAssocModelProperty(t *testing.T) {
 			case 1:
 				c.Access(a)
 			case 2:
-				c.Invalidate(a)
-				delete(model, a)
+				if c.Touch(a) != model[a] {
+					return false
+				}
 			}
 		}
 		// Model agreement.

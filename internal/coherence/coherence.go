@@ -47,7 +47,7 @@ func (k Kind) String() string {
 // per-prefetcher coverage/accuracy accounting (paper Table 4).
 type PfSource uint8
 
-// Prefetch sources stored in cache.Line.PfBy.
+// Prefetch sources stored in cache.Line.PfBy and cache.L1Line.PfBy.
 const (
 	PfNone PfSource = iota
 	PfL1I
@@ -78,12 +78,11 @@ type SizeFunc func(cache.BlockAddr) uint8
 
 // Config sizes the hierarchy.
 type Config struct {
-	Cores     int
-	L1Bytes   int // per L1 (I and D separately)
-	L1Ways    int
-	L2        cache.L2
-	Size      SizeFunc
-	L1Victims int // victim tags per L1 set (0: no harmful detection at L1)
+	Cores   int
+	L1Bytes int // per L1 (I and D separately)
+	L1Ways  int
+	L2      cache.L2
+	Size    SizeFunc
 }
 
 // AccessResult reports everything one demand access did. Slice fields
@@ -99,8 +98,10 @@ type AccessResult struct {
 	L2PfBy         PfSource
 	L1UselessEvict int // L1 victims evicted with prefetch bit set
 	L2UselessEvict int
-	L1Harmful      bool // miss matched an L1 victim tag with pf lines in set
-	L2Harmful      bool // miss matched an L2 invalid/victim tag likewise
+	// L1Harmful is always false: the L1s keep no victim tags, so a
+	// harmful prefetch is detected only at the L2.
+	L1Harmful bool
+	L2Harmful bool // miss matched an L2 invalid/victim tag with pf lines in set
 
 	// Timing inputs.
 	L2CompressedHit bool  // decompression penalty applies
@@ -142,8 +143,8 @@ type PrefetchOutcome struct {
 // Hierarchy is the coherent two-level cache system.
 type Hierarchy struct {
 	cfg  Config
-	L1I  []*cache.SetAssoc
-	L1D  []*cache.SetAssoc
+	L1I  []*cache.L1
+	L1D  []*cache.L1
 	L2   cache.L2
 	size SizeFunc
 
@@ -174,14 +175,14 @@ func New(cfg Config) *Hierarchy {
 	}
 	h := &Hierarchy{cfg: cfg, L2: cfg.L2, size: cfg.Size}
 	for c := 0; c < cfg.Cores; c++ {
-		h.L1I = append(h.L1I, cache.NewSetAssoc(cfg.L1Bytes, cfg.L1Ways, cfg.L1Victims))
-		h.L1D = append(h.L1D, cache.NewSetAssoc(cfg.L1Bytes, cfg.L1Ways, cfg.L1Victims))
+		h.L1I = append(h.L1I, cache.NewL1(cfg.L1Bytes, cfg.L1Ways))
+		h.L1D = append(h.L1D, cache.NewL1(cfg.L1Bytes, cfg.L1Ways))
 	}
 	return h
 }
 
 // l1For selects core c's L1 for the access kind.
-func (h *Hierarchy) l1For(core int, kind Kind) *cache.SetAssoc {
+func (h *Hierarchy) l1For(core int, kind Kind) *cache.L1 {
 	if kind == IFetch {
 		return h.L1I[core]
 	}
@@ -212,7 +213,7 @@ func (h *Hierarchy) Access(core int, kind Kind, a cache.BlockAddr) AccessResult 
 		r.L1Hit = true
 		if wasPf {
 			r.L1PrefetchHit = true
-			r.L1PfBy = PfSource(ln.PfBy)
+			r.L1PfBy = PfSource(ln.PfBy())
 			// The prefetch proved useful: clear the inclusion copy's
 			// bit too so its later L2 eviction is not miscounted as a
 			// useless prefetch.
@@ -220,12 +221,12 @@ func (h *Hierarchy) Access(core int, kind Kind, a cache.BlockAddr) AccessResult 
 				l2ln.Prefetch = false
 			}
 		}
-		if kind == Store && !ln.Dirty {
+		if kind == Store && !ln.Dirty() {
 			// Upgrade: invalidate other sharers through the L2 directory.
 			r.StoreUpgrade = true
 			h.StoreUpgrades++
 			r.Invalidations += h.invalidateOtherSharers(core, a)
-			ln.Dirty = true
+			l1.SetDirty(a, true)
 			if l2ln := h.L2.Lookup(a); l2ln != nil {
 				l2ln.Owner = int8(core)
 			}
@@ -234,12 +235,7 @@ func (h *Hierarchy) Access(core int, kind Kind, a cache.BlockAddr) AccessResult 
 		return r
 	}
 
-	// L1 miss: harmful-prefetch detection at the L1 (victim tags), then
-	// go to the shared L2.
-	if l1.VictimTagMatch(a) && l1.AnyPrefetchInSet(a) {
-		r.L1Harmful = true
-	}
-
+	// L1 miss: go to the shared L2.
 	l2ln, wasPf, compressed, ok := h.L2.Access(a)
 	if ok {
 		r.L2Hit = true
@@ -253,10 +249,7 @@ func (h *Hierarchy) Access(core int, kind Kind, a cache.BlockAddr) AccessResult 
 		if l2ln.Owner >= 0 && int(l2ln.Owner) != core {
 			r.DirtyForward = true
 			h.DirtyForwards++
-			owner := int(l2ln.Owner)
-			if oln := h.L1D[owner].Lookup(a); oln != nil {
-				oln.Dirty = false
-			}
+			h.L1D[l2ln.Owner].SetDirty(a, false)
 			l2ln.Dirty = true
 			l2ln.Owner = -1
 		}
@@ -333,10 +326,10 @@ func (h *Hierarchy) invalidateOtherSharersLine(ln *cache.Line, core int, a cache
 			continue
 		}
 		if ln.Sharers&(1<<uint(c)) != 0 {
-			if old := h.L1D[c].Invalidate(a); old.Valid {
+			if old := h.L1D[c].Invalidate(a); old.Valid() {
 				n++
 				h.CoherenceInval++
-				if old.Dirty {
+				if old.Dirty() {
 					// The remote M copy's data comes back to the L2.
 					ln.Dirty = true
 				}
@@ -353,26 +346,23 @@ func (h *Hierarchy) invalidateOtherSharersLine(ln *cache.Line, core int, a cache
 // fillL1 inserts a into core's L1 for kind, handling the dirty victim
 // writeback into the L2 (with recompression/resize) and sharer-bit
 // bookkeeping for the replaced line.
-func (h *Hierarchy) fillL1(l1 *cache.SetAssoc, core int, kind Kind, a cache.BlockAddr, prefetch bool, by PfSource, r *AccessResult) {
-	victim, inserted := l1.Fill(a, prefetch)
-	inserted.PfBy = uint8(by)
-	if kind == Store && !prefetch {
-		inserted.Dirty = true
-	}
-	if !victim.Valid {
+func (h *Hierarchy) fillL1(l1 *cache.L1, core int, kind Kind, a cache.BlockAddr, prefetch bool, by PfSource, r *AccessResult) {
+	victim := l1.Fill(a, prefetch, kind == Store && !prefetch, uint8(by))
+	if !victim.Valid() {
 		return
 	}
-	if victim.Prefetch {
+	if victim.Prefetch() {
 		r.L1UselessEvict++
 	}
 	// Non-silent eviction: clear the sharer bit; write dirty data back.
-	if l2ln := h.L2.Lookup(victim.Addr); l2ln != nil {
+	va := victim.Addr()
+	if l2ln := h.L2.Lookup(va); l2ln != nil {
 		if kind == IFetch {
 			l2ln.ISharers &^= 1 << uint(core)
 		} else {
 			l2ln.Sharers &^= 1 << uint(core)
 		}
-		if victim.Dirty {
+		if victim.Dirty() {
 			h.L1Writebacks++
 			r.L1DirtyVictim = true
 			l2ln.Dirty = true
@@ -381,18 +371,18 @@ func (h *Hierarchy) fillL1(l1 *cache.SetAssoc, core int, kind Kind, a cache.Bloc
 			}
 			if h.L2.StoresCompressed() {
 				// Recompress: the stored size tracks current contents.
-				segs := h.clampSegs(h.size(victim.Addr))
+				segs := h.clampSegs(h.size(va))
 				h.vbuf = h.vbuf[:0]
-				victims, _ := h.L2.Resize(victim.Addr, segs, h.vbuf)
+				victims, _ := h.L2.Resize(va, segs, h.vbuf)
 				h.vbuf = victims
-				h.noteL2Size(victim.Addr, segs)
+				h.noteL2Size(va, segs)
 				h.handleL2Victims(victims, r)
 			}
 		}
-	} else if victim.Dirty {
+	} else if victim.Dirty() {
 		// Inclusion guarantees the L2 holds every L1 line; a missing
 		// dirty victim indicates a protocol bug.
-		panic(fmt.Sprintf("coherence: dirty L1 victim %#x absent from L2", uint64(victim.Addr)))
+		panic(fmt.Sprintf("coherence: dirty L1 victim %#x absent from L2", uint64(va)))
 	}
 }
 
@@ -409,16 +399,16 @@ func (h *Hierarchy) handleL2Victims(victims []cache.Line, r *AccessResult) {
 		// Inclusion: invalidate every L1 copy.
 		for c := 0; c < h.cfg.Cores; c++ {
 			if v.Sharers&(1<<uint(c)) != 0 {
-				if old := h.L1D[c].Invalidate(v.Addr); old.Valid {
+				if old := h.L1D[c].Invalidate(v.Addr); old.Valid() {
 					h.InclusionInval++
 					r.Invalidations++
-					if old.Dirty {
+					if old.Dirty() {
 						dirty = true
 					}
 				}
 			}
 			if v.ISharers&(1<<uint(c)) != 0 {
-				if old := h.L1I[c].Invalidate(v.Addr); old.Valid {
+				if old := h.L1I[c].Invalidate(v.Addr); old.Valid() {
 					h.InclusionInval++
 					r.Invalidations++
 				}
@@ -438,7 +428,7 @@ func (h *Hierarchy) PrefetchL1(core int, kind Kind, a cache.BlockAddr, by PfSour
 	var out PrefetchOutcome
 	h.wbuf = h.wbuf[:0]
 	l1 := h.l1For(core, kind)
-	if l1.Lookup(a) != nil {
+	if l1.Lookup(a).Valid() {
 		out.AlreadyPresent = true
 		return out
 	}
@@ -537,13 +527,13 @@ func (h *Hierarchy) AuditMSI() string {
 	for c := 0; c < h.cfg.Cores; c++ {
 		var bad string
 		core := c
-		h.L1I[c].ForEachValid(func(ln *cache.Line) {
+		h.L1I[c].ForEachValid(func(ln cache.L1Line) {
 			if bad != "" {
 				return
 			}
-			l2ln := h.L2.Lookup(ln.Addr)
+			l2ln := h.L2.Lookup(ln.Addr())
 			if l2ln == nil || l2ln.ISharers&(1<<uint(core)) == 0 {
-				bad = fmt.Sprintf("L1I[%d] holds %#x without isharer bit", core, uint64(ln.Addr))
+				bad = fmt.Sprintf("L1I[%d] holds %#x without isharer bit", core, uint64(ln.Addr()))
 			}
 		})
 		if bad != "" {
@@ -572,15 +562,15 @@ func (h *Hierarchy) AuditMSI() string {
 			dBit := ln.Sharers&(1<<uint(c)) != 0
 			iBit := ln.ISharers&(1<<uint(c)) != 0
 			dln := h.L1D[c].Lookup(ln.Addr)
-			if dBit && dln == nil {
+			if dBit && !dln.Valid() {
 				bad = fmt.Sprintf("L2 line %#x has sharer bit for core %d but L1D misses it", uint64(ln.Addr), c)
 				return
 			}
-			if iBit && h.L1I[c].Lookup(ln.Addr) == nil {
+			if iBit && !h.L1I[c].Lookup(ln.Addr).Valid() {
 				bad = fmt.Sprintf("L2 line %#x has isharer bit for core %d but L1I misses it", uint64(ln.Addr), c)
 				return
 			}
-			if dln != nil && dln.Dirty {
+			if dln.Dirty() {
 				dirtyCopies++
 				if int(ln.Owner) != c {
 					bad = fmt.Sprintf("L1D[%d] holds %#x modified but L2 owner is %d", c, uint64(ln.Addr), ln.Owner)
@@ -594,9 +584,9 @@ func (h *Hierarchy) AuditMSI() string {
 		}
 		if ln.Owner >= 0 {
 			dln := h.L1D[ln.Owner].Lookup(ln.Addr)
-			if dln == nil || !dln.Dirty {
+			if !dln.Dirty() {
 				bad = fmt.Sprintf("L2 line %#x owned by core %d whose L1D copy is %s", uint64(ln.Addr), ln.Owner,
-					map[bool]string{true: "clean", false: "absent"}[dln != nil])
+					map[bool]string{true: "clean", false: "absent"}[dln.Valid()])
 			}
 		}
 	})
@@ -607,10 +597,10 @@ func (h *Hierarchy) AuditMSI() string {
 // (test support). It returns a description of the first violation, or "".
 func (h *Hierarchy) CheckInclusion() string {
 	var bad string
-	check := func(which string, core int, c *cache.SetAssoc) {
-		c.ForEachValid(func(ln *cache.Line) {
-			if bad == "" && h.L2.Lookup(ln.Addr) == nil {
-				bad = fmt.Sprintf("%s[%d] line %#x not in L2", which, core, uint64(ln.Addr))
+	check := func(which string, core int, c *cache.L1) {
+		c.ForEachValid(func(ln cache.L1Line) {
+			if bad == "" && h.L2.Lookup(ln.Addr()) == nil {
+				bad = fmt.Sprintf("%s[%d] line %#x not in L2", which, core, uint64(ln.Addr()))
 			}
 		})
 	}
@@ -627,13 +617,13 @@ func (h *Hierarchy) CheckSharerBits() string {
 	var bad string
 	for c := 0; c < h.cfg.Cores && bad == ""; c++ {
 		core := c
-		h.L1D[c].ForEachValid(func(ln *cache.Line) {
+		h.L1D[c].ForEachValid(func(ln cache.L1Line) {
 			if bad != "" {
 				return
 			}
-			l2ln := h.L2.Lookup(ln.Addr)
+			l2ln := h.L2.Lookup(ln.Addr())
 			if l2ln == nil || l2ln.Sharers&(1<<uint(core)) == 0 {
-				bad = fmt.Sprintf("L1D[%d] holds %#x without sharer bit", core, uint64(ln.Addr))
+				bad = fmt.Sprintf("L1D[%d] holds %#x without sharer bit", core, uint64(ln.Addr()))
 			}
 		})
 	}

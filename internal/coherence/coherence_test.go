@@ -76,7 +76,7 @@ func TestStoreUpgradeInvalidatesSharers(t *testing.T) {
 	if r.Invalidations != 2 {
 		t.Fatalf("invalidations = %d, want 2", r.Invalidations)
 	}
-	if h.L1D[1].Lookup(0x100) != nil || h.L1D[2].Lookup(0x100) != nil {
+	if h.L1D[1].Lookup(0x100).Valid() || h.L1D[2].Lookup(0x100).Valid() {
 		t.Fatal("other sharers must be invalidated")
 	}
 	ln := h.L2.Lookup(0x100)
@@ -96,7 +96,7 @@ func TestDirtyForwardOnRemoteLoad(t *testing.T) {
 		t.Fatalf("remote load: %+v", r)
 	}
 	// Core 0's copy becomes clean; L2 holds the dirty data.
-	if ln := h.L1D[0].Lookup(0x100); ln == nil || ln.Dirty {
+	if ln := h.L1D[0].Lookup(0x100); !ln.Valid() || ln.Dirty() {
 		t.Fatal("owner's copy should be clean-shared now")
 	}
 	l2ln := h.L2.Lookup(0x100)
@@ -112,7 +112,7 @@ func TestStoreMissInvalidatesRemoteOwner(t *testing.T) {
 	if !r.L2Hit || r.Invalidations != 1 {
 		t.Fatalf("remote store: %+v", r)
 	}
-	if h.L1D[0].Lookup(0x100) != nil {
+	if h.L1D[0].Lookup(0x100).Valid() {
 		t.Fatal("previous owner must be invalidated")
 	}
 	if ln := h.L2.Lookup(0x100); ln.Owner != 1 {
@@ -185,7 +185,7 @@ func TestPrefetchL1SetsBitsBothLevels(t *testing.T) {
 	if out.AlreadyPresent || !out.MemFetch {
 		t.Fatalf("prefetch outcome: %+v", out)
 	}
-	if ln := h.L1D[0].Lookup(0x200); ln == nil || !ln.Prefetch || PfSource(ln.PfBy) != PfL1D {
+	if ln := h.L1D[0].Lookup(0x200); !ln.Valid() || !ln.Prefetch() || PfSource(ln.PfBy()) != PfL1D {
 		t.Fatal("L1 line should be marked prefetched by L1D")
 	}
 	if ln := h.L2.Lookup(0x200); ln == nil || !ln.Prefetch {
@@ -204,7 +204,7 @@ func TestPrefetchL2OnlyFillsL2(t *testing.T) {
 	if !out.MemFetch {
 		t.Fatalf("outcome: %+v", out)
 	}
-	if h.L1D[0].Lookup(0x300) != nil {
+	if h.L1D[0].Lookup(0x300).Valid() {
 		t.Fatal("L2 prefetch must not fill the L1")
 	}
 	ln := h.L2.Lookup(0x300)
@@ -235,7 +235,7 @@ func TestPrefetchDoesNotStealModifiedLine(t *testing.T) {
 	if !out.AlreadyPresent {
 		t.Fatalf("prefetch should be skipped: %+v", out)
 	}
-	if ln := h.L1D[1].Lookup(0x500); ln == nil || !ln.Dirty {
+	if ln := h.L1D[1].Lookup(0x500); !ln.Dirty() {
 		t.Fatal("owner's modified copy must be untouched")
 	}
 }
@@ -368,10 +368,10 @@ func TestKindAndPfSourceStrings(t *testing.T) {
 func TestIFetchUsesICache(t *testing.T) {
 	h := newTestHierarchy(t, false, nil)
 	h.Access(0, IFetch, 0x700)
-	if h.L1I[0].Lookup(0x700) == nil {
+	if !h.L1I[0].Lookup(0x700).Valid() {
 		t.Fatal("ifetch should fill L1I")
 	}
-	if h.L1D[0].Lookup(0x700) != nil {
+	if h.L1D[0].Lookup(0x700).Valid() {
 		t.Fatal("ifetch must not fill L1D")
 	}
 	ln := h.L2.Lookup(0x700)

@@ -76,7 +76,10 @@ type Core struct {
 	// Instrs is the retired instruction count.
 	Instrs uint64
 
-	outstanding []miss // ordered by issue
+	// outstanding is ordered by issue. Its buffer has capacity MSHRs,
+	// which bounds its length, and entries leave by compacting in place,
+	// so issuing a miss never allocates.
+	outstanding []miss
 
 	// StallTicks accumulates time spent waiting on memory.
 	StallTicks timing.Tick
@@ -87,7 +90,7 @@ func New(cfg Config) *Core {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Core{cfg: cfg, cpi: timing.FromCycles(cfg.BaseCPI)}
+	return &Core{cfg: cfg, cpi: timing.FromCycles(cfg.BaseCPI), outstanding: make([]miss, 0, cfg.MSHRs)}
 }
 
 // Advance retires n instructions of non-memory work, respecting the
@@ -169,7 +172,8 @@ func (c *Core) enforceROB() {
 			return
 		}
 		c.waitFor(c.outstanding[i].done)
-		c.outstanding = c.outstanding[1:]
+		n := copy(c.outstanding, c.outstanding[1:])
+		c.outstanding = c.outstanding[:n]
 		c.retireCompleted()
 	}
 }

@@ -174,3 +174,23 @@ func TestClockMonotoneProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIssueMissAllocFree: a non-blocking miss stream that keeps the ROB
+// window dropping its oldest miss must reuse the MSHR buffer, never
+// reallocate it.
+func TestIssueMissAllocFree(t *testing.T) {
+	c := New(Config{BaseCPI: 1, ROBWindow: 8, MSHRs: 16})
+	run := func() {
+		for i := 0; i < 1000; i++ {
+			c.Advance(3)
+			c.IssueMiss(c.Now+cy(1000), false)
+		}
+	}
+	run()
+	if c.StallTicks == 0 {
+		t.Fatal("the ROB window never stalled the core")
+	}
+	if n := testing.AllocsPerRun(10, run); n != 0 {
+		t.Fatalf("%v allocations per 1000 misses, want 0", n)
+	}
+}

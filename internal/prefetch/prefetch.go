@@ -22,6 +22,7 @@ package prefetch
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cmpsim/internal/cache"
 )
@@ -29,7 +30,7 @@ import (
 // Config parameterizes one prefetch engine (paper Table 1 values are the
 // defaults from L1Config/L2Config).
 type Config struct {
-	FilterEntries  int // entries per filter table (paper: 32)
+	FilterEntries  int // entries per filter table (paper: 32; at most 64)
 	StreamEntries  int // stream table entries (paper: 8)
 	TrainThreshold int // fixed-stride misses to allocate a stream (paper: 4)
 	StartupDepth   int // startup prefetches per stream (paper: 6 L1, 25 L2)
@@ -49,6 +50,9 @@ func L2Config() Config {
 func (c Config) validate() error {
 	if c.FilterEntries <= 0 || c.StreamEntries <= 0 {
 		return fmt.Errorf("prefetch: filter (%d) and stream (%d) entries must be positive", c.FilterEntries, c.StreamEntries)
+	}
+	if c.FilterEntries > filterSlots {
+		return fmt.Errorf("prefetch: filter entries %d exceed the index's %d bits", c.FilterEntries, filterSlots)
 	}
 	if c.TrainThreshold < 2 {
 		return fmt.Errorf("prefetch: train threshold %d must be at least 2", c.TrainThreshold)
@@ -71,11 +75,27 @@ const (
 	baseSentinel cache.BlockAddr = 1 << 62
 )
 
-// filterTable tracks candidate miss streams in struct-of-arrays layout:
-// the per-miss training scan reads only the contiguous expect (or base)
-// words instead of striding across full entry structs — OnMiss runs on
-// every demand miss, making this the hottest scan in the prefetcher.
+// filterSlots is the slot count of a filter table's two indexes. A slot
+// is a bitmask over the table's entries, so a table holds at most 64.
+const filterSlots = 64
+
+// slotOf hashes a word to an index slot (Fibonacci hashing: the top six
+// bits of the product).
+func slotOf(x uint64) int { return int(x * 0x9E3779B97F4A7C15 >> 58) }
+
+// filterTable tracks candidate miss streams in struct-of-arrays layout.
 // Entry i is valid iff used[i] != 0 (the LRU tick starts at 1).
+//
+// Training does not scan the table: OnMiss runs on every demand miss and
+// most misses match nothing. Two exact indexes map a hash slot to the
+// bitmask of entries that hash there. exIdx holds every non-zero expect
+// word, hashed whole; baseIdx every base word that is not the sentinel,
+// hashed by its bucket base>>baseShift (buckets of W = 2^baseShift
+// blocks, the smallest power of two >= MaxStride). A lookup visits only
+// the entries of its slot or slots, in ascending index order, and
+// compares the full word, so it picks the entry a linear scan in index
+// order would pick. setScan is the only writer of expect and base and
+// moves the entry's bits with them.
 //
 // Replacement order is kept in an intrusive doubly-linked list (prev/
 // next/head/tail): used timestamps are assigned from a strictly
@@ -84,37 +104,63 @@ const (
 // scan per unrecognized miss. used stays as the validity marker and the
 // audit cross-check of the list order.
 type filterTable struct {
-	expect []cache.BlockAddr // (last+stride)|expectKey for trainable entries, else 0
-	base   []cache.BlockAddr // last for valid undetermined entries, else baseSentinel
-	used   []uint64          // LRU timestamp; 0 = invalid
-	last   []cache.BlockAddr
-	stride []int64 // fixed +1/-1 for the unit tables; 0 = undetermined
-	count  []int32
-	next   []int16 // toward LRU; -1 ends the list
-	prev   []int16 // toward MRU; -1 ends the list
-	head   int16   // MRU entry, -1 when no entry is valid
-	tail   int16   // LRU entry, -1 when no entry is valid
-	free   int16   // invalid-entry count
+	expect    []cache.BlockAddr // (last+stride)|expectKey for trainable entries, else 0
+	base      []cache.BlockAddr // last for valid undetermined entries, else baseSentinel
+	exIdx     [filterSlots]uint64
+	baseIdx   [filterSlots]uint64
+	baseShift uint
+	used      []uint64 // LRU timestamp; 0 = invalid
+	last      []cache.BlockAddr
+	stride    []int64 // fixed +1/-1 for the unit tables; 0 = undetermined
+	count     []int32
+	next      []int16 // toward LRU; -1 ends the list
+	prev      []int16 // toward MRU; -1 ends the list
+	head      int16   // MRU entry, -1 when no entry is valid
+	tail      int16   // LRU entry, -1 when no entry is valid
+	free      int16   // invalid-entry count
 }
 
-func newFilterTable(n int) filterTable {
+func newFilterTable(n, maxStride int) filterTable {
 	t := filterTable{
-		expect: make([]cache.BlockAddr, n),
-		base:   make([]cache.BlockAddr, n),
-		used:   make([]uint64, n),
-		last:   make([]cache.BlockAddr, n),
-		stride: make([]int64, n),
-		count:  make([]int32, n),
-		next:   make([]int16, n),
-		prev:   make([]int16, n),
-		head:   -1,
-		tail:   -1,
-		free:   int16(n),
+		expect:    make([]cache.BlockAddr, n),
+		base:      make([]cache.BlockAddr, n),
+		baseShift: uint(bits.Len(uint(maxStride - 1))),
+		used:      make([]uint64, n),
+		last:      make([]cache.BlockAddr, n),
+		stride:    make([]int64, n),
+		count:     make([]int32, n),
+		next:      make([]int16, n),
+		prev:      make([]int16, n),
+		head:      -1,
+		tail:      -1,
+		free:      int16(n),
 	}
 	for i := range t.base {
 		t.base[i] = baseSentinel
 	}
 	return t
+}
+
+// baseSlot returns the baseIdx slot of base word b.
+func (t *filterTable) baseSlot(b cache.BlockAddr) int { return slotOf(uint64(b >> t.baseShift)) }
+
+// setScan writes entry i's expect and base words, moving its bit in
+// both indexes.
+func (t *filterTable) setScan(i int, expect, base cache.BlockAddr) {
+	bit := uint64(1) << uint(i)
+	if old := t.expect[i]; old != 0 {
+		t.exIdx[slotOf(uint64(old))] &^= bit
+	}
+	if expect != 0 {
+		t.exIdx[slotOf(uint64(expect))] |= bit
+	}
+	if old := t.base[i]; old != baseSentinel {
+		t.baseIdx[t.baseSlot(old)] &^= bit
+	}
+	if base != baseSentinel {
+		t.baseIdx[t.baseSlot(base)] |= bit
+	}
+	t.expect[i], t.base[i] = expect, base
 }
 
 // unlink removes entry i from the replacement list.
@@ -191,9 +237,9 @@ func New(cfg Config) *Engine {
 	}
 	return &Engine{
 		cfg:     cfg,
-		pos:     newFilterTable(cfg.FilterEntries),
-		neg:     newFilterTable(cfg.FilterEntries),
-		nonunit: newFilterTable(cfg.FilterEntries),
+		pos:     newFilterTable(cfg.FilterEntries, cfg.MaxStride),
+		neg:     newFilterTable(cfg.FilterEntries, cfg.MaxStride),
+		nonunit: newFilterTable(cfg.FilterEntries, cfg.MaxStride),
 		streams: make([]streamEntry, cfg.StreamEntries),
 	}
 }
@@ -274,19 +320,19 @@ func (e *Engine) OnMiss(a cache.BlockAddr) []cache.BlockAddr {
 // clear invalidates filter entry i.
 func (t *filterTable) clear(i int) {
 	t.used[i] = 0
-	t.expect[i] = 0
-	t.base[i] = baseSentinel
+	t.setScan(i, 0, baseSentinel)
 	t.unlink(int16(i))
 	t.free++
 }
 
-// train strengthens a filter entry expecting address a (any table whose
-// entries carry an established stride). The scan touches only the
-// contiguous expected-address words.
+// train strengthens the lowest-indexed filter entry expecting address a
+// (any table whose entries carry an established stride), visiting only
+// the entries in a's exIdx slot.
 func (e *Engine) train(t *filterTable, a cache.BlockAddr) bool {
 	key := a | expectKey
-	for i, x := range t.expect {
-		if x != key {
+	for m := t.exIdx[slotOf(uint64(key))]; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if t.expect[i] != key {
 			continue
 		}
 		t.last[i] = a
@@ -298,7 +344,7 @@ func (e *Engine) train(t *filterTable, a cache.BlockAddr) bool {
 			t.clear(i)
 			e.allocStream(a, stride)
 		} else {
-			t.expect[i] = advance(a, t.stride[i]) | expectKey
+			t.setScan(i, advance(a, t.stride[i])|expectKey, baseSentinel)
 			t.refresh(int16(i))
 		}
 		return true
@@ -312,16 +358,23 @@ func (e *Engine) trainNonUnit(a cache.BlockAddr) bool {
 	if e.train(&e.nonunit, a) {
 		return true
 	}
-	// Second chance: derive a stride from an undetermined entry. The
-	// scan prefilters with one wrapping subtract per entry: b is a
-	// candidate only if it lies in the window [a-MaxStride, a+MaxStride],
-	// i.e. b-(a-MaxStride) <= 2*MaxStride unsigned (the sentinel always
-	// fails). The exact two-sided stride check runs on the rare survivors.
+	// Second chance: derive a stride from the lowest-indexed
+	// undetermined entry whose base b lies in the window [a-MaxStride,
+	// a+MaxStride], i.e. b-(a-MaxStride) <= 2*MaxStride unsigned. The
+	// window is at most 2W+1 blocks wide, so it spans at most three
+	// consecutive W-block buckets, and the buckets of its two ends and
+	// its middle a are exactly those; only their entries are visited.
+	// This matches a scan of every base word as long as no simulated
+	// address lies within MaxStride of baseSentinel (they are below
+	// 2^58).
 	t := &e.nonunit
 	maxStride := int64(e.cfg.MaxStride)
 	lo := a - cache.BlockAddr(maxStride)
+	hi := a + cache.BlockAddr(maxStride)
 	window := uint64(2 * maxStride)
-	for i, b := range t.base {
+	for m := t.baseIdx[t.baseSlot(lo)] | t.baseIdx[t.baseSlot(a)] | t.baseIdx[t.baseSlot(hi)]; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		b := t.base[i]
 		if uint64(b-lo) > window {
 			continue
 		}
@@ -331,8 +384,7 @@ func (e *Engine) trainNonUnit(a cache.BlockAddr) bool {
 			t.last[i] = a
 			t.count[i] = 2
 			t.used[i] = e.tick
-			t.expect[i] = advance(a, d) | expectKey
-			t.base[i] = baseSentinel
+			t.setScan(i, advance(a, d)|expectKey, baseSentinel)
 			t.refresh(int16(i))
 			e.Stats.FilterHits++
 			return true
@@ -364,11 +416,9 @@ func (e *Engine) alloc(t *filterTable, a cache.BlockAddr, stride int64) {
 	t.count[vi] = 1
 	t.used[vi] = e.tick
 	if stride != 0 {
-		t.expect[vi] = advance(a, stride) | expectKey
-		t.base[vi] = baseSentinel
+		t.setScan(vi, advance(a, stride)|expectKey, baseSentinel)
 	} else {
-		t.expect[vi] = 0
-		t.base[vi] = a
+		t.setScan(vi, 0, a)
 	}
 }
 
@@ -458,7 +508,8 @@ func sign(v int64) int64 {
 // CheckInvariants validates stream- and filter-table state (audit
 // support): active streams have a non-zero stride within the configured
 // bound with their prefetch pointer a whole number of strides from the
-// demand pointer, and filter entries keep strides and counts in range.
+// demand pointer, filter entries keep strides and counts in range, and
+// the scan words and both indexes agree with the entries.
 // It returns the first violation, or "".
 func (e *Engine) CheckInvariants() string {
 	for i := range e.streams {
@@ -492,16 +543,31 @@ func (e *Engine) CheckInvariants() string {
 			if t.count[i] < 1 || t.count[i] > int32(e.cfg.TrainThreshold) {
 				return fmt.Sprintf("filter %d: count %d outside [1, %d]", i, t.count[i], e.cfg.TrainThreshold)
 			}
-			// The scan word must agree with the entry it summarizes.
+			// The scan words must agree with the entry they summarize:
+			// a trainable entry has only an expect word, an undetermined
+			// one only a base word.
 			if t.stride[i] != 0 {
-				if want := advance(t.last[i], t.stride[i]) | expectKey; t.expect[i] != want {
-					return fmt.Sprintf("filter %d: expect word %#x desynced (want %#x)",
-						i, uint64(t.expect[i]), uint64(want))
+				if want := advance(t.last[i], t.stride[i]) | expectKey; t.expect[i] != want || t.base[i] != baseSentinel {
+					return fmt.Sprintf("filter %d: scan words %#x/%#x desynced (want expect %#x)",
+						i, uint64(t.expect[i]), uint64(t.base[i]), uint64(want))
 				}
-			} else if t.base[i] != t.last[i] {
-				return fmt.Sprintf("filter %d: base word %#x desynced from last %#x",
-					i, uint64(t.base[i]), uint64(t.last[i]))
+			} else if t.base[i] != t.last[i] || t.expect[i] != 0 {
+				return fmt.Sprintf("filter %d: scan words %#x/%#x desynced from last %#x",
+					i, uint64(t.expect[i]), uint64(t.base[i]), uint64(t.last[i]))
 			}
+		}
+		// Each index must hold exactly the bits its scan words imply.
+		var exIdx, baseIdx [filterSlots]uint64
+		for i := range t.used {
+			if t.expect[i] != 0 {
+				exIdx[slotOf(uint64(t.expect[i]))] |= 1 << uint(i)
+			}
+			if t.base[i] != baseSentinel {
+				baseIdx[t.baseSlot(t.base[i])] |= 1 << uint(i)
+			}
+		}
+		if exIdx != t.exIdx || baseIdx != t.baseIdx {
+			return "filter index desynced from the scan words"
 		}
 		// The replacement list must visit exactly the valid entries in
 		// strictly decreasing used order (MRU to LRU).

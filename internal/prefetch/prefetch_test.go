@@ -225,6 +225,7 @@ func TestConfigValidation(t *testing.T) {
 		{FilterEntries: 32, StreamEntries: 8, TrainThreshold: 1, StartupDepth: 6, MaxStride: 64},
 		{FilterEntries: 32, StreamEntries: 8, TrainThreshold: 4, StartupDepth: 0, MaxStride: 64},
 		{FilterEntries: 32, StreamEntries: 8, TrainThreshold: 4, StartupDepth: 6, MaxStride: 1},
+		{FilterEntries: 65, StreamEntries: 8, TrainThreshold: 4, StartupDepth: 6, MaxStride: 64},
 	}
 	for i, cfg := range bad {
 		func() {

@@ -188,7 +188,7 @@ func (s *System) applyStateFault() {
 				return
 			}
 			for c := 0; c < s.cfg.Cores; c++ {
-				if ln.Sharers&(1<<uint(c)) == 0 && s.h.L1D[c].Lookup(ln.Addr) == nil {
+				if ln.Sharers&(1<<uint(c)) == 0 && !s.h.L1D[c].Lookup(ln.Addr).Valid() {
 					ln.Sharers |= 1 << uint(c)
 					done = true
 					return
@@ -207,7 +207,7 @@ func (s *System) applyStateFault() {
 				return
 			}
 			for c := 0; c < s.cfg.Cores; c++ {
-				if dln := s.h.L1D[c].Lookup(ln.Addr); dln == nil || !dln.Dirty {
+				if !s.h.L1D[c].Lookup(ln.Addr).Dirty() {
 					ln.Owner = int8(c)
 					done = true
 					return

@@ -198,6 +198,21 @@ func (c Config) Validate() error {
 	case !c.CheckLevel.Valid():
 		return fmt.Errorf("sim: invalid CheckLevel %d", c.CheckLevel)
 	}
+	// Every cache NewSystem builds needs a positive power-of-two set
+	// count, or its constructor panics.
+	if n := c.L1Bytes / (cache.LineBytes * c.L1Ways); !isPow2(n) {
+		return fmt.Errorf("sim: L1 set count %d (%d B / (%d B lines × %d ways)) is not a positive power of two",
+			n, c.L1Bytes, cache.LineBytes, c.L1Ways)
+	}
+	if c.CacheCompression {
+		if n := c.L2Bytes / (cache.SegmentBytes * c.L2SegsPerSet); !isPow2(n) {
+			return fmt.Errorf("sim: compressed L2 set count %d (%d B / (%d B segments × %d per set)) is not a positive power of two",
+				n, c.L2Bytes, cache.SegmentBytes, c.L2SegsPerSet)
+		}
+	} else if n := c.L2Bytes / (cache.LineBytes * c.L2Ways); !isPow2(n) {
+		return fmt.Errorf("sim: L2 set count %d (%d B / (%d B lines × %d ways)) is not a positive power of two",
+			n, c.L2Bytes, cache.LineBytes, c.L2Ways)
+	}
 	// Kind names are validated against their registries, so new codecs,
 	// prefetchers and reference sources cannot drift out of validation.
 	if _, err := codec.ByName(c.Codec); err != nil {
@@ -230,6 +245,8 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // MechanismLabel names the active mechanism combination, matching the
 // paper's figure legends. Every distinct combination gets a distinct

@@ -212,6 +212,9 @@ func TestConfigValidation(t *testing.T) {
 		{"too many cores", func(c *Config) { c.Cores = 99 }},
 		{"zero measure window", func(c *Config) { c.MeasureInstr = 0 }},
 		{"zero L1 size", func(c *Config) { c.L1Bytes = 0 }},
+		{"non-power-of-two L1 sets", func(c *Config) { c.L1Bytes = 48 * 1024 }},
+		{"non-power-of-two L2 sets", func(c *Config) { c.L2Bytes = 3 << 20 }},
+		{"non-power-of-two compressed L2 sets", func(c *Config) { c.L2Bytes = 3 << 20; c.CacheCompression = true }},
 		{"zero L1 hit latency", func(c *Config) { c.L1HitCycles = 0 }},
 		{"negative victim tags", func(c *Config) { c.UncompressedVictimTags = -1 }},
 		{"zero L2 size", func(c *Config) { c.L2Bytes = 0 }},
@@ -236,6 +239,43 @@ func TestConfigValidation(t *testing.T) {
 			tc.mut(&cfg)
 			if _, err := Run(cfg); err == nil {
 				t.Error("invalid config accepted")
+			}
+		})
+	}
+}
+
+// TestValidateCacheGeometry pins which set counts Validate checks: the
+// L1's, and the L2's for the L2 NewSystem builds (compressed or not), so
+// every geometry it accepts constructs.
+func TestValidateCacheGeometry(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Config)
+		ok   bool
+	}{
+		{"paper geometry", func(c *Config) {}, true},
+		{"paper geometry, compressed", func(c *Config) { c.CacheCompression = true }, true},
+		{"L1 of 48 KB: 192 sets", func(c *Config) { c.L1Bytes = 48 * 1024 }, false},
+		{"L1 smaller than one set", func(c *Config) { c.L1Bytes = 128 }, false},
+		{"L2 of 3 MB: 6144 sets", func(c *Config) { c.L2Bytes = 3 << 20 }, false},
+		{"compressed L2 of 3 MB: 12288 sets", func(c *Config) { c.L2Bytes = 3 << 20; c.CacheCompression = true }, false},
+		{"3-line compressed sets, compression off", func(c *Config) { c.L2SegsPerSet = 24 }, true},
+		{"3-line compressed sets, compression on", func(c *Config) { c.L2SegsPerSet = 24; c.CacheCompression = true }, false},
+		{"6-way uncompressed L2, compression on", func(c *Config) { c.L2Ways = 6; c.CacheCompression = true }, true},
+		{"6-way uncompressed L2, compression off", func(c *Config) { c.L2Ways = 6 }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := NewConfig("zeus")
+			tc.mut(&cfg)
+			err := cfg.Validate()
+			if (err == nil) != tc.ok {
+				t.Fatalf("Validate() = %v, want ok=%v", err, tc.ok)
+			}
+			if err == nil {
+				if _, err := NewSystem(cfg); err != nil {
+					t.Fatalf("NewSystem: %v", err)
+				}
 			}
 		})
 	}

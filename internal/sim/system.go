@@ -366,9 +366,6 @@ func (s *System) step(c int) {
 	for i := 0; i < r.L2UselessEvict; i++ {
 		s.fe.adL2.Useless()
 	}
-	if r.L1Harmful {
-		ad.Harmful()
-	}
 	if r.L2Harmful {
 		s.fe.adL2.Harmful()
 	}

@@ -75,9 +75,10 @@ func main() {
 		os.Exit(2)
 	}
 	// Validate every flag up front: one clear error beats a panic (or a
-	// silently meaningless run) deep inside the simulator. Name-typo
-	// errors (benchmark, prefetcher, reference source) are usage errors —
-	// they list the registered names and exit 2 like any bad argument.
+	// silently meaningless run) deep inside the simulator. Every bad flag
+	// value is a usage error and exits 2 like any bad argument; name
+	// typos (benchmark, prefetcher, reference source, codec) list the
+	// registered names. Only I/O and simulation failures exit 1.
 	if _, err := workload.ByName(*bench); err != nil {
 		usageErr("-bench: %v", err)
 	}
@@ -88,27 +89,27 @@ func main() {
 		usageErr("-workload %q unknown (have %v)", *source, workload.SourceNames())
 	}
 	if *cores < 1 || *cores > 32 {
-		log.Fatalf("-cores %d out of range [1, 32]", *cores)
+		usageErr("-cores %d out of range [1, 32]", *cores)
 	}
 	if *instr == 0 {
-		log.Fatal("-instr must be positive")
+		usageErr("-instr must be positive")
 	}
 	if *bwGBps < 0 {
-		log.Fatalf("-bw %g must be >= 0 (0 = infinite pins)", *bwGBps)
+		usageErr("-bw %g must be >= 0 (0 = infinite pins)", *bwGBps)
 	}
 	if *l2MB < 1 {
-		log.Fatalf("-l2mb %d must be positive", *l2MB)
+		usageErr("-l2mb %d must be positive", *l2MB)
 	}
 	if *l1depth < 0 || *l2depth < 0 {
-		log.Fatal("-l1depth and -l2depth must be >= 0")
+		usageErr("-l1depth and -l2depth must be >= 0")
 	}
 	cdc, err := codec.ByName(*codecN)
 	if err != nil {
-		log.Fatalf("-codec: %v", err)
+		usageErr("-codec: %v", err)
 	}
 	checkLevel, err := audit.ParseLevel(*check)
 	if err != nil {
-		log.Fatalf("-check: %v", err)
+		usageErr("-check: %v", err)
 	}
 
 	cfg := sim.NewConfig(*bench)

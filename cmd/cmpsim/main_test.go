@@ -87,3 +87,45 @@ func TestBadCacheGeometryExitsTwo(t *testing.T) {
 		}
 	}
 }
+
+// TestBadFlagValuesExitTwo: every out-of-range or unknown flag value is
+// a usage error — exit 2 with the usage text, before any simulation —
+// while an I/O error such as an unwritable -cpuprofile path exits 1.
+func TestBadFlagValuesExitTwo(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-codec", "nope"}, "-codec"},
+		{[]string{"-cores", "0"}, "-cores 0"},
+		{[]string{"-instr", "0"}, "-instr"},
+		{[]string{"-bw", "-1"}, "-bw -1"},
+		{[]string{"-l2mb", "0"}, "-l2mb 0"},
+		{[]string{"-l1depth", "-1"}, "-l1depth"},
+		{[]string{"-check", "bogus"}, "-check"},
+	} {
+		args := append([]string{"-warmup", "0"}, tc.args...)
+		if tc.args[0] != "-cores" {
+			args = append(args, "-cores", "1")
+		}
+		if tc.args[0] != "-instr" {
+			args = append(args, "-instr", "1000")
+		}
+		stdout, stderr, code := cmpsim(t, args...)
+		if code != 2 {
+			t.Errorf("%v: exit = %d, want 2; stderr:\n%s", tc.args, code, stderr)
+		}
+		if !strings.Contains(stderr, tc.want) || !strings.Contains(stderr, "Usage") {
+			t.Errorf("%v: stderr does not name %q with the usage text:\n%s", tc.args, tc.want, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("%v: simulation ran:\n%s", tc.args, stdout)
+		}
+	}
+
+	missing := t.TempDir() + "/missing/cpu.pprof"
+	_, stderr, code := cmpsim(t, "-cpuprofile", missing, "-cores", "1", "-warmup", "0", "-instr", "1000")
+	if code != 1 {
+		t.Fatalf("unwritable -cpuprofile: exit = %d, want 1; stderr:\n%s", code, stderr)
+	}
+}

@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // FPC implements Frequent Pattern Compression (Alameldeen & Wood), the
@@ -92,38 +93,46 @@ const (
 	fpcMaxRun     = 8 // zero words one zero-run codeword covers
 )
 
-// fpcClassify returns the cheapest pattern that can represent the
-// non-zero word w (zero words are run-length coded by the caller).
-func fpcClassify(w uint32) FPCPattern {
-	s := int32(w)
-	switch {
-	case s >= -8 && s <= 7:
-		return FPCSE4
-	case s >= -128 && s <= 127:
-		return FPCSE8
-	case s >= -32768 && s <= 32767:
-		return FPCSE16
-	case w&0xFFFF == 0:
-		return FPCZeroPad16
-	case halfIsSE8(uint16(w>>16)) && halfIsSE8(uint16(w)):
-		return FPCTwoSE8
-	case isRepeatedBytes(w):
-		return FPCRepByte
-	default:
-		return FPCUncomp
+// fpcMasks sets m[i] to the pattern mask of line's word i: one bit per
+// FPC pattern that can represent the word, bit p for FPCPattern p — bit
+// FPCZeroRun for a zero word, bit FPCUncomp always. The patterns are
+// numbered in preference order, so the lowest set bit is the pattern
+// the encoder picks. Each test is a masked compare with zero read from
+// the borrow bit, so no branch depends on the data: a word is k-bit
+// sign-extended when its bits k-1 and up are all equal, that is when
+// w^w<<1 has no bit at k or above.
+func fpcMasks(line []byte, m *[fpcWords]uint8) {
+	line = line[:LineSize]
+	isZero := func(v uint64) uint64 { return (v - 1) >> 63 } // v < 2^63
+	for i := range m {
+		w := binary.LittleEndian.Uint32(line[i*4:])
+		x, t := uint64(w), uint64(w^w<<1)
+		m[i] = uint8(isZero(x)<<FPCZeroRun |
+			isZero(t&0xFFFFFFF0)<<FPCSE4 |
+			isZero(t&0xFFFFFF00)<<FPCSE8 |
+			isZero(t&0xFFFF0000)<<FPCSE16 |
+			isZero(x&0xFFFF)<<FPCZeroPad16 |
+			isZero(t&0xFF00FF00)<<FPCTwoSE8 |
+			isZero(x^(x&0xFF)*0x01010101)<<FPCRepByte |
+			1<<FPCUncomp)
 	}
 }
 
-// halfIsSE8 reports whether the halfword is an 8-bit sign-extended value.
-func halfIsSE8(h uint16) bool {
-	s := int16(h)
-	return s >= -128 && s <= 127
-}
+// fpcPattern returns the pattern a word with mask m encodes as.
+func fpcPattern(m uint8) FPCPattern { return FPCPattern(bits.TrailingZeros8(m)) }
 
-// isRepeatedBytes reports whether all four bytes of w are equal.
-func isRepeatedBytes(w uint32) bool {
-	b := w & 0xFF
-	return w == b|b<<8|b<<16|b<<24
+// fpcWordBits is each pattern's codeword length for one word: prefix
+// plus data bits. Zero words cost nothing here; their runs are counted
+// separately.
+var fpcWordBits = [8]uint8{
+	FPCZeroRun:   0,
+	FPCSE4:       fpcPrefixBits + 4,
+	FPCSE8:       fpcPrefixBits + 8,
+	FPCSE16:      fpcPrefixBits + 16,
+	FPCZeroPad16: fpcPrefixBits + 16,
+	FPCTwoSE8:    fpcPrefixBits + 16,
+	FPCRepByte:   fpcPrefixBits + 8,
+	FPCUncomp:    fpcPrefixBits + 32,
 }
 
 // fpcZeroRun returns how many zero words (at most fpcMaxRun) start at word
@@ -137,20 +146,26 @@ func fpcZeroRun(line []byte, i int) int {
 }
 
 // compressedBits is the size-only dry run: the exact encoded bit count
-// for line, without materializing the stream.
+// for line, without materializing the stream. It is branch-free: each
+// word's codeword length comes from fpcWordBits by its pattern mask, and
+// the zero-run codewords from the line's zero-word mask — one per run
+// start, plus one for a run longer than fpcMaxRun words (a line has room
+// for at most one).
 func (FPC) compressedBits(line []byte) int {
-	bits := 0
-	for i := 0; i < fpcWords; {
-		w := binary.LittleEndian.Uint32(line[i*4:])
-		if w == 0 {
-			bits += fpcPrefixBits + FPCZeroRun.dataBits()
-			i += fpcZeroRun(line, i)
-			continue
-		}
-		bits += fpcPrefixBits + fpcClassify(w).dataBits()
-		i++
+	var m [fpcWords]uint8
+	fpcMasks(line, &m)
+	n, zeros := 0, uint64(0)
+	for i, mi := range m {
+		zeros |= uint64(mi&1) << i
+		n += int(fpcWordBits[fpcPattern(mi)&7])
 	}
-	return bits
+	// Bit i of run8 is set when words i..i+7 are all zero.
+	run8 := zeros & (zeros >> 1)
+	run8 &= run8 >> 2
+	run8 &= run8 >> 4
+	long := (0 - (run8 & (zeros >> fpcMaxRun))) >> 63
+	runs := bits.OnesCount64(zeros&^(zeros<<1)) + int(long)
+	return n + runs*(fpcPrefixBits+FPCZeroRun.dataBits())
 }
 
 // Name returns the registry key.
@@ -168,20 +183,21 @@ func (c FPC) AppendEncode(dst, line []byte) ([]byte, int) {
 	if segs == MaxSegments {
 		return append(dst, line...), MaxSegments
 	}
+	var m [fpcWords]uint8
+	fpcMasks(line, &m)
 	start := len(dst)
 	bw := bitWriter{buf: dst}
 	for i := 0; i < fpcWords; {
-		w := binary.LittleEndian.Uint32(line[i*4:])
-		if w == 0 {
+		p := fpcPattern(m[i])
+		if p == FPCZeroRun {
 			run := fpcZeroRun(line, i)
 			bw.write(uint32(FPCZeroRun), fpcPrefixBits)
 			bw.write(uint32(run-1), FPCZeroRun.dataBits())
 			i += run
 			continue
 		}
-		p := fpcClassify(w)
 		bw.write(uint32(p), fpcPrefixBits)
-		bw.write(fpcEncodeData(p, w), p.dataBits())
+		bw.write(fpcEncodeData(p, binary.LittleEndian.Uint32(line[i*4:])), p.dataBits())
 		i++
 	}
 	return padSegments(bw.buf, start, segs), segs
@@ -289,13 +305,11 @@ func (FPC) DecompressionCycles() float64 { return 5 }
 // into each pattern (zero-run words are counted individually).
 func (FPC) PatternHistogram(line []byte) [8]int {
 	mustLine(line)
+	var m [fpcWords]uint8
+	fpcMasks(line, &m)
 	var h [8]int
-	for i := 0; i < fpcWords; i++ {
-		if w := binary.LittleEndian.Uint32(line[i*4:]); w == 0 {
-			h[FPCZeroRun]++
-		} else {
-			h[fpcClassify(w)]++
-		}
+	for _, mi := range m {
+		h[fpcPattern(mi)]++
 	}
 	return h
 }

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -84,6 +85,13 @@ func TestFPCRoundTripFixedPatterns(t *testing.T) {
 			t.Fatalf("line %d: round trip mismatch\n got %x\nwant %x", i, dec, tc.line)
 		}
 	}
+}
+
+// fpcClassify returns the pattern the encoder picks for word w.
+func fpcClassify(w uint32) FPCPattern {
+	var m [fpcWords]uint8
+	fpcMasks(lineOfWords(w), &m)
+	return fpcPattern(m[0])
 }
 
 func TestFPCClassify(t *testing.T) {
@@ -270,4 +278,96 @@ func TestFPCNoAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("FPC AppendEncode/DecodeInto/PatternHistogram allocated %.1f times per op", allocs)
 	}
+}
+
+// fpcRefClassify is FuzzFPCSize's reference pattern selection: the
+// cheapest pattern for the non-zero word w, tested case by case in
+// preference order.
+func fpcRefClassify(w uint32) FPCPattern {
+	s := int32(w)
+	halfSE8 := func(h uint16) bool { return int16(h) >= -128 && int16(h) <= 127 }
+	b := w & 0xFF
+	switch {
+	case s >= -8 && s <= 7:
+		return FPCSE4
+	case s >= -128 && s <= 127:
+		return FPCSE8
+	case s >= -32768 && s <= 32767:
+		return FPCSE16
+	case w&0xFFFF == 0:
+		return FPCZeroPad16
+	case halfSE8(uint16(w>>16)) && halfSE8(uint16(w)):
+		return FPCTwoSE8
+	case w == b|b<<8|b<<16|b<<24:
+		return FPCRepByte
+	default:
+		return FPCUncomp
+	}
+}
+
+// fpcRefBits is FuzzFPCSize's reference bit count, walking the line
+// the way the encoder does: one zero-run codeword per run of up to
+// fpcMaxRun zero words, one prefix and data field per other word.
+func fpcRefBits(line []byte) int {
+	n := 0
+	for i := 0; i < fpcWords; {
+		w := binary.LittleEndian.Uint32(line[i*4:])
+		if w == 0 {
+			n += fpcPrefixBits + FPCZeroRun.dataBits()
+			i += fpcZeroRun(line, i)
+			continue
+		}
+		n += fpcPrefixBits + fpcRefClassify(w).dataBits()
+		i++
+	}
+	return n
+}
+
+// FuzzFPCSize checks the branch-free size count against the branchy
+// reference for any line, and that the count, the encoder and the
+// decoder agree: CompressedSizeSegments equals AppendEncode's segment
+// count and DecodeInto reproduces the line.
+func FuzzFPCSize(f *testing.F) {
+	const x = 0x12345678
+	for _, line := range [][]byte{
+		lineOfWords(0, 0, 0, 0, 0, 0, 0, 0, x, x, x, x, x, x, x, x), // 8-word zero run
+		lineOfWords(0, 0, 0, 0, 0, 0, 0, 0, 0, x, x, x, x, x, x, x), // 9-word zero run
+		make([]byte, LineSize), // 16-word zero run
+		lineOfWords(x, 0, 0, 0, 0, 0, 0, 0, 0, 0, x, 0, 0, 0, 0, 0),                 // 9 zeros between words
+		lineOfWords(7, 8, 0xFFFFFFF8, 0xFFFFFFF7, 127, 128, 0xFFFFFF80, 0xFFFFFF7F), // ±8, ±128 edges
+		lineOfWords(32767, 32768, 0xFFFF8000, 0xFFFF7FFF),                           // ±32768 edges
+		lineOfWords(0x007F0080, 0xFF80FF7F, 0x007FFF80, 0xFF80007F),                 // two-SE8 halves
+		lineOfWords(0x7F7F7F7F, 0x80808080, 0x01010101, 0x01010100),                 // repeated bytes
+		lineOfWords(0x00010000, 0xFFFF0000, 0x80000000, x),                          // padded halfwords
+	} {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		if len(line) != LineSize {
+			t.Skip()
+		}
+		var c FPC
+		var m [fpcWords]uint8
+		fpcMasks(line, &m)
+		for i, mi := range m {
+			want := FPCZeroRun
+			if w := binary.LittleEndian.Uint32(line[i*4:]); w != 0 {
+				want = fpcRefClassify(w)
+			}
+			if got := fpcPattern(mi); got != want {
+				t.Fatalf("line %x word %d: pattern %v, reference %v", line, i, got, want)
+			}
+		}
+		if got, want := c.compressedBits(line), fpcRefBits(line); got != want {
+			t.Fatalf("line %x: %d bits, reference %d", line, got, want)
+		}
+		enc, segs := c.AppendEncode(nil, line)
+		if want := c.CompressedSizeSegments(line); segs != want {
+			t.Fatalf("line %x: AppendEncode %d segments, CompressedSizeSegments %d", line, segs, want)
+		}
+		dec := make([]byte, LineSize)
+		if err := c.DecodeInto(dec, enc, segs); err != nil || !bytes.Equal(dec, line) {
+			t.Fatalf("line %x: decoded %x (%v)", line, dec, err)
+		}
+	})
 }

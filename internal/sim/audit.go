@@ -163,9 +163,13 @@ func (s *System) checkInflight(a *audit.Auditor, now timing.Tick) {
 }
 
 // auditWriteback routes a dirty-line writeback through the shadow model
-// (size cross-check) before handing it to the memory system.
+// (size cross-check) before handing it to the memory system. Without a
+// data model nothing prices the line, so it goes at its full size.
 func (s *System) auditWriteback(now timing.Tick, wb cache.BlockAddr) {
-	segs := s.data.SizeOf(wb)
+	segs := uint8(cache.MaxSegs)
+	if s.data != nil {
+		segs = s.data.SizeOf(wb)
+	}
 	if s.aud != nil {
 		s.aud.OnWriteback(now, wb, segs)
 	}

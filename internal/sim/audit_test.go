@@ -82,44 +82,74 @@ func TestStateFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestShadowBitIdentical is the audit determinism contract: a full run
-// at shadow level must complete with zero violations and bit-identical
-// metrics to the same run unchecked.
+// TestShadowBitIdentical is the audit determinism contract across the
+// size consumers: for each compression mix, a full run at shadow level
+// (every block sized and cross-checked against the reference model)
+// must complete with zero violations and bit-identical metrics to the
+// same run unchecked — which, with neither compression on, builds no
+// data model and prices every block at its uncompressed size.
 func TestShadowBitIdentical(t *testing.T) {
 	t.Parallel()
-	run := func(level audit.Level) Metrics {
-		cfg := auditTestConfig()
-		cfg.CheckLevel = level
-		m, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("level %s: %v", level, err)
-		}
-		return m
-	}
-	off := run(audit.Off)
-	shadow := run(audit.Shadow)
-	if !reflect.DeepEqual(off, shadow) {
-		t.Fatalf("metrics differ between check levels:\noff:    %+v\nshadow: %+v", off, shadow)
+	for _, tc := range []struct {
+		name        string
+		cache, link bool
+	}{
+		{"cache+link", true, true},
+		{"cache only", true, false},
+		{"link only", false, true},
+		{"none", false, false},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			run := func(level audit.Level) Metrics {
+				cfg := auditTestConfig()
+				cfg.CacheCompression = tc.cache
+				cfg.LinkCompression = tc.link
+				cfg.CheckLevel = level
+				m, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("level %s: %v", level, err)
+				}
+				return m
+			}
+			if off, shadow := run(audit.Off), run(audit.Shadow); !reflect.DeepEqual(off, shadow) {
+				t.Fatalf("metrics differ between check levels:\noff:    %+v\nshadow: %+v", off, shadow)
+			}
+		})
 	}
 }
 
-// TestShadowBitIdenticalUncompressed covers the uncompressed-L2 shadow
-// path (size model disabled, value model and writeback checks active).
-func TestShadowBitIdenticalUncompressed(t *testing.T) {
+// TestDataModelOnlyForSizeReaders: a system builds its data model, and
+// the draw that decides which stores change contents, only when
+// something reads block sizes or versions — cache compression, link
+// compression, an enabled check level or a state fault.
+func TestDataModelOnlyForSizeReaders(t *testing.T) {
 	t.Parallel()
-	run := func(level audit.Level) Metrics {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		want bool
+	}{
+		{"uncompressed", func(*Config) {}, false},
+		{"cache compression", func(c *Config) { c.CacheCompression = true }, true},
+		{"link compression", func(c *Config) { c.LinkCompression = true }, true},
+		{"invariants", func(c *Config) { c.CheckLevel = audit.Invariants }, true},
+		{"state fault", func(c *Config) { c.StateFault = "drop-flit@100" }, true},
+	} {
 		cfg := auditTestConfig()
-		cfg.CacheCompression = false
-		cfg.LinkCompression = false
-		cfg.CheckLevel = level
-		m, err := Run(cfg)
+		cfg.CacheCompression, cfg.LinkCompression = false, false
+		tc.set(&cfg)
+		s, err := NewSystem(cfg)
 		if err != nil {
-			t.Fatalf("level %s: %v", level, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		return m
-	}
-	if off, shadow := run(audit.Off), run(audit.Shadow); !reflect.DeepEqual(off, shadow) {
-		t.Fatalf("metrics differ between check levels:\noff:    %+v\nshadow: %+v", off, shadow)
+		if got := s.data != nil; got != tc.want {
+			t.Errorf("%s: data model built = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := s.dirtyRng != nil; got != tc.want {
+			t.Errorf("%s: dirty-store draw set up = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -186,6 +186,30 @@ func TestInfiniteBandwidthFaster(t *testing.T) {
 	}
 }
 
+// TestInfinitePinsNoLinkQueueing is a metamorphic paper invariant:
+// with infinite pin bandwidth (LinkBytesPerCycle 0) a transfer occupies
+// the link for no time, so nothing queues for it and it is never busy,
+// with or without link compression.
+func TestInfinitePinsNoLinkQueueing(t *testing.T) {
+	t.Parallel()
+	for _, bench := range []string{"zeus", "fma3d"} {
+		for _, linkC := range []bool{false, true} {
+			cfg := smallConfig(bench)
+			cfg.WarmupInstr, cfg.MeasureInstr = 20_000, 10_000
+			cfg.Memory.LinkBytesPerCycle = 0
+			cfg.LinkCompression = linkC
+			m := run(t, cfg)
+			if m.MemFetches == 0 {
+				t.Fatalf("%s link compression %v: no memory traffic to check", bench, linkC)
+			}
+			if m.LinkQueueDelay != 0 || m.LinkUtilization != 0 {
+				t.Errorf("%s link compression %v: link queue delay %g cycles, utilization %g; want 0 and 0",
+					bench, linkC, m.LinkQueueDelay, m.LinkUtilization)
+			}
+		}
+	}
+}
+
 func TestMissProfileCollection(t *testing.T) {
 	cfg := smallConfig("zeus")
 	cfg.CollectMissProfile = true

@@ -29,7 +29,9 @@ type System struct {
 	cfg   Config
 	prof  workload.Profile
 	codec codec.Codec // resolved from Config.Codec
-	data  *workload.DataModel
+	// data synthesizes block contents and prices their sizes; nil when
+	// nothing reads them (see readsSizes).
+	data *workload.DataModel
 
 	h   *coherence.Hierarchy
 	mem *memory.System // off-chip memory stage
@@ -40,7 +42,7 @@ type System struct {
 	// fills: block → completion tick.
 	inflight inflightTable
 
-	dirtyRng *rand.Rand
+	dirtyRng *rand.Rand // decides which stores change contents; nil without data
 
 	// Simulator-level counters (cumulative; windowed via totals snapshots).
 	pfIssued, pfHits, pfPartial, pfRedundant [4]uint64
@@ -81,10 +83,14 @@ func NewSystem(cfg Config) (*System, error) {
 		cfg:      cfg,
 		prof:     prof,
 		codec:    cdc,
-		data:     workload.NewDataModelCodec(prof, cfg.Seed, cdc),
 		mem:      memory.New(memCfg),
 		inflight: newInflightTable(),
-		dirtyRng: rand.New(rand.NewSource(cfg.Seed ^ 0x5EED)),
+	}
+	size := coherence.SizeFunc(uncompressedSize)
+	if cfg.readsSizes() {
+		s.data = workload.NewDataModelCodec(prof, cfg.Seed, cdc)
+		s.dirtyRng = rand.New(rand.NewSource(cfg.Seed ^ 0x5EED))
+		size = s.data.SizeOf
 	}
 	s.l2, err = newL2Stage(cfg, s.mem)
 	if err != nil {
@@ -106,7 +112,7 @@ func NewSystem(cfg Config) (*System, error) {
 		L1Bytes: cfg.L1Bytes,
 		L1Ways:  cfg.L1Ways,
 		L2:      l2,
-		Size:    s.data.SizeOf,
+		Size:    size,
 	})
 	s.fe = newFrontEnd(cfg, prof)
 	if cfg.CollectMissProfile {
@@ -116,6 +122,21 @@ func NewSystem(cfg Config) (*System, error) {
 	s.fastOK = s.aud == nil && s.faultAt == 0
 	return s, nil
 }
+
+// readsSizes reports whether anything in a system built from c reads
+// block sizes or content versions: a compressed L2 stores sizes, a
+// compressed link sends them, the auditor cross-checks contents and
+// sizes, and a state fault may corrupt either. Without any of these,
+// the plain L2 stores every line at cache.MaxSegs and the link sends
+// every line in full, whatever the data model would say, so the system
+// skips building one (DESIGN.md §6f).
+func (c Config) readsSizes() bool {
+	return c.CacheCompression || c.LinkCompression || c.CheckLevel.Enabled() || c.StateFault != ""
+}
+
+// uncompressedSize is the SizeFunc of a system without a data model:
+// every block at its uncompressed size.
+func uncompressedSize(cache.BlockAddr) uint8 { return cache.MaxSegs }
 
 // Run executes warmup then the measurement window and returns Metrics.
 // An audit violation (CheckLevel > Off, or an injected StateFault that
@@ -316,7 +337,9 @@ func (s *System) step(c int) {
 	if s.aud != nil {
 		s.aud.OnLoad(now, c, addr, s.data.Version(addr))
 	}
-	if kind == coherence.Store && s.dirtyRng.Float64() < s.prof.StoreDirtyProb {
+	// Only the data model reads which stores change contents, so without
+	// one the draw is skipped.
+	if kind == coherence.Store && s.data != nil && s.dirtyRng.Float64() < s.prof.StoreDirtyProb {
 		s.data.Dirty(addr)
 		if s.aud != nil {
 			s.aud.OnStore(addr)

@@ -58,22 +58,18 @@ const (
 )
 
 // knobThresholds converts a compressibility knob c ∈ [0,1] into the
-// cumulative category thresholds. At c=0 every word is random
-// (incompressible); at c=1 roughly 95% of words fall into FPC patterns.
-func knobThresholds(c float64) (z, s4, s8, s16, rep, pad uint32) {
+// cumulative category thresholds (zero | se4 | se8 | se16 | repbyte |
+// zeropad16). At c=0 every word is random (incompressible); at c=1
+// roughly 95% of words fall into FPC patterns.
+func knobThresholds(c float64) [6]uint32 {
 	const dial = 1 << 16
+	var th [6]uint32
 	cum := 0.0
-	step := func(p float64) uint32 {
+	for i, p := range [6]float64{0.50, 0.12, 0.12, 0.10, 0.06, 0.05} {
 		cum += p * c
-		return uint32(cum * dial)
+		th[i] = uint32(cum * dial)
 	}
-	z = step(0.50)
-	s4 = step(0.12)
-	s8 = step(0.12)
-	s16 = step(0.10)
-	rep = step(0.06)
-	pad = step(0.05)
-	return
+	return th
 }
 
 // splitmix64 is the deterministic per-block hash.
@@ -102,46 +98,73 @@ func newRawModel(knob float64, seed uint64, c codec.Codec) *DataModel {
 		memo:      make([]uint64, 1<<memoMinBits),
 		memoShift: 64 - memoMinBits,
 		versions:  make(map[cache.BlockAddr]uint32),
+		th:        knobThresholds(knob),
 	}
-	d.th[0], d.th[1], d.th[2], d.th[3], d.th[4], d.th[5] = knobThresholds(knob)
 	return d
 }
 
-// synthWord produces the w-th 32-bit word of a block's contents. The
-// thresholds are cumulative, so the number of them at or below the
-// dial is the class the first failing "dial < threshold" test would
-// pick; every class's value is computed and the class indexes them, so
-// no branch depends on the (random) dial.
-func (d *DataModel) synthWord(a cache.BlockAddr, ver uint32, w int) uint32 {
-	h := splitmix64(d.seed ^ uint64(a)<<8 ^ uint64(ver)<<40 ^ uint64(w))
-	dial := uint32(h & 0xFFFF)
-	val := uint32(h >> 16)
-	// (t - dial - 1) has bit 31 set exactly when t <= dial: both are
-	// below 2^17, so the difference wraps only when negative.
-	cls := (d.th[0]-dial-1)>>31 + (d.th[1]-dial-1)>>31 + (d.th[2]-dial-1)>>31 +
-		(d.th[3]-dial-1)>>31 + (d.th[4]-dial-1)>>31 + (d.th[5]-dial-1)>>31
-	random := val
-	if random == 0 {
-		random = 0xDEADBEEF // keep the random class incompressible
+// wordClass turns a word's 32 value bits val into one class's value:
+// (val&mask)*mul + off, plus ifZero when val is zero.
+type wordClass struct {
+	mask, mul uint32
+	off       int32
+	ifZero    uint32
+}
+
+// wordClasses holds the value rule of each class, in dial order; the
+// last entry pads the table to eight so a masked index needs no bounds
+// check.
+var wordClasses = [8]wordClass{
+	{},                                             // zero
+	{mask: 0xF, mul: 1, off: -8},                   // 4-bit sign-extended
+	{mask: 0xFF, mul: 1, off: -128},                // 8-bit sign-extended
+	{mask: 0xFFFF, mul: 1, off: -32768},            // 16-bit sign-extended
+	{mask: 0xFF, mul: 0x01010101},                  // repeated byte
+	{mask: 0xFFFF, mul: 1 << 16},                   // halfword padded with a zero halfword
+	{mask: 0xFFFFFFFF, mul: 1, ifZero: 0xDEADBEEF}, // random, kept incompressible
+}
+
+// lineWords is the number of 32-bit words in a line.
+const lineWords = cache.LineBytes / 4
+
+// hashLine sets h[w] to the hash of word w of version ver of block a.
+// Only the word index differs between a line's hash inputs, so the
+// line's share is computed once.
+func hashLine(seed uint64, a cache.BlockAddr, ver uint32, h *[lineWords]uint64) {
+	base := seed ^ uint64(a)<<8 ^ uint64(ver)<<40
+	for w := range h {
+		h[w] = splitmix64(base ^ uint64(w))
 	}
-	words := [8]uint32{
-		0,
-		uint32(int32(val%16) - 8),
-		uint32(int32(val%256) - 128),
-		uint32(int32(val%65536) - 32768),
-		val & 0xFF * 0x01010101, // repeated byte
-		val << 16,
-		random,
+}
+
+// synthLine writes the line whose word hashes are h into dst (≥ 64
+// bytes) under the cumulative class thresholds th, and returns the
+// words' classes, 3 bits each (word w's at bit 3w). The low 16 bits of a
+// hash are the word's dial, and its class is the number of thresholds at
+// or below the dial; the next 32 bits are the value bits the class's
+// rule reads. No branch depends on the (random) dial or value.
+func synthLine(th *[6]uint32, h *[lineWords]uint64, dst []byte) (classes uint64) {
+	dst = dst[:cache.LineBytes]
+	for w, hw := range h {
+		dial := uint32(hw & 0xFFFF)
+		val := uint32(hw >> 16)
+		// (t - dial - 1) has bit 31 set exactly when t <= dial: both are
+		// below 2^17, so the difference wraps only when negative.
+		cls := (th[0]-dial-1)>>31 + (th[1]-dial-1)>>31 + (th[2]-dial-1)>>31 +
+			(th[3]-dial-1)>>31 + (th[4]-dial-1)>>31 + (th[5]-dial-1)>>31
+		c := &wordClasses[cls&7]
+		v := (val&c.mask)*c.mul + uint32(c.off) + c.ifZero*uint32((uint64(val)-1)>>63)
+		binary.LittleEndian.PutUint32(dst[w*4:], v)
+		classes |= uint64(cls) << (3 * w)
 	}
-	return words[cls&7]
+	return classes
 }
 
 // FillLine writes the block's current contents into dst (≥ 64 bytes).
 func (d *DataModel) FillLine(a cache.BlockAddr, dst []byte) {
-	ver := d.versions[a]
-	for w := 0; w < cache.LineBytes/4; w++ {
-		binary.LittleEndian.PutUint32(dst[w*4:], d.synthWord(a, ver, w))
-	}
+	var h [lineWords]uint64
+	hashLine(d.seed, a, d.versions[a], &h)
+	synthLine(&d.th, &h, dst)
 }
 
 // Line returns a copy of the block's current 64-byte contents.
@@ -267,22 +290,56 @@ func (d *DataModel) PoisonNextSizes(n int) { d.poisonNext = n }
 // packing-granularity loss the mean-based bound misses (e.g. four
 // 7-segment lines leave 4 free segments that fit nothing).
 func (d *DataModel) PackedRatio(n int) float64 {
+	return newPackSample(d.seed, n, d.codec).ratio(&d.th)
+}
+
+// packSample is PackedRatio's sample: version 0 of n consecutive blocks
+// from 0x50000000. Calibration packs one sample at thirty knobs, and
+// between two successive knobs of its binary search a word changes
+// class only when its dial lies between a threshold's old and new
+// value, which the halving step makes rarer each time. So the sample
+// keeps every word's hash and each line's classes and size from the
+// last knob, and runs the codec only on lines whose classes moved; a
+// size is a pure function of the contents, so this is exact.
+type packSample struct {
+	codec   codec.Codec
+	hashes  [][lineWords]uint64
+	classes []uint64 // as synthLine returns them; ^0 (no line's) until sized
+	segs    []uint8
+}
+
+func newPackSample(seed uint64, n int, c codec.Codec) *packSample {
+	s := &packSample{
+		codec:   c,
+		hashes:  make([][lineWords]uint64, n),
+		classes: make([]uint64, n),
+		segs:    make([]uint8, n),
+	}
+	for i := range s.hashes {
+		hashLine(seed, cache.BlockAddr(0x50000000+i), 0, &s.hashes[i])
+		s.classes[i] = ^uint64(0)
+	}
+	return s
+}
+
+// ratio packs the sample's lines under thresholds th (see PackedRatio).
+func (s *packSample) ratio(th *[6]uint32) float64 {
 	var buf [cache.LineBytes]byte
 	totalLines, sets := 0, 0
 	tags, segs := 0, 0
-	for i := 0; i < n; i++ {
-		a := cache.BlockAddr(0x50000000 + i)
-		for w := 0; w < cache.LineBytes/4; w++ {
-			binary.LittleEndian.PutUint32(buf[w*4:], d.synthWord(a, 0, w))
+	for i := range s.hashes {
+		if cls := synthLine(th, &s.hashes[i], buf[:]); cls != s.classes[i] {
+			s.classes[i] = cls
+			s.segs[i] = uint8(s.codec.CompressedSizeSegments(buf[:]))
 		}
-		s := d.codec.CompressedSizeSegments(buf[:])
-		if tags+1 > cache.DefaultTagsPerSet || segs+s > cache.DefaultSegsPerSet {
+		n := int(s.segs[i])
+		if tags+1 > cache.DefaultTagsPerSet || segs+n > cache.DefaultSegsPerSet {
 			totalLines += tags
 			sets++
 			tags, segs = 0, 0
 		}
 		tags++
-		segs += s
+		segs += n
 	}
 	if sets == 0 {
 		return 1
@@ -298,11 +355,11 @@ func (d *DataModel) PackedRatio(n int) float64 {
 }
 
 // calibCache memoizes CalibrateKnobCodec results. The binary search is pure
-// in (targetRatio, seed) and costs tens of milliseconds of synthesis
-// and FPC compression, which would otherwise dominate every System
-// construction; experiment sweeps build thousands of systems over a
-// handful of profiles. sync.Map because scheduler workers construct
-// systems concurrently.
+// in (targetRatio, seed, codec) and costs milliseconds of synthesis and
+// compression, which would otherwise dominate every System construction;
+// experiment sweeps build thousands of systems over a handful of
+// profiles. sync.Map because scheduler workers construct systems
+// concurrently.
 var calibCache sync.Map
 
 type calibKey struct {
@@ -329,12 +386,12 @@ func CalibrateKnobCodec(targetRatio float64, seed uint64, c codec.Codec) float64
 		return v.(float64)
 	}
 	const samples = 2048
+	sample := newPackSample(seed, samples, c)
 	lo, hi := 0.0, 1.0
 	for iter := 0; iter < 30; iter++ {
 		mid := (lo + hi) / 2
-		m := newRawModel(mid, seed, c)
-		r := m.PackedRatio(samples)
-		if r < targetRatio {
+		th := knobThresholds(mid)
+		if sample.ratio(&th) < targetRatio {
 			lo = mid
 		} else {
 			hi = mid

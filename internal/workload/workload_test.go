@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -16,11 +15,7 @@ func (d *DataModel) MeanSegs(n int) float64 {
 	var buf [cache.LineBytes]byte
 	total := 0
 	for i := 0; i < n; i++ {
-		a := cache.BlockAddr(0x40000000 + i)
-		ver := uint32(0)
-		for w := 0; w < cache.LineBytes/4; w++ {
-			binary.LittleEndian.PutUint32(buf[w*4:], d.synthWord(a, ver, w))
-		}
+		d.FillLine(cache.BlockAddr(0x40000000+i), buf[:])
 		total += d.codec.CompressedSizeSegments(buf[:])
 	}
 	return float64(total) / float64(n)
@@ -298,6 +293,30 @@ func TestCalibrationMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPackSampleSizesStayExact walks a pack sample through a knob
+// search's sequence of knobs (halving steps, both directions) and then
+// a few jumps, and checks after every knob that each line's kept size
+// is its codec size recomputed from freshly synthesized contents: the
+// sizes reused for lines whose classes did not move must still be
+// right.
+func TestPackSampleSizesStayExact(t *testing.T) {
+	knobs := []float64{0.5, 0.25, 0.375, 0.4375, 0.40625, 0.421875, 0.4140625, 0.41796875, 1, 0, 0.7}
+	for _, c := range []codec.Codec{codec.MustByName("fpc"), codec.MustByName("bdi")} {
+		s := newPackSample(7, 512, c)
+		var line [cache.LineBytes]byte
+		for _, k := range knobs {
+			th := knobThresholds(k)
+			s.ratio(&th)
+			for i := range s.hashes {
+				synthLine(&th, &s.hashes[i], line[:])
+				if want := c.CompressedSizeSegments(line[:]); int(s.segs[i]) != want {
+					t.Fatalf("%s knob %g line %d: kept size %d, contents size %d", c.Name(), k, i, s.segs[i], want)
+				}
+			}
+		}
 	}
 }
 

@@ -76,7 +76,9 @@ func main() {
 		os.Exit(2)
 	}
 	if *lines < 1 {
-		log.Fatalf("-lines %d must be positive", *lines)
+		fmt.Fprintf(os.Stderr, "compbench: -lines %d must be positive\n", *lines)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	var corpora []corpus

@@ -3,12 +3,74 @@ package main
 import (
 	"bytes"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"cmpsim/internal/codec"
 )
+
+// TestMain lets the test binary impersonate the compbench command: with
+// CMPSIM_MAIN=1 it runs main() instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv("CMPSIM_MAIN") == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestBadArgumentsExitCodes: a bad flag or flag value is a usage error
+// (exit 2 with the usage text, before any benching), while an -f file
+// that is missing or empty is an input error (exit 1).
+func TestBadArgumentsExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	empty := filepath.Join(dir, "empty.bin")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string // stderr must contain this
+	}{
+		{[]string{"-lines", "0"}, 2, "-lines 0 must be positive"},
+		{[]string{"-lines", "-3"}, 2, "-lines -3 must be positive"},
+		{[]string{"-nosuch"}, 2, "nosuch"},
+		{[]string{"-f", filepath.Join(dir, "missing.bin")}, 1, "missing.bin"},
+		{[]string{"-f", empty}, 1, "empty input"},
+	} {
+		cmd := exec.Command(exe, tc.args...)
+		cmd.Env = append(os.Environ(), "CMPSIM_MAIN=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		code := 0
+		if err := cmd.Run(); err != nil {
+			ee, ok := err.(*exec.ExitError)
+			if !ok {
+				t.Fatalf("%v: %v", tc.args, err)
+			}
+			code = ee.ExitCode()
+		}
+		if code != tc.code {
+			t.Errorf("%v: exit = %d, want %d; stderr:\n%s", tc.args, code, tc.code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%v: stderr lacks %q:\n%s", tc.args, tc.want, stderr.String())
+		}
+		if usage := strings.Contains(stderr.String(), "Usage"); usage != (tc.code == 2) {
+			t.Errorf("%v: usage text printed = %v, want %v", tc.args, usage, tc.code == 2)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: benched despite the error:\n%s", tc.args, stdout.String())
+		}
+	}
+}
 
 // corruptCodec is FPC with a decoder that reports success but flips
 // one bit of the decoded line.

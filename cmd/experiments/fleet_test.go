@@ -73,7 +73,7 @@ func TestFlagErrorsExitTwo(t *testing.T) {
 		args []string
 		want string // stderr must contain this
 	}{
-		{"csv without a CSV form", []string{"-run", "fig4", "-format", "csv"}, "no CSV form for fig4 (use -format json)"},
+		{"csv without a CSV form", []string{"-run", "fig4,ablations", "-format", "csv"}, "no CSV form for fig4, ablations (use -format json)"},
 		{"csv on two studies", []string{"-run", "table3,fig8,fig10", "-format", "csv"}, "no CSV form for fig8, fig10"},
 		{"unknown study", []string{"-run", "nosuch"}, `unknown experiment "nosuch"`},
 		{"unknown format", []string{"-run", "table3", "-format", "xml"}, `unknown -format "xml"`},
@@ -109,18 +109,53 @@ func TestStudiesShareOneScheduler(t *testing.T) {
 		t.Fatalf("exit = %d; stderr:\n%s", code, stderr)
 	}
 	for _, study := range []string{"fig3", "fig5"} {
-		var line string
-		for _, l := range strings.Split(stderr, "\n") {
-			if strings.HasPrefix(l, "["+study+" done in ") {
-				line = l
-			}
-		}
+		line := studyLine(stderr, study)
 		if !strings.Contains(line, " 0 points simulated") || !strings.Contains(line, "8 served from cache") {
 			t.Errorf("%s did not reuse table3's points: %q", study, line)
 		}
 	}
 	if !strings.Contains(stderr, "8 unique points, 16 cached requests") {
 		t.Errorf("suite totals wrong; stderr:\n%s", stderr)
+	}
+}
+
+// studyLine returns the stderr line that reports study's point counts.
+func studyLine(stderr, study string) string {
+	for _, l := range strings.Split(stderr, "\n") {
+		if strings.HasPrefix(l, "["+study+" done in ") {
+			return l
+		}
+	}
+	return ""
+}
+
+// TestAblationsStudy: the ablations study prints all six ablations from
+// 14 unique points, 3 Base points and 11 variants. Its paper-setting
+// variants are the suite's own points, so after fig6 over the same
+// benchmarks it simulates only the six overrides and jbb's Compression
+// point.
+func TestAblationsStudy(t *testing.T) {
+	grid := []string{"-quick", "-cores", "2", "-warmup", "50000", "-measure", "30000", "-seeds", "1"}
+	stdout, stderr, code := experiments(t, nil, append([]string{"-run", "ablations"}, grid...)...)
+	if code != 0 {
+		t.Fatalf("exit = %d; stderr:\n%s", code, stderr)
+	}
+	for _, a := range []string{"victim-tags", "l2-depth", "decompression", "l2-tags", "engine", "adaptive"} {
+		if !strings.Contains(stdout, "  "+a+" ") {
+			t.Errorf("ablation %s missing:\n%s", a, stdout)
+		}
+	}
+	if line := studyLine(stderr, "ablations"); !strings.Contains(line, ": 14 points simulated") {
+		t.Errorf("ablations on a fresh scheduler: %q, want 14 points simulated", line)
+	}
+
+	_, stderr, code = experiments(t, nil, append([]string{
+		"-run", "fig6,ablations", "-benchmarks", "zeus,jbb,mgrid"}, grid...)...)
+	if code != 0 {
+		t.Fatalf("exit = %d; stderr:\n%s", code, stderr)
+	}
+	if line := studyLine(stderr, "ablations"); !strings.Contains(line, ": 7 points simulated") {
+		t.Errorf("ablations after fig6: %q, want 7 points simulated", line)
 	}
 }
 

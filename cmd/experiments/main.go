@@ -1,5 +1,6 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation section.
+// evaluation section, and the ablations of the design choices it argues
+// for.
 //
 // Usage:
 //
@@ -8,9 +9,9 @@
 //	experiments -list
 //
 // Experiments: table3 fig3 fig4 fig5 table4 fig6 fig7 fig8 table5 fig10
-// fig11 fig1 fig12 codecs irregular. The irregular study re-runs the
-// Figure 6 / Table 5 terms over the linked-data-structure suite
-// (ptrchase hashprobe btree srvmix) once per registered prefetch
+// fig11 fig1 fig12 ablations codecs irregular. The irregular study
+// re-runs the Figure 6 / Table 5 terms over the linked-data-structure
+// suite (ptrchase hashprobe btree srvmix) once per registered prefetch
 // engine; -prefetcher pins the engine the other studies use.
 package main
 
@@ -505,8 +506,8 @@ func study[R any](rows func() R, text func(io.Writer, R), csv func(io.Writer, R)
 }
 
 // experimentTable maps experiment names to the studies they print, all
-// submitting to s. benches restricts most studies' benchmark set; fig10
-// and the core sweeps pin their own benchmarks as the paper does.
+// submitting to s. benches restricts most studies' benchmark set; fig10,
+// the core sweeps and the ablations pin their own benchmarks.
 func experimentTable(s *core.Scheduler, o core.Options, benches []string) map[string]experiment {
 	coreCounts := []int{1, 2, 4, 8, 16}
 	compression := func() []core.CompressionRow { return s.CompressionStudy(benches, o) }
@@ -534,6 +535,8 @@ func experimentTable(s *core.Scheduler, o core.Options, benches []string) map[st
 			report.Fig11, report.BandwidthSweepCSV),
 		"fig1": study(func() []core.CoreSweepRow { return s.CoreSweep("zeus", coreCounts, o) },
 			coreSweep("Figure 1 (zeus)"), report.CoreSweepCSV),
+		"ablations": study(func() []core.AblationRow { return s.AblationStudy(o) },
+			report.Ablations, nil),
 		"codecs": study(func() []core.CodecRow { return s.CodecStudy(benches, o) },
 			report.CodecTable, report.CodecCSV),
 		"irregular": study(func() []core.IrregularRow {

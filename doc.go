@@ -9,9 +9,9 @@
 // figure of its evaluation.
 //
 // The implementation lives under internal/: see internal/core for the
-// experiment-facing API, cmd/cmpsim and cmd/experiments for the
-// binaries, and the examples/ directory for runnable walkthroughs.
-// bench_test.go in this directory holds one benchmark per table and
-// figure of the paper, plus ablation benchmarks for the design choices
-// discussed in DESIGN.md.
+// experiment-facing API, cmd/cmpsim, cmd/experiments and cmd/compbench
+// for the binaries, and the examples/ directory for runnable
+// walkthroughs. cmd/experiments is the only producer of the paper's
+// numbers: every table and figure, plus the ablations of the design
+// choices discussed in DESIGN.md.
 package cmpsim

@@ -33,7 +33,7 @@ const MaxSegs = LineBytes / SegmentBytes
 // set geometry: DefaultLinesPerSet uncompressed lines of data area per
 // set, with twice as many address tags so compression can double the
 // effective line count. sim.NewConfig instantiates the compressed L2
-// with these, and workload.PackedRatio packs its calibration samples
+// with these, and internal/workload's calibration packs its samples
 // against the same two bounds — deriving both from one place keeps a
 // geometry change from silently skewing CalibrateKnobCodec targets.
 const (

@@ -1,8 +1,9 @@
 // Package core is the library facade for the reproduction: it assembles
 // paper-configured simulations (sim), runs each data point over several
 // seeds with the paper's statistical treatment (stats), and provides
-// one driver per table and figure of the evaluation section. All of it
-// runs on a Scheduler the caller creates (NewScheduler) and closes:
+// one driver per table and figure of the evaluation section, plus the
+// ablations of its design choices. All of it runs on a Scheduler the
+// caller creates (NewScheduler) and closes:
 //
 //	s := core.NewScheduler(0) // one worker per CPU
 //	defer s.Close()
@@ -108,10 +109,9 @@ type Options struct {
 	// samples land in each run's sim.Metrics.Timeline.
 	TelemetryInterval uint64
 
-	// Hardware overrides for sensitivity/ablation studies. Zero values
-	// keep the paper's Table 1 parameters; UncompressedVictimTags uses
-	// -1 to disable victim tags entirely.
-	L1PrefetchDepth        int
+	// Hardware overrides for the ablation study. Zero values keep the
+	// paper's Table 1 parameters; UncompressedVictimTags uses -1 to
+	// disable victim tags entirely.
 	L2PrefetchDepth        int
 	DecompressionCycles    float64 // applied only when DecompressionSet
 	DecompressionSet       bool
@@ -122,13 +122,6 @@ type Options struct {
 	// the point-cache key. "sequential", "stream" and "markov" are the
 	// alternative families.
 	PrefetcherKind string
-
-	// RefSource overrides the reference-source kind for every benchmark
-	// (internal/workload source registry name). "" uses each profile's
-	// own kind, which is NOT an alias for "strided": forcing "strided"
-	// changes what an irregular benchmark runs, so the field is
-	// identity-bearing in the point key with no canonical alias.
-	RefSource string
 
 	// Codec selects the line-compression scheme (internal/codec registry
 	// name); "" or "fpc" is the paper's FPC and canonicalizes to the
@@ -163,7 +156,6 @@ func (o Options) config(bench string, m Mechanisms, seed int64) sim.Config {
 	if o.L2MB > 0 {
 		cfg.L2Bytes = o.L2MB << 20
 	}
-	cfg.L1PrefetchDepth = o.L1PrefetchDepth
 	cfg.L2PrefetchDepth = o.L2PrefetchDepth
 	cfg.Codec = o.Codec
 	if o.DecompressionSet {
@@ -183,7 +175,6 @@ func (o Options) config(bench string, m Mechanisms, seed int64) sim.Config {
 		cfg.UncompressedVictimTags = 0
 	}
 	cfg.PrefetcherKind = o.PrefetcherKind
-	cfg.RefSource = o.RefSource
 	cfg.Memory.LinkBytesPerCycle = o.BandwidthGBps / cfg.ClockGHz
 	cfg.CollectMissProfile = o.CollectMissProfile
 	cfg.TelemetryInterval = o.TelemetryInterval

@@ -708,3 +708,96 @@ func (s *Scheduler) IrregularStudy(benchmarks []string, o Options) []IrregularRo
 	}
 	return rows
 }
+
+// AblationRow is one variant of an ablation of a design choice the
+// paper argues for (DESIGN.md §4): the variant's speedup over its
+// benchmark's Base point.
+type AblationRow struct {
+	Ablation   string
+	Benchmark  string
+	Variant    string
+	Paper      bool    // the variant is the paper's setting
+	SpeedupPct float64 // over Base at the study's options
+	Failed     string  `json:",omitempty"`
+}
+
+// ablationVariant is one side of an ablation: the mechanisms it runs
+// and the override it applies to the study's options (nil for none).
+type ablationVariant struct {
+	label string
+	paper bool
+	mech  Mechanisms
+	set   func(*Options)
+}
+
+// decompression overrides the decompression latency.
+func decompression(cycles float64) func(*Options) {
+	return func(o *Options) { o.DecompressionCycles, o.DecompressionSet = cycles, true }
+}
+
+// ablations are the study's ablations in report order, each on the
+// benchmark where its choice shows. A paper-setting variant applies no
+// override, or only one the point key canonicalizes away (the default
+// engine's name), so it shares the point Figure 6, Figure 10 or Table 5
+// already simulates instead of running again under an explicit-default
+// key.
+var ablations = []struct {
+	name, bench string
+	variants    []ablationVariant
+}{
+	// The adaptive prefetcher's harmful-prefetch detection reads victim
+	// tags; without them it sees only useful and useless prefetches.
+	{"victim-tags", "jbb", []ablationVariant{
+		{"on", true, AdaptivePf, nil},
+		{"off", false, AdaptivePf, func(o *Options) { o.UncompressedVictimTags = -1 }},
+	}},
+	{"l2-depth", "zeus", []ablationVariant{
+		{"5", false, Prefetch, func(o *Options) { o.L2PrefetchDepth = 5 }},
+		{"25", true, Prefetch, nil},
+	}},
+	{"decompression", "jbb", []ablationVariant{
+		{"0 cycles", false, Compression, decompression(0)},
+		{"5 cycles", true, Compression, nil},
+		{"20 cycles", false, Compression, decompression(20)},
+	}},
+	{"l2-tags", "jbb", []ablationVariant{
+		{"8", true, Compression, nil},
+		{"16", false, Compression, func(o *Options) { o.L2TagsPerSet = 16 }},
+	}},
+	// A tagged sequential prefetcher cannot follow mgrid's non-unit
+	// strides.
+	{"engine", "mgrid", []ablationVariant{
+		{prefetch.DefaultName, true, Prefetch, func(o *Options) { o.PrefetcherKind = prefetch.DefaultName }},
+		{"sequential", false, Prefetch, func(o *Options) { o.PrefetcherKind = "sequential" }},
+	}},
+	{"adaptive", "zeus", []ablationVariant{
+		{"off", false, Prefetch, nil},
+		{"on", false, AdaptivePf, nil},
+	}},
+}
+
+// AblationStudy runs the design-choice ablations at o. Each ablation
+// pins its own benchmark, so the study takes no benchmark list.
+func (s *Scheduler) AblationStudy(o Options) []AblationRow {
+	var rows []AblationRow
+	var subs [][2]*PointFuture
+	for _, a := range ablations {
+		for _, v := range a.variants {
+			ov := o
+			if v.set != nil {
+				v.set(&ov)
+			}
+			subs = append(subs, [2]*PointFuture{s.Submit(a.bench, Base, o), s.Submit(a.bench, v.mech, ov)})
+			rows = append(rows, AblationRow{Ablation: a.name, Benchmark: a.bench, Variant: v.label, Paper: v.paper})
+		}
+	}
+	for i := range rows {
+		pts, failed := await(subs[i][0], subs[i][1])
+		if failed != "" {
+			rows[i].Failed = failed
+			continue
+		}
+		rows[i].SpeedupPct = stats.SpeedupPct(Speedup(pts[0], pts[1]))
+	}
+	return rows
+}

@@ -64,11 +64,10 @@ func TestIrregularStudySharesEngineIndependentPoints(t *testing.T) {
 	}
 }
 
-// TestCanonicalOptionsConsultRegistries pins satellite-proofing for the
-// alias rules: the default prefetcher and codec names alias to "" via
-// the registries' DefaultName constants (not string literals), and
-// RefSource is identity-bearing with no alias — "" means each profile's
-// own kind, which differs from forcing "strided" on an irregular bench.
+// TestCanonicalOptionsConsultRegistries pins the alias rule for the
+// prefetcher: the default name aliases to "" via the registry's
+// DefaultName constant (not a string literal), and any other engine
+// keeps its name.
 func TestCanonicalOptionsConsultRegistries(t *testing.T) {
 	o := tinyOptions()
 	o.PrefetcherKind = prefetch.DefaultName
@@ -78,10 +77,5 @@ func TestCanonicalOptionsConsultRegistries(t *testing.T) {
 	o.PrefetcherKind = "markov"
 	if got := CanonicalOptions(o).PrefetcherKind; got != "markov" {
 		t.Errorf("non-default prefetcher kind canonicalized to %q", got)
-	}
-	o.RefSource = workload.DefaultSource
-	if got := CanonicalOptions(o).RefSource; got != workload.DefaultSource {
-		t.Errorf("RefSource %q aliased to %q; \"strided\" is not the same simulation as \"\"",
-			workload.DefaultSource, got)
 	}
 }

@@ -26,9 +26,7 @@ func CanonicalOptions(o Options) Options { return canonicalOpts(o) }
 // does not affect simulation results, CheckLevel is a read-only audit
 // tier, the registries' default names ("stride", "fpc") select what ""
 // already selects, and DecompressionCycles is ignored by config unless
-// DecompressionSet. RefSource deliberately has no alias: "" means each
-// profile's own kind, which is not the same simulation as "strided" on
-// an irregular benchmark.
+// DecompressionSet.
 func canonicalOpts(o Options) Options {
 	o.PointTimeout = 0
 	o.CheckLevel = ""

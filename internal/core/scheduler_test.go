@@ -289,3 +289,21 @@ func TestFinishOrderPersistCountNotifyPublish(t *testing.T) {
 		}
 	}
 }
+
+// The scheduler benchmarks run the same study on a private, empty
+// scheduler each iteration, so the serial/parallel wall-clock ratio
+// measures fan-out speedup, not cache hits.
+
+func BenchmarkSchedulerSerial(b *testing.B)   { benchScheduler(b, 1) }
+func BenchmarkSchedulerParallel(b *testing.B) { benchScheduler(b, 0) }
+
+func benchScheduler(b *testing.B, workers int) {
+	// A scaled-down system: 4 cores, a 2 MB L2 and half the pins for
+	// half the cores.
+	o := Options{Cores: 4, Seeds: 1, Warmup: 300_000, Measure: 150_000, BandwidthGBps: 10, L2MB: 2}
+	for i := 0; i < b.N; i++ {
+		s := NewScheduler(workers)
+		s.CompressionStudy(CommercialBenchmarks(), o)
+		s.Close()
+	}
+}

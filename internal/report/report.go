@@ -246,3 +246,21 @@ func IrregularTable(w io.Writer, rows []core.IrregularRow) {
 			r.BothPct, r.AdaptiveBothPct, r.InteractionPct)
 	}
 }
+
+// Ablations prints the design-choice ablations: each variant's speedup
+// over its benchmark's base, the paper's setting starred.
+func Ablations(w io.Writer, rows []core.AblationRow) {
+	fmt.Fprintln(w, "Ablations: speedup (%) over each benchmark's base; * = the paper's setting")
+	fmt.Fprintf(w, "  %-13s %-6s %-11s %8s\n", "ablation", "bench", "variant", "speedup")
+	for _, r := range rows {
+		v := r.Variant
+		if r.Paper {
+			v += "*"
+		}
+		if r.Failed != "" {
+			fmt.Fprintf(w, "  %-13s %-6s %-11s %s\n", r.Ablation, r.Benchmark, v, failedCell(r.Failed))
+			continue
+		}
+		fmt.Fprintf(w, "  %-13s %-6s %-11s %+7.1f%%\n", r.Ablation, r.Benchmark, v, r.SpeedupPct)
+	}
+}

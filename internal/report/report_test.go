@@ -98,10 +98,11 @@ func TestFailedRowsRenderExplicitly(t *testing.T) {
 		{Benchmark: "mgrid", InteractionPct: map[int]float64{10: 2, 20: 1}},
 	})
 	CoreSweep(&buf, "Figure 1 (zeus)", []core.CoreSweepRow{{Benchmark: "zeus", Cores: 8, Failed: reason}})
+	Ablations(&buf, []core.AblationRow{{Ablation: "l2-tags", Benchmark: "jbb", Variant: "16", Failed: reason}})
 
 	out := buf.String()
-	if got := strings.Count(out, "FAILED("+reason+")"); got != 12 {
-		t.Errorf("FAILED cell count = %d, want 12\n%s", got, out)
+	if got := strings.Count(out, "FAILED("+reason+")"); got != 13 {
+		t.Errorf("FAILED cell count = %d, want 13\n%s", got, out)
 	}
 	if !strings.Contains(out, "10GB") || !strings.Contains(out, "20GB") {
 		t.Error("Fig11 header not derived from first non-failed row")

@@ -167,13 +167,6 @@ func (d *DataModel) FillLine(a cache.BlockAddr, dst []byte) {
 	synthLine(&d.th, &h, dst)
 }
 
-// Line returns a copy of the block's current 64-byte contents.
-func (d *DataModel) Line(a cache.BlockAddr) []byte {
-	out := make([]byte, cache.LineBytes)
-	d.FillLine(a, out)
-	return out
-}
-
 // SizeOf returns the block's current compressed size in segments under
 // the model's codec, memoized per version.
 func (d *DataModel) SizeOf(a cache.BlockAddr) uint8 {
@@ -281,19 +274,7 @@ func (d *DataModel) ForEachVersion(fn func(cache.BlockAddr, uint32)) {
 // disagrees with block contents.
 func (d *DataModel) PoisonNextSizes(n int) { d.poisonNext = n }
 
-// PackedRatio estimates the achieved effective-size ratio by actually
-// packing n sample lines into simulated sets of the compressed-L2
-// geometry (cache.DefaultTagsPerSet tags, cache.DefaultSegsPerSet
-// segments — the same constants sim.NewConfig builds the cache with):
-// lines are admitted until the tag or segment budget runs out, as the
-// decoupled variable-segment cache does. This captures the
-// packing-granularity loss the mean-based bound misses (e.g. four
-// 7-segment lines leave 4 free segments that fit nothing).
-func (d *DataModel) PackedRatio(n int) float64 {
-	return newPackSample(d.seed, n, d.codec).ratio(&d.th)
-}
-
-// packSample is PackedRatio's sample: version 0 of n consecutive blocks
+// packSample is calibration's sample: version 0 of n consecutive blocks
 // from 0x50000000. Calibration packs one sample at thirty knobs, and
 // between two successive knobs of its binary search a word changes
 // class only when its dial lies between a threshold's old and new
@@ -322,7 +303,14 @@ func newPackSample(seed uint64, n int, c codec.Codec) *packSample {
 	return s
 }
 
-// ratio packs the sample's lines under thresholds th (see PackedRatio).
+// ratio estimates the effective-size ratio the sample achieves under
+// thresholds th by actually packing its lines into simulated sets of
+// the compressed-L2 geometry (cache.DefaultTagsPerSet tags,
+// cache.DefaultSegsPerSet segments — the same constants sim.NewConfig
+// builds the cache with): lines are admitted until the tag or segment
+// budget runs out, as the decoupled variable-segment cache does. This
+// captures the packing-granularity loss the mean-based bound misses
+// (e.g. four 7-segment lines leave 4 free segments that fit nothing).
 func (s *packSample) ratio(th *[6]uint32) float64 {
 	var buf [cache.LineBytes]byte
 	totalLines, sets := 0, 0

@@ -10,6 +10,19 @@ import (
 	"cmpsim/internal/coherence"
 )
 
+// Line returns a copy of the block's current 64-byte contents.
+func (d *DataModel) Line(a cache.BlockAddr) []byte {
+	out := make([]byte, cache.LineBytes)
+	d.FillLine(a, out)
+	return out
+}
+
+// PackedRatio is the effective-size ratio calibration's packing
+// estimator reports for n sample lines at the model's thresholds.
+func (d *DataModel) PackedRatio(n int) float64 {
+	return newPackSample(d.seed, n, d.codec).ratio(&d.th)
+}
+
 // MeanSegs estimates the expected compressed size over n sample blocks.
 func (d *DataModel) MeanSegs(n int) float64 {
 	var buf [cache.LineBytes]byte
@@ -75,6 +88,23 @@ func TestCalibrationHitsTargetRatios(t *testing.T) {
 			t.Errorf("%s: calibrated packed ratio %.3f, target %.3f (mean segs %.2f)",
 				name, got, p.TargetRatio, d.MeanSegs(512))
 		}
+	}
+}
+
+// TestCodecRatioOrdering checks the codec choice actually reaches the
+// sizing path: on a compressible commercial profile, the single-pattern
+// zca codec must achieve no more packed effective size than FPC, which
+// the data model's value mixture is built around; fpc calibrated at the
+// profile's target must land near it.
+func TestCodecRatioOrdering(t *testing.T) {
+	prof := MustByName("zeus")
+	fpcR := NewDataModelCodec(prof, 1, codec.MustByName("fpc")).PackedRatio(2048)
+	zcaR := NewDataModelCodec(prof, 1, codec.MustByName("zca")).PackedRatio(2048)
+	if zcaR > fpcR {
+		t.Errorf("zca packed ratio %g exceeds fpc %g on an FPC-patterned value stream", zcaR, fpcR)
+	}
+	if fpcR < prof.TargetRatio-0.1 {
+		t.Errorf("fpc packed ratio %g misses the calibration target %g", fpcR, prof.TargetRatio)
 	}
 }
 

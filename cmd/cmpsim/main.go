@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"cmpsim/internal/audit"
+	"cmpsim/internal/cache"
 	"cmpsim/internal/codec"
 	"cmpsim/internal/coherence"
 	"cmpsim/internal/prefetch"
@@ -88,8 +89,8 @@ func main() {
 	if *source != "" && !workload.SourceRegistered(*source) {
 		usageErr("-workload %q unknown (have %v)", *source, workload.SourceNames())
 	}
-	if *cores < 1 || *cores > 32 {
-		usageErr("-cores %d out of range [1, 32]", *cores)
+	if *cores < 1 || *cores > cache.MaxCores {
+		usageErr("-cores %d out of range [1, %d]", *cores, cache.MaxCores)
 	}
 	if *instr == 0 {
 		usageErr("-instr must be positive")

@@ -79,6 +79,8 @@ func TestFlagErrorsExitTwo(t *testing.T) {
 		{"unknown format", []string{"-run", "table3", "-format", "xml"}, `unknown -format "xml"`},
 		{"negative seeds", []string{"-run", "table3", "-seeds", "-1"}, "-seeds -1"},
 		{"negative workers", []string{"-run", "table3", "-workers", "-1"}, "-workers -1"},
+		{"negative cores", []string{"-run", "table3", "-cores", "-1"}, "-cores -1 out of range"},
+		{"cores beyond the sharer mask", []string{"-run", "table3", "-cores", "33"}, "-cores 33 out of range"},
 		{"negative point timeout", []string{"-run", "table3", "-point-timeout", "-1s"}, "-point-timeout"},
 		{"bad fault spec", []string{"-run", "table3", "-faultinject", "kind=nosuch"}, "nosuch"},
 	} {

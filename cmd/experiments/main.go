@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"cmpsim/internal/audit"
+	"cmpsim/internal/cache"
 	"cmpsim/internal/core"
 	"cmpsim/internal/faultinject"
 	"cmpsim/internal/fleet"
@@ -102,6 +103,10 @@ func run() int {
 	}
 	if *workers < 0 {
 		log.Printf("-workers %d must be >= 0", *workers)
+		return 2
+	}
+	if *coresN < 0 || *coresN > cache.MaxCores {
+		log.Printf("-cores %d out of range: 0 (no override) or 1..%d", *coresN, cache.MaxCores)
 		return 2
 	}
 	if *pointTO < 0 {

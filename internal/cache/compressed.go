@@ -2,6 +2,11 @@ package cache
 
 import "fmt"
 
+// L2 names the shared second-level cache the coherence hierarchy and
+// the simulation engine drive. One type serves both the compressed L2
+// and the uncompressed baseline.
+type L2 = *Compressed
+
 // Compressed is the decoupled variable-segment cache of Alameldeen &
 // Wood: each set has more address tags than uncompressed-line data
 // capacity, and the set's data space is divided into 8-byte segments.
@@ -14,18 +19,27 @@ import "fmt"
 // providing the "extra address tags" that the adaptive prefetching
 // mechanism uses to detect harmful prefetches.
 //
+// Built plain by NewUncompressedL2, with one tag per way and every line
+// stored at MaxSegs, it is the conventional set-associative write-back
+// L2 with true LRU replacement. A fill then evicts only from a full set
+// and reclaims the freed tag at once, so no victim history persists in
+// the tags. An optional per-set FIFO records the replaced addresses
+// instead: the four extra tags per set that paper §5.4 gives the
+// adaptive prefetcher when compression is off.
+//
 // Note on the paper's parameters: §2 states both "data space for 4
 // uncompressed lines ... 8 address tags" and "64 8-byte segments" per
 // set; the two are inconsistent (4 × 64 B = 32 segments). We follow the
 // capacity statement ("compression can at most double the capacity",
 // "4-way to 8-way"), i.e. 32 segments per set, which also matches the
 // decoupled variable-segment cache of the ISCA 2004 paper.
-// Tag metadata is mirrored struct-of-arrays style (see SetAssoc): tagw
-// holds one word per (set, tag) in LRU order so demand lookups, free-tag
-// tests and victim-tag matches scan one contiguous line of tag words
-// instead of Line structs; segsUsed and valid cache the per-set segment
-// occupancy and global valid-line count that the packing and sampling
-// paths would otherwise recompute.
+//
+// Tag metadata is mirrored struct-of-arrays style: tagw holds one word
+// per (set, tag) in LRU order so demand lookups, free-tag tests and
+// victim-tag matches scan one contiguous line of tag words instead of
+// Line structs; segsUsed and valid cache the per-set segment occupancy
+// and global valid-line count that the packing and sampling paths
+// would otherwise recompute.
 type Compressed struct {
 	// lines holds every set's tags, set-major (set si is
 	// lines[si*tags : (si+1)*tags]), each set ordered MRU first;
@@ -36,11 +50,15 @@ type Compressed struct {
 	// victim, 0 otherwise.
 	tagw     []BlockAddr
 	segsUsed []int32 // per-set occupied data segments
-	valid    int     // current valid-line count
-	tags     int     // tags per set
-	dataSegs int     // data segments per set
-	setMask  BlockAddr
-	Stats    Stats
+	// victimFIFO holds each set's replaced addresses, oldest first, in
+	// a plain L2 built with victim tags; nil otherwise.
+	victimFIFO [][]BlockAddr
+	valid      int  // current valid-line count
+	tags       int  // tags per set
+	dataSegs   int  // data segments per set
+	plain      bool // every line stored at MaxSegs (NewUncompressedL2)
+	setMask    BlockAddr
+	Stats      Stats
 
 	// CompressedHits counts hits to lines stored in fewer than MaxSegs
 	// segments, which incur the decompression penalty.
@@ -49,10 +67,10 @@ type Compressed struct {
 	ExpansionEvicts uint64
 }
 
-// NewCompressed builds a decoupled variable-segment cache with
-// dataBytes of data capacity, tagsPerSet address tags per set and
-// dataSegsPerSet 8-byte data segments per set.
-func NewCompressed(dataBytes, tagsPerSet, dataSegsPerSet int) *Compressed {
+// NewCompressedL2 builds the paper's compressed shared L2: dataBytes of
+// data space, tagsPerSet address tags and dataSegsPerSet 8-byte data
+// segments per set.
+func NewCompressedL2(dataBytes, tagsPerSet, dataSegsPerSet int) L2 {
 	if tagsPerSet <= 0 || dataSegsPerSet <= 0 {
 		panic("cache: tags and segments per set must be positive")
 	}
@@ -60,7 +78,7 @@ func NewCompressed(dataBytes, tagsPerSet, dataSegsPerSet int) *Compressed {
 		panic("cache: a set must hold at least one uncompressed line")
 	}
 	nsets := dataBytes / (dataSegsPerSet * SegmentBytes)
-	checkPow2(nsets, "compressed cache set count")
+	checkPow2(nsets, "L2 set count")
 	c := &Compressed{
 		lines:    make([]Line, nsets*tagsPerSet),
 		tagw:     make([]BlockAddr, nsets*tagsPerSet),
@@ -74,6 +92,31 @@ func NewCompressed(dataBytes, tagsPerSet, dataSegsPerSet int) *Compressed {
 	}
 	return c
 }
+
+// NewUncompressedL2 builds the baseline shared L2: totalBytes, ways-way
+// set associative, every line stored uncompressed, with victimTags
+// replaced-address tags per set for the adaptive prefetcher (0 disables
+// harmful-prefetch detection).
+func NewUncompressedL2(totalBytes, ways, victimTags int) L2 {
+	c := NewCompressedL2(totalBytes, ways, ways*MaxSegs)
+	c.plain = true
+	if victimTags > 0 {
+		backing := make([]BlockAddr, len(c.segsUsed)*victimTags)
+		c.victimFIFO = make([][]BlockAddr, len(c.segsUsed))
+		for i := range c.victimFIFO {
+			lo := i * victimTags
+			c.victimFIFO[i] = backing[lo : lo : lo+victimTags]
+		}
+	}
+	return c
+}
+
+// StoresCompressed reports whether the L2 stores lines at their
+// compressed size (false for NewUncompressedL2's plain L2).
+func (c *Compressed) StoresCompressed() bool { return !c.plain }
+
+// BaseStats exposes the hit/miss counters.
+func (c *Compressed) BaseStats() *Stats { return &c.Stats }
 
 func (c *Compressed) setIndex(a BlockAddr) int { return int(a & c.setMask) }
 
@@ -106,9 +149,12 @@ func (c *Compressed) Lookup(a BlockAddr) *Line {
 	return nil
 }
 
-// Access performs a demand lookup with LRU update and statistics, as
-// SetAssoc.Access. compressed reports whether the hit line is stored
-// compressed (decompression penalty applies).
+// Access performs a demand lookup: on a hit the line is moved to MRU
+// position and returned with ok=true. Hit/miss statistics are updated;
+// a hit to a line with its prefetch bit set counts as a prefetch hit
+// and clears the bit (the adaptive prefetcher's "useful prefetch"
+// event, reported via wasPrefetch). compressed reports whether the hit
+// line is stored compressed (decompression penalty applies).
 func (c *Compressed) Access(a BlockAddr) (ln *Line, wasPrefetch, compressed, ok bool) {
 	c.Stats.Accesses++
 	si := c.setIndex(a)
@@ -156,13 +202,18 @@ func (c *Compressed) Touch(a BlockAddr) bool {
 	return false
 }
 
-// Fill inserts a occupying segs segments at MRU position. Victims are
-// appended to vbuf (reused to avoid allocation) and returned: the LRU
-// valid lines are evicted until a tag is free and the data space fits.
-// The inserted line pointer is valid until the set next mutates.
+// Fill inserts a occupying segs segments (a plain L2 stores MaxSegs
+// whatever segs says) at MRU position. Victims are appended to vbuf
+// (reused to avoid allocation) and returned: the LRU valid lines are
+// evicted until a tag is free and the data space fits. prefetch marks
+// the inserted line's prefetch bit. The inserted line pointer is valid
+// until the set next mutates.
 func (c *Compressed) Fill(a BlockAddr, segs uint8, prefetch bool, vbuf []Line) (victims []Line, inserted *Line) {
 	if segs < 1 || segs > MaxSegs {
 		panic(fmt.Sprintf("cache: fill with %d segments", segs))
+	}
+	if c.plain {
+		segs = MaxSegs
 	}
 	si := c.setIndex(a)
 	if c.findWay(si, a) >= 0 {
@@ -233,7 +284,8 @@ func (c *Compressed) makeRoom(si, need int, vbuf []Line) []Line {
 }
 
 // drop invalidates tag i of set si and returns the line as it was. The
-// tag keeps the address as victim history, mirrored as Addr|tagVictim.
+// tag keeps the address as victim history, mirrored as Addr|tagVictim;
+// a victim FIFO, if the set has one, records it too.
 func (c *Compressed) drop(si, i int) Line {
 	set, tg := c.set(si)
 	ln := set[i]
@@ -242,15 +294,27 @@ func (c *Compressed) drop(si, i int) Line {
 	tg[i] = ln.Addr | tagVictim
 	c.segsUsed[si] -= int32(ln.Segs)
 	c.valid--
+	if c.victimFIFO != nil {
+		vt := c.victimFIFO[si]
+		if len(vt) == cap(vt) {
+			copy(vt, vt[1:])
+			vt = vt[:len(vt)-1]
+		}
+		c.victimFIFO[si] = append(vt, ln.Addr)
+	}
 	return ln
 }
 
 // Resize changes the stored size of a (e.g. a dirty writeback whose new
 // contents compress differently). Growing a line may force evictions of
-// other lines, returned via vbuf. It reports whether a was present.
+// other lines, returned via vbuf. It reports whether a was present. In
+// a plain L2 it changes nothing.
 func (c *Compressed) Resize(a BlockAddr, segs uint8, vbuf []Line) (victims []Line, found bool) {
 	if segs < 1 || segs > MaxSegs {
 		panic(fmt.Sprintf("cache: resize to %d segments", segs))
+	}
+	if c.plain {
+		segs = MaxSegs
 	}
 	si := c.setIndex(a)
 	idx := c.findWay(si, a)
@@ -296,13 +360,32 @@ func (c *Compressed) Resize(a BlockAddr, segs uint8, vbuf []Line) (victims []Lin
 	return victims, true
 }
 
-// InvalidTagMatch scans the invalid tags of a's set in LRU-stack order
-// and reports whether any records address a — the paper's test for "this
-// miss was caused by a replacement". The matching tag is cleared so one
-// replacement is only counted once.
-func (c *Compressed) InvalidTagMatch(a BlockAddr) bool {
+// VictimMatch reports whether a was recently replaced in its set — the
+// paper's test for "this miss was caused by a replacement", which the
+// adaptive prefetcher's harmful-prefetch check runs on every L2 miss.
+// It reads the set's victim FIFO when the L2 has one, else the invalid
+// tags. The matching record is consumed so one replacement is only
+// counted once.
+func (c *Compressed) VictimMatch(a BlockAddr) bool {
+	si := c.setIndex(a)
+	if c.victimFIFO == nil {
+		return c.invalidTagMatch(si, a)
+	}
+	vt := c.victimFIFO[si]
+	for i := range vt {
+		if vt[i] == a {
+			c.victimFIFO[si] = append(vt[:i], vt[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// invalidTagMatch scans set si's invalid tags in LRU-stack order for
+// one recording address a, and clears it if found.
+func (c *Compressed) invalidTagMatch(si int, a BlockAddr) bool {
 	key := a | tagVictim
-	set, tg := c.set(c.setIndex(a))
+	set, tg := c.set(si)
 	for i := len(tg) - 1; i >= 0; i-- {
 		if tg[i] == key {
 			set[i].VictimTag = false
@@ -340,10 +423,10 @@ func (c *Compressed) ForEachValid(fn func(*Line)) {
 
 // CheckInvariants validates internal consistency (test and audit
 // support): no duplicate valid tags in a set, segment budget respected,
-// valid lines have legal sizes, invalid tags own no segments, and the
-// struct-of-arrays mirrors (tag and victim words, per-set segment
-// counts, global valid-line count) exactly tracking the Line array. It
-// returns a descriptive error string, or "".
+// valid lines have legal sizes (MaxSegs in a plain L2), invalid tags
+// fully reset, and the struct-of-arrays mirrors (tag and victim words,
+// per-set segment counts, global valid-line count) exactly tracking
+// the Line array. It returns a descriptive error string, or "".
 func (c *Compressed) CheckInvariants() string {
 	nvalid := 0
 	for si := range c.segsUsed {
@@ -364,13 +447,13 @@ func (c *Compressed) CheckInvariants() string {
 					si, i, uint64(got), uint64(want))
 			}
 			if !set[i].Valid {
-				if set[i].Segs != 0 || set[i].Dirty || set[i].Prefetch {
+				if set[i].Segs != 0 || set[i].Dirty || set[i].Prefetch || set[i].Sharers != 0 || set[i].ISharers != 0 {
 					return fmt.Sprintf("set %d tag %d: invalid tag not reset (segs %d dirty %v pf %v)",
 						si, i, set[i].Segs, set[i].Dirty, set[i].Prefetch)
 				}
 				continue
 			}
-			if set[i].Segs < 1 || set[i].Segs > MaxSegs {
+			if set[i].Segs < 1 || set[i].Segs > MaxSegs || c.plain && set[i].Segs != MaxSegs {
 				return fmt.Sprintf("set %d: line %#x has %d segs", si, uint64(set[i].Addr), set[i].Segs)
 			}
 			if seen[set[i].Addr] {

@@ -51,12 +51,12 @@ func (c *Compressed) VictimTagCount(a BlockAddr) int {
 // oneSet returns a single-set compressed cache with the paper geometry:
 // 8 tags, 32 data segments (4 uncompressed lines).
 func oneSet() *Compressed {
-	return NewCompressed(4*LineBytes, 8, 32)
+	return NewCompressedL2(4*LineBytes, 8, 32)
 }
 
 func TestNewCompressedGeometry(t *testing.T) {
 	// Paper config: 4 MB data, 8 tags, 32 segments/set -> 16384 sets.
-	c := NewCompressed(4<<20, 8, 32)
+	c := NewCompressedL2(4<<20, 8, 32)
 	if c.Sets() != 16384 {
 		t.Fatalf("sets = %d, want 16384", c.Sets())
 	}
@@ -139,13 +139,13 @@ func TestInvalidTagsRecordVictims(t *testing.T) {
 		c.Fill(a, MaxSegs, false, nil)
 	}
 	c.Fill(4, MaxSegs, false, nil) // evicts 0
-	if !c.InvalidTagMatch(0) {
+	if !c.VictimMatch(0) {
 		t.Fatal("evicted address 0 should match an invalid tag")
 	}
-	if c.InvalidTagMatch(0) {
+	if c.VictimMatch(0) {
 		t.Fatal("invalid-tag match must be consumed")
 	}
-	if c.InvalidTagMatch(77) {
+	if c.VictimMatch(77) {
 		t.Fatal("never-seen address must not match")
 	}
 }
@@ -202,7 +202,7 @@ func TestResizeGrowEvicts(t *testing.T) {
 }
 
 func TestResizeGrowNeverEvictsSelf(t *testing.T) {
-	c := NewCompressed(4*LineBytes, 8, 32)
+	c := NewCompressedL2(4*LineBytes, 8, 32)
 	c.Fill(5, 1, false, nil)
 	victims, found := c.Resize(5, MaxSegs, nil)
 	if !found || len(victims) != 0 {
@@ -261,7 +261,7 @@ func TestCompressedRejectsBadSegs(t *testing.T) {
 func TestEffectiveSizeTracksCompressibility(t *testing.T) {
 	// 64 KB compressed cache; fill a working set of 2-segment lines twice
 	// the uncompressed capacity and verify effective size exceeds physical.
-	c := NewCompressed(64*1024, 8, 32)
+	c := NewCompressedL2(64*1024, 8, 32)
 	lines := 2 * 64 * 1024 / LineBytes
 	var buf []Line
 	for a := 0; a < lines; a++ {
@@ -283,7 +283,7 @@ func TestEffectiveSizeTracksCompressibility(t *testing.T) {
 func TestCompressedInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := NewCompressed(8*LineBytes, 8, 32) // 2 sets
+		c := NewCompressedL2(8*LineBytes, 8, 32) // 2 sets
 		var buf []Line
 		for op := 0; op < 800; op++ {
 			a := BlockAddr(rng.Intn(24))
@@ -300,7 +300,7 @@ func TestCompressedInvariantsProperty(t *testing.T) {
 				buf = buf[:0]
 				c.Resize(a, segs, buf)
 			case 3:
-				c.InvalidTagMatch(a)
+				c.VictimMatch(a)
 			}
 			if msg := c.CheckInvariants(); msg != "" {
 				t.Logf("seed %d op %d: %s", seed, op, msg)
@@ -315,7 +315,7 @@ func TestCompressedInvariantsProperty(t *testing.T) {
 }
 
 func BenchmarkCompressedFillAccess(b *testing.B) {
-	c := NewCompressed(1<<20, 8, 32)
+	c := NewCompressedL2(1<<20, 8, 32)
 	rng := rand.New(rand.NewSource(1))
 	var buf []Line
 	b.ResetTimer()

@@ -167,8 +167,8 @@ type Hierarchy struct {
 
 // New builds a hierarchy; cfg.L2 and cfg.Size must be set.
 func New(cfg Config) *Hierarchy {
-	if cfg.Cores <= 0 || cfg.Cores > 32 {
-		panic("coherence: cores must be in 1..32")
+	if cfg.Cores <= 0 || cfg.Cores > cache.MaxCores {
+		panic(fmt.Sprintf("coherence: cores must be in 1..%d", cache.MaxCores))
 	}
 	if cfg.L2 == nil || cfg.Size == nil {
 		panic("coherence: L2 and Size are required")
@@ -261,14 +261,10 @@ func (h *Hierarchy) Access(core int, kind Kind, a cache.BlockAddr) AccessResult 
 		}
 		r.MemFetch = true
 		r.FetchSegs = h.clampSegs(h.size(a))
-		segs := r.FetchSegs
-		if !h.L2.StoresCompressed() {
-			segs = cache.MaxSegs
-		}
 		h.vbuf = h.vbuf[:0]
-		victims, inserted := h.L2.Fill(a, segs, false, h.vbuf)
+		victims, inserted := h.L2.Fill(a, r.FetchSegs, false, h.vbuf)
 		h.vbuf = victims // keep the grown backing array for reuse
-		h.noteL2Size(a, segs)
+		h.noteL2Size(a, inserted.Segs)
 		h.handleL2Victims(victims, &r)
 		l2ln = inserted
 	}
@@ -454,15 +450,11 @@ func (h *Hierarchy) PrefetchL1(core int, kind Kind, a cache.BlockAddr, by PfSour
 	} else {
 		out.MemFetch = true
 		out.FetchSegs = h.clampSegs(h.size(a))
-		segs := out.FetchSegs
-		if !h.L2.StoresCompressed() {
-			segs = cache.MaxSegs
-		}
 		h.vbuf = h.vbuf[:0]
-		victims, inserted := h.L2.Fill(a, segs, true, h.vbuf)
+		victims, inserted := h.L2.Fill(a, out.FetchSegs, true, h.vbuf)
 		h.vbuf = victims
 		inserted.PfBy = uint8(by)
-		h.noteL2Size(a, segs)
+		h.noteL2Size(a, inserted.Segs)
 		h.handleL2Victims(victims, &r)
 		l2ln = inserted
 	}
@@ -486,16 +478,12 @@ func (h *Hierarchy) PrefetchL2(core int, a cache.BlockAddr, by PfSource) Prefetc
 	}
 	out.MemFetch = true
 	out.FetchSegs = h.clampSegs(h.size(a))
-	segs := out.FetchSegs
-	if !h.L2.StoresCompressed() {
-		segs = cache.MaxSegs
-	}
 	var r AccessResult
 	h.vbuf = h.vbuf[:0]
-	victims, inserted := h.L2.Fill(a, segs, true, h.vbuf)
+	victims, inserted := h.L2.Fill(a, out.FetchSegs, true, h.vbuf)
 	h.vbuf = victims
 	inserted.PfBy = uint8(by)
-	h.noteL2Size(a, segs)
+	h.noteL2Size(a, inserted.Segs)
 	h.handleL2Victims(victims, &r)
 	out.Writebacks = h.wbuf
 	out.L2UselessEvict = r.L2UselessEvict

@@ -254,6 +254,30 @@ func TestCompressedL2UsesSizeFunc(t *testing.T) {
 	}
 }
 
+// A plain L2 handed compressed sizes (link compression alone) stores
+// every line at MaxSegs, on demand and prefetch fills alike, while the
+// fetch still reports the compressed size the link sends; the audit
+// hook sees the stored size.
+func TestPlainL2StoresFullLines(t *testing.T) {
+	h := newTestHierarchy(t, false, func(cache.BlockAddr) uint8 { return 2 })
+	noted := map[cache.BlockAddr]uint8{}
+	h.OnL2Size = func(a cache.BlockAddr, segs uint8) { noted[a] = segs }
+	r := h.Access(0, Load, 0x100)
+	l1 := h.PrefetchL1(0, Load, 0x200, PfL1D)
+	l2 := h.PrefetchL2(0, 0x300, PfL2)
+	if r.FetchSegs != 2 || l1.FetchSegs != 2 || l2.FetchSegs != 2 {
+		t.Fatalf("fetch segs %d, %d, %d; want the link's 2", r.FetchSegs, l1.FetchSegs, l2.FetchSegs)
+	}
+	for _, a := range []cache.BlockAddr{0x100, 0x200, 0x300} {
+		if ln := h.L2.Lookup(a); ln == nil || ln.Segs != cache.MaxSegs || noted[a] != cache.MaxSegs {
+			t.Fatalf("line %#x stored as %+v, audit noted %d segs", uint64(a), ln, noted[a])
+		}
+	}
+	if r = h.Access(1, Load, 0x100); !r.L2Hit || r.L2CompressedHit {
+		t.Fatalf("plain L2 hit: %+v", r)
+	}
+}
+
 func TestDirtyWritebackResizesCompressedLine(t *testing.T) {
 	sizes := map[cache.BlockAddr]uint8{}
 	size := func(a cache.BlockAddr) uint8 {
@@ -343,11 +367,9 @@ func TestInvariantsUnderRandomTraffic(t *testing.T) {
 			t.Log(msg)
 			return false
 		}
-		if cc, ok := l2.(cache.CompressedL2); ok {
-			if msg := cc.CheckInvariants(); msg != "" {
-				t.Log(msg)
-				return false
-			}
+		if msg := l2.CheckInvariants(); msg != "" {
+			t.Log(msg)
+			return false
 		}
 		return true
 	}

@@ -27,12 +27,12 @@ const HeaderBytes = 8
 const FlitBytes = 8
 
 // Channel is a shared fixed-bandwidth link with two priority classes.
-// Demand messages are served with non-preemptive priority: a demand
-// message waits for the demand backlog plus at most one in-progress
+// Demand-class messages are served with non-preemptive priority: one
+// waits for the demand-class backlog plus at most one in-progress
 // low-priority transfer (the residual service), while low-priority
-// messages (prefetches, writebacks) queue behind everything. This
-// models a memory controller that prioritizes demand responses over
-// prefetch traffic. The scheduling itself lives in timing.Port; Channel
+// messages queue behind everything. The memory system sends every fetch
+// response, demand or prefetch, in the demand class and only writebacks
+// at low priority. The scheduling itself lives in timing.Port; Channel
 // adds the message framing (header + flits) and traffic accounting.
 type Channel struct {
 	port *timing.Port
@@ -65,10 +65,9 @@ func (c *Channel) Occupancy(flits int) timing.Tick {
 // It returns the slot's start tick. Reservations are made in call
 // order — callers reserve when the transfer is *requested* (e.g. when a
 // fetch reaches the memory controller), not when its data is ready, so
-// an idle channel is never blocked by a far-future reservation. Demand
-// messages wait only for the demand backlog plus at most one residual
-// low-priority transfer (non-preemptive priority over prefetches and
-// writebacks).
+// an idle channel is never blocked by a far-future reservation. A
+// demand-class message (demand true) waits only for the demand-class
+// backlog plus at most one residual low-priority transfer.
 func (c *Channel) Reserve(at timing.Tick, flits int, demand bool) (slotStart timing.Tick) {
 	if flits < 0 {
 		panic("link: negative flit count")
@@ -86,7 +85,7 @@ func (c *Channel) Send(now timing.Tick, flits int) (done timing.Tick) {
 	return c.Reserve(now, flits, true) + c.Occupancy(flits)
 }
 
-// SendLow is Send for low-priority messages (prefetches, writebacks).
+// SendLow is Send for low-priority messages (writebacks).
 func (c *Channel) SendLow(now timing.Tick, flits int) (done timing.Tick) {
 	return c.Reserve(now, flits, false) + c.Occupancy(flits)
 }

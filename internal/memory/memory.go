@@ -127,10 +127,10 @@ func (m *System) flitsFor(segs uint8) int {
 	return cache.MaxSegs
 }
 
-// Fetch performs a demand line read: the request message crosses the
-// link, DRAM is accessed (bank conflicts delay), and the response
-// message returns with demand priority. It returns the tick the line
-// is on chip.
+// Fetch performs a line read for a demand miss or a prefetch alike: the
+// request message crosses the link, DRAM is accessed (bank conflicts
+// delay), and the response message returns in the channel's demand
+// class. It returns the tick the line is on chip.
 func (m *System) Fetch(now timing.Tick, addr cache.BlockAddr, segs uint8) timing.Tick {
 	m.Fetches++
 	// Request message: header only, on the address channel.

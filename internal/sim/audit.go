@@ -220,7 +220,7 @@ func (s *System) applyStateFault() {
 		})
 	case "corrupt-segs", "dup-tag":
 		if s.faultName == "dup-tag" {
-			if cl2, ok := s.h.L2.(cache.CompressedL2); ok && cl2.InjectDuplicateTag() {
+			if s.h.L2.StoresCompressed() && s.h.L2.InjectDuplicateTag() {
 				return
 			}
 			// No set had a spare tag (or the L2 is uncompressed): fall

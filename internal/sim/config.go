@@ -175,7 +175,7 @@ func (c Config) Validate() error {
 		return err
 	}
 	switch {
-	case c.Cores < 1 || c.Cores > 32:
+	case c.Cores < 1 || c.Cores > cache.MaxCores:
 		return fmt.Errorf("sim: cores %d out of range", c.Cores)
 	case c.MeasureInstr == 0:
 		return fmt.Errorf("sim: MeasureInstr must be positive")

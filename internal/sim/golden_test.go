@@ -52,13 +52,19 @@ func pinned(m Metrics) goldenRun {
 }
 
 // goldenConfigs covers the four mechanism corners of the paper on
-// scaled-down systems (one commercial and one scientific workload).
+// scaled-down systems (one commercial and one scientific workload),
+// plus the two L2 paths those corners miss: a plain L2 handed
+// data-model sizes by link compression (it must store every line at
+// full size), and the compressed L2's invalid-tag victim history
+// feeding adaptive prefetching's harmful-prefetch test.
 func goldenConfigs() map[string]Config {
 	return map[string]Config{
-		"zeus-base":           smallConfig("zeus"),
-		"zeus-pf-compression": smallConfig("zeus").WithMechanisms(true, true, true, false),
-		"jbb-cache-compr":     smallConfig("jbb").WithMechanisms(true, false, false, false),
-		"mgrid-adaptive-pf":   smallConfig("mgrid").WithMechanisms(false, false, true, true),
+		"zeus-base":                smallConfig("zeus"),
+		"zeus-pf-compression":      smallConfig("zeus").WithMechanisms(true, true, true, false),
+		"jbb-cache-compr":          smallConfig("jbb").WithMechanisms(true, false, false, false),
+		"mgrid-adaptive-pf":        smallConfig("mgrid").WithMechanisms(false, false, true, true),
+		"zeus-link-compr":          smallConfig("zeus").WithMechanisms(false, true, false, false),
+		"jbb-adaptive-compression": smallConfig("jbb").WithMechanisms(true, true, true, true),
 	}
 }
 

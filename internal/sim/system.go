@@ -578,7 +578,7 @@ func (s *System) rawTotals() totals {
 	t.l2Miss = l2.Misses
 	t.l2Evict = l2.Evictions
 	t.l2Useless = l2.UselessPf
-	t.l2ComprHits = s.h.L2.CompressedHitCount()
+	t.l2ComprHits = s.h.L2.CompressedHits
 	t.adUseful += s.fe.adL2.UsefulEvents
 	t.adUseless += s.fe.adL2.UselessEvents
 	t.adHarmful += s.fe.adL2.HarmfulEvents

@@ -372,11 +372,13 @@ func run() int {
 		start := time.Now()
 		all[name].run()
 		d := sched.Stats()
-		fmt.Fprintf(os.Stderr, "[%s done in %s: %d points simulated (%d runs), %d served from cache, %d from store, %d failed]\n",
+		fmt.Fprintf(os.Stderr, "[%s done in %s: %d points simulated (%d runs), %d served from cache, %d from store, %d failed; block sizes %d shared, %d computed, %d tables evicted]\n",
 			name, time.Since(start).Round(time.Millisecond),
 			d.Unique-before.Unique, d.SeedRuns-before.SeedRuns,
 			d.Cached()-before.Cached(), d.FromStore-before.FromStore,
-			d.Failed-before.Failed)
+			d.Failed-before.Failed,
+			d.SizesShared-before.SizesShared, d.SizesComputed-before.SizesComputed,
+			d.TablesEvicted-before.TablesEvicted)
 		fmt.Println()
 	}
 	if coord != nil {

@@ -20,6 +20,7 @@ import (
 
 	"cmpsim/internal/audit"
 	"cmpsim/internal/sim"
+	"cmpsim/internal/workload"
 )
 
 // Failure reasons carried by PointError. No failure is retried:
@@ -102,8 +103,9 @@ func (e *pointEntry) newPointError(seed int, err error) *PointError {
 }
 
 // simulateSeed runs one seed job with panic isolation and the optional
-// watchdog deadline. Any failure comes back as a *PointError.
-func (e *pointEntry) simulateSeed(seed int) (sim.Metrics, error) {
+// watchdog deadline, and returns where its block sizes came from. Any
+// failure comes back as a *PointError.
+func (e *pointEntry) simulateSeed(seed int) (sim.Metrics, workload.SizeCounts, error) {
 	cfg := e.opts.config(e.bench, e.mech, int64(seed)+1)
 	if e.checkSet {
 		cfg.CheckLevel = e.checkLevel
@@ -111,53 +113,55 @@ func (e *pointEntry) simulateSeed(seed int) (sim.Metrics, error) {
 	if e.stateFault != nil {
 		cfg.StateFault = e.stateFault(e.bench, e.mech.Label(), seed)
 	}
-	met, err := e.runWithDeadline(cfg, seed)
-	if err != nil {
-		return sim.Metrics{}, e.newPointError(seed, err)
+	r := e.runWithDeadline(cfg, seed)
+	if r.err != nil {
+		return sim.Metrics{}, r.sizes, e.newPointError(seed, r.err)
 	}
-	return met, nil
+	return r.met, r.sizes, nil
+}
+
+// seedResult is what one seed's simulation returns.
+type seedResult struct {
+	met   sim.Metrics
+	sizes workload.SizeCounts
+	err   error
 }
 
 // runWithDeadline executes the simulation. Without a deadline it runs
 // inline on the worker; with one it runs in a child goroutine the
 // watchdog abandons on expiry (the runaway goroutine finishes into a
 // buffered channel nobody reads and is then collected).
-func (e *pointEntry) runWithDeadline(cfg sim.Config, seed int) (sim.Metrics, error) {
+func (e *pointEntry) runWithDeadline(cfg sim.Config, seed int) seedResult {
 	if e.timeout <= 0 {
 		return e.guardedRun(cfg, seed)
 	}
-	type result struct {
-		met sim.Metrics
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		met, err := e.guardedRun(cfg, seed)
-		ch <- result{met, err}
-	}()
+	ch := make(chan seedResult, 1)
+	go func() { ch <- e.guardedRun(cfg, seed) }()
 	timer := time.NewTimer(e.timeout)
 	defer timer.Stop()
 	select {
 	case r := <-ch:
-		return r.met, r.err
+		return r
 	case <-timer.C:
-		return sim.Metrics{}, fmt.Errorf("%w (no result within %v)", ErrPointTimeout, e.timeout)
+		return seedResult{err: fmt.Errorf("%w (no result within %v)", ErrPointTimeout, e.timeout)}
 	}
 }
 
 // guardedRun fires the fault-injection hook (if any) and the simulation
 // with panic isolation: a panic anywhere below becomes a panicError
-// instead of killing the worker pool.
-func (e *pointEntry) guardedRun(cfg sim.Config, seed int) (met sim.Metrics, err error) {
+// instead of killing the worker pool. The simulation shares version-0
+// block sizes through the submitting scheduler's registry.
+func (e *pointEntry) guardedRun(cfg sim.Config, seed int) (r seedResult) {
 	defer func() {
-		if r := recover(); r != nil {
-			err = &panicError{val: r, stack: string(debug.Stack())}
+		if p := recover(); p != nil {
+			r.err = &panicError{val: p, stack: string(debug.Stack())}
 		}
 	}()
 	if e.faultHook != nil {
 		if herr := e.faultHook(e.bench, e.mech.Label(), seed); herr != nil {
-			return sim.Metrics{}, herr
+			return seedResult{err: herr}
 		}
 	}
-	return sim.Run(cfg)
+	r.met, r.sizes, r.err = sim.RunShared(cfg, e.sizes)
+	return r
 }

@@ -146,7 +146,8 @@ type pointEntry struct {
 	faultHook  FaultHook
 	stateFault StateFaultHook
 	checkLevel audit.Level
-	checkSet   bool // Options.CheckLevel was non-empty (overrides the env)
+	checkSet   bool                   // Options.CheckLevel was non-empty (overrides the env)
+	sizes      *workload.SizeRegistry // the scheduler's shared block sizes
 
 	mu      sync.Mutex
 	runs    []sim.Metrics
@@ -166,7 +167,8 @@ func (e *pointEntry) key() pointKey {
 // watchdog deadline (faults.go) — and finishes the point when it is the
 // last seed to land.
 func (e *pointEntry) runSeed(s *Scheduler, seed int) {
-	met, err := e.simulateSeed(seed)
+	met, sizes, err := e.simulateSeed(seed)
+	s.noteSizes(sizes)
 	e.mu.Lock()
 	if err != nil && e.err == nil {
 		e.err = err
@@ -278,12 +280,14 @@ type Scheduler struct {
 	stateFault StateFaultHook
 	store      PointStore
 	runner     PointRunner
+	sizes      *workload.SizeRegistry // held until Close; nil once closed
 
 	requests  uint64
 	unique    uint64
 	seedRuns  uint64
 	fromStore uint64
 	failed    uint64
+	sizeCount workload.SizeCounts // summed over finished seed jobs
 
 	obsPanicOnce sync.Once // first observer panic reported to stderr
 }
@@ -398,13 +402,60 @@ func (s *Scheduler) noteFailed() {
 	s.mu.Unlock()
 }
 
+// noteSizes adds one seed job's size counts.
+func (s *Scheduler) noteSizes(c workload.SizeCounts) {
+	s.mu.Lock()
+	s.sizeCount.Shared += c.Shared
+	s.sizeCount.Computed += c.Computed
+	s.sizeCount.Evicted += c.Evicted
+	s.mu.Unlock()
+}
+
+// sharedSizes is the registry of version-0 block sizes the seed jobs of
+// every open scheduler share (DESIGN.md §6f, "Shared version-0 sizes").
+// A scheduler holds it from NewScheduler until Close. When the last
+// holder lets go the process drops the registry, so the next scheduler
+// starts from an empty one and separate sweep passes never reuse each
+// other's sizes. Jobs still queued or running keep the registry their
+// point captured at Submit, and so does a runaway job the watchdog
+// abandoned; they write only to the dropped one.
+var sharedSizes struct {
+	mu      sync.Mutex
+	holders int
+	reg     *workload.SizeRegistry
+}
+
+// retainSizes returns the current registry, creating one if no
+// scheduler holds it, and counts the caller as a holder.
+func retainSizes() *workload.SizeRegistry {
+	sharedSizes.mu.Lock()
+	defer sharedSizes.mu.Unlock()
+	if sharedSizes.holders == 0 {
+		sharedSizes.reg = workload.NewSizeRegistry()
+	}
+	sharedSizes.holders++
+	return sharedSizes.reg
+}
+
+// releaseSizes hands one hold on the registry back; the last one drops
+// it.
+func releaseSizes() {
+	sharedSizes.mu.Lock()
+	if sharedSizes.holders--; sharedSizes.holders == 0 {
+		sharedSizes.reg = nil
+	}
+	sharedSizes.mu.Unlock()
+}
+
 // NewScheduler returns a scheduler with its own empty cache running at
 // most workers simulations concurrently; workers < 1 means one per CPU.
+// Its seed jobs share version-0 block sizes with every other open
+// scheduler's (sharedSizes).
 func NewScheduler(workers int) *Scheduler {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := &Scheduler{target: workers, cache: make(map[pointKey]*pointEntry)}
+	s := &Scheduler{target: workers, cache: make(map[pointKey]*pointEntry), sizes: retainSizes()}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -466,7 +517,7 @@ func (s *Scheduler) Submit(bench string, m Mechanisms, o Options) *PointFuture {
 		bench: bench, mech: m, opts: key.opts,
 		started: time.Now(), notify: s.observer, done: make(chan struct{}),
 		timeout: o.PointTimeout, faultHook: s.faultHook, stateFault: s.stateFault,
-		checkLevel: lvl, checkSet: o.CheckLevel != "",
+		checkLevel: lvl, checkSet: o.CheckLevel != "", sizes: s.sizes,
 	}
 	if lerr == nil {
 		// An invalid CheckLevel must not poison the cache: the field is
@@ -530,23 +581,34 @@ func (s *Scheduler) Submit(bench string, m Mechanisms, o Options) *PointFuture {
 // Close lets the workers exit once the queue drains. Futures already
 // submitted still complete; submitting new work afterwards panics. The
 // creator closes its scheduler after the last Submit, so no parked
-// worker goroutine outlives it.
+// worker goroutine outlives it. Close also hands back the scheduler's
+// hold on the shared block sizes; jobs already queued keep the registry
+// their point captured.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	s.closed = true
+	if s.sizes != nil {
+		releaseSizes()
+		s.sizes = nil
+	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
 // SchedulerStats counts cache effectiveness and pipeline health: how
 // much simulation the memoized point cache and the result store avoided,
-// and how many points failed.
+// how many points failed, and where the seed jobs' block sizes came
+// from.
 type SchedulerStats struct {
 	Requests  uint64 // Submit calls
 	Unique    uint64 // distinct points actually simulated (locally or via the lease adapter)
 	SeedRuns  uint64 // individual seed-level sim.Run jobs executed locally
 	FromStore uint64 // points served from the shared result store
 	Failed    uint64 // points that finished with an error
+
+	SizesShared   uint64 // block sizes seed jobs read from the shared version-0 table
+	SizesComputed uint64 // block sizes seed jobs synthesized and priced themselves
+	TablesEvicted uint64 // shared size tables evicted to make room for this scheduler's
 }
 
 // Cached returns how many requests were served from the in-process
@@ -562,5 +624,7 @@ func (s *Scheduler) Stats() SchedulerStats {
 	return SchedulerStats{
 		Requests: s.requests, Unique: s.unique, SeedRuns: s.seedRuns,
 		FromStore: s.fromStore, Failed: s.failed,
+		SizesShared: s.sizeCount.Shared, SizesComputed: s.sizeCount.Computed,
+		TablesEvicted: s.sizeCount.Evicted,
 	}
 }

@@ -16,7 +16,10 @@
 // assembles a private System (its own caches, RNGs, generators and
 // counters) and shares no mutable package state, which is what lets
 // internal/core's scheduler fan seed-level runs across a worker pool
-// with bit-identical results to a serial sweep.
+// with bit-identical results to a serial sweep. RunShared, which the
+// scheduler calls, shares one thing more: the version-0 block sizes in
+// the registry it is handed, which are the same for every run that
+// reads them (workload.SizeRegistry).
 package sim
 
 import (

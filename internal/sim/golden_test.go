@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"cmpsim/internal/codec"
 )
 
 // updateGolden regenerates testdata/golden.json from the current
@@ -56,16 +58,32 @@ func pinned(m Metrics) goldenRun {
 // plus the two L2 paths those corners miss: a plain L2 handed
 // data-model sizes by link compression (it must store every line at
 // full size), and the compressed L2's invalid-tag victim history
-// feeding adaptive prefetching's harmful-prefetch test.
+// feeding adaptive prefetching's harmful-prefetch test. The codec rows
+// run each non-FPC codec under cache and link compression with
+// prefetching, on a benchmark whose stores dirty blocks, so every
+// codec's size path (version 0 and dirtied versions) is pinned.
 func goldenConfigs() map[string]Config {
 	return map[string]Config{
-		"zeus-base":                smallConfig("zeus"),
-		"zeus-pf-compression":      smallConfig("zeus").WithMechanisms(true, true, true, false),
-		"jbb-cache-compr":          smallConfig("jbb").WithMechanisms(true, false, false, false),
-		"mgrid-adaptive-pf":        smallConfig("mgrid").WithMechanisms(false, false, true, true),
-		"zeus-link-compr":          smallConfig("zeus").WithMechanisms(false, true, false, false),
-		"jbb-adaptive-compression": smallConfig("jbb").WithMechanisms(true, true, true, true),
+		"zeus-base":                   smallConfig("zeus"),
+		"zeus-pf-compression":         smallConfig("zeus").WithMechanisms(true, true, true, false),
+		"jbb-cache-compr":             smallConfig("jbb").WithMechanisms(true, false, false, false),
+		"mgrid-adaptive-pf":           smallConfig("mgrid").WithMechanisms(false, false, true, true),
+		"zeus-link-compr":             smallConfig("zeus").WithMechanisms(false, true, false, false),
+		"jbb-adaptive-compression":    smallConfig("jbb").WithMechanisms(true, true, true, true),
+		"jbb-pf-compression-bdi":      codecConfig("jbb", "bdi"),
+		"zeus-pf-compression-zca":     codecConfig("zeus", "zca"),
+		"apache-pf-compression-cpack": codecConfig("apache", "cpack"),
 	}
+}
+
+// codecConfig is smallConfig with cache and link compression and
+// prefetching under codec name, at the codec's own decompression
+// latency (as internal/core configures a non-default codec).
+func codecConfig(bench, name string) Config {
+	cfg := smallConfig(bench).WithMechanisms(true, true, true, false)
+	cfg.Codec = name
+	cfg.DecompressionCycles = codec.MustByName(name).DecompressionCycles()
+	return cfg
 }
 
 func TestGoldenMetrics(t *testing.T) {

@@ -68,7 +68,11 @@ type System struct {
 
 // NewSystem builds a system for cfg; the workload's BaseCPI overrides
 // the CPU config's.
-func NewSystem(cfg Config) (*System, error) {
+func NewSystem(cfg Config) (*System, error) { return newSystem(cfg, nil) }
+
+// newSystem builds a system whose data model, if it has one, shares
+// version-0 block sizes through sizes (nil keeps them private).
+func newSystem(cfg Config, sizes *workload.SizeRegistry) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -88,7 +92,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	size := coherence.SizeFunc(uncompressedSize)
 	if cfg.readsSizes() {
-		s.data = workload.NewDataModelCodec(prof, cfg.Seed, cdc)
+		s.data = workload.NewDataModelShared(prof, cfg.Seed, cdc, sizes)
 		s.dirtyRng = rand.New(rand.NewSource(cfg.Seed ^ 0x5EED))
 		size = s.data.SizeOf
 	}
@@ -142,12 +146,25 @@ func uncompressedSize(cache.BlockAddr) uint8 { return cache.MaxSegs }
 // An audit violation (CheckLevel > Off, or an injected StateFault that
 // a check catches) is returned as a *audit.Violation error; any other
 // panic propagates unchanged.
-func Run(cfg Config) (m Metrics, err error) {
-	s, err := NewSystem(cfg)
+func Run(cfg Config) (Metrics, error) {
+	m, _, err := RunShared(cfg, nil)
+	return m, err
+}
+
+// RunShared is Run for a system whose data model reads and writes the
+// version-0 block sizes of sizes' table for its (seed, knob, codec)
+// (internal/core's seed jobs share one registry). Metrics are
+// bit-identical to Run's. It also returns where the model's sizes came
+// from (zero without a data model), even when the run fails an audit.
+func RunShared(cfg Config, sizes *workload.SizeRegistry) (m Metrics, c workload.SizeCounts, err error) {
+	s, err := newSystem(cfg, sizes)
 	if err != nil {
-		return Metrics{}, err
+		return Metrics{}, c, err
 	}
 	defer func() {
+		if s.data != nil {
+			c = s.data.SizeCounts()
+		}
 		if r := recover(); r != nil {
 			v, ok := r.(*audit.Violation)
 			if !ok {
@@ -156,7 +173,7 @@ func Run(cfg Config) (m Metrics, err error) {
 			m, err = Metrics{}, v
 		}
 	}()
-	return s.run(), nil
+	return s.run(), c, nil
 }
 
 // maxCoreNow returns the furthest-ahead core clock (audit and

@@ -40,11 +40,25 @@ type DataModel struct {
 
 	versions map[cache.BlockAddr]uint32 // dirtied blocks only
 
+	// shared, when set, holds the version-0 sizes of every model with
+	// this one's (seed, knob, codec) (SizeRegistry). The memo then holds
+	// only the blocks the table cannot answer for: dirtied ones, and
+	// clean ones whose page the table could not take.
+	shared *sizeTable
+	counts SizeCounts
+
 	// poisonNext > 0 makes the next SizeOf calls memoize a deliberately
 	// wrong size (fault injection: exercises the shadow FPC checker).
 	poisonNext int
 
 	lineBuf [cache.LineBytes]byte
+}
+
+// SizeCounts tallies where a data model's sizes came from.
+type SizeCounts struct {
+	Shared   uint64 // served from the shared version-0 table
+	Computed uint64 // synthesized and priced by the codec
+	Evicted  uint64 // shared tables evicted to make room for this model's
 }
 
 const (
@@ -86,9 +100,27 @@ func splitmix64(x uint64) uint64 {
 // c: block sizes, calibration packing and the ratio estimators all use
 // c's size function.
 func NewDataModelCodec(p Profile, seed int64, c codec.Codec) *DataModel {
-	knob := CalibrateKnobCodec(p.TargetRatio, uint64(seed), c)
-	return newRawModel(knob, uint64(seed)*0x9E3779B97F4A7C15, c)
+	return NewDataModelShared(p, seed, c, nil)
 }
+
+// NewDataModelShared is NewDataModelCodec for a model that reads and
+// writes the version-0 sizes of reg's table for its (seed, knob, codec);
+// with a nil reg every size stays private. Sharing never changes a size:
+// a block's version-0 contents are a pure function of that key and its
+// address.
+func NewDataModelShared(p Profile, seed int64, c codec.Codec, reg *SizeRegistry) *DataModel {
+	knob := CalibrateKnobCodec(p.TargetRatio, uint64(seed), c)
+	d := newRawModel(knob, uint64(seed)*0x9E3779B97F4A7C15, c)
+	if reg != nil {
+		t, evicted := reg.table(sizeKey{uint64(seed), math.Float64bits(knob), c.Name()})
+		d.counts.Evicted += uint64(evicted)
+		d.shared = t
+	}
+	return d
+}
+
+// SizeCounts reports where the model's sizes have come from so far.
+func (d *DataModel) SizeCounts() SizeCounts { return d.counts }
 
 // newRawModel builds a model directly from a knob (calibration support).
 func newRawModel(knob float64, seed uint64, c codec.Codec) *DataModel {
@@ -167,9 +199,22 @@ func (d *DataModel) FillLine(a cache.BlockAddr, dst []byte) {
 	synthLine(&d.th, &h, dst)
 }
 
+// price synthesizes version ver of block a and returns its size under
+// the model's codec.
+func (d *DataModel) price(a cache.BlockAddr, ver uint32) uint8 {
+	var h [lineWords]uint64
+	hashLine(d.seed, a, ver, &h)
+	synthLine(&d.th, &h, d.lineBuf[:])
+	d.counts.Computed++
+	return uint8(d.codec.CompressedSizeSegments(d.lineBuf[:]))
+}
+
 // SizeOf returns the block's current compressed size in segments under
 // the model's codec, memoized per version.
 func (d *DataModel) SizeOf(a cache.BlockAddr) uint8 {
+	if d.shared != nil {
+		return d.sharedSizeOf(a)
+	}
 	i, found := -1, false
 	if memoizable(a) {
 		i, found = d.memoFind(a)
@@ -178,8 +223,7 @@ func (d *DataModel) SizeOf(a cache.BlockAddr) uint8 {
 			return s
 		}
 	}
-	d.FillLine(a, d.lineBuf[:])
-	s := uint8(d.codec.CompressedSizeSegments(d.lineBuf[:]))
+	s := d.price(a, d.versions[a])
 	if d.poisonNext > 0 {
 		d.poisonNext--
 		s = 9 - s // legal but wrong
@@ -188,6 +232,41 @@ func (d *DataModel) SizeOf(a cache.BlockAddr) uint8 {
 	case found:
 		d.memo[i] = uint64(a)<<memoSegBits | uint64(s)
 	case i >= 0:
+		d.memoInsert(i, a, s)
+	}
+	return s
+}
+
+// sharedSizeOf is SizeOf with a shared table. The memo, which holds
+// few blocks, answers for the dirtied ones; a miss there, usually one
+// load of an empty slot, proves a block clean, and its size costs one
+// lock-free probe of the shared table, plus, on a miss, pricing version
+// 0 and publishing it there (or keeping it in the memo if the table
+// cannot take its page). Addresses without a memo slot are priced
+// afresh, as in SizeOf.
+func (d *DataModel) sharedSizeOf(a cache.BlockAddr) uint8 {
+	if !memoizable(a) {
+		return d.price(a, d.versions[a])
+	}
+	i, found := d.memoFind(a)
+	if found {
+		s := uint8(d.memo[i] & memoSegMask)
+		if s == 0 {
+			s = d.price(a, d.versions[a])
+			d.memo[i] |= uint64(s)
+		}
+		return s
+	}
+	if s := d.shared.lookup(a); s != 0 {
+		d.counts.Shared++
+		return s
+	}
+	s := d.price(a, 0)
+	ok, evicted := d.shared.store(a, s)
+	d.counts.Evicted += uint64(evicted)
+	if !ok {
+		// The table has no room for a's page: the memo keeps the size,
+		// so the block is priced once per run, as without a table.
 		d.memoInsert(i, a, s)
 	}
 	return s
@@ -244,13 +323,20 @@ func (d *DataModel) memoInsert(i int, a cache.BlockAddr, segs uint8) {
 }
 
 // Dirty records a store that changed the block's contents: the version
-// bumps and the memoized size is invalidated.
+// bumps and the memoized size is invalidated. With a shared table, the
+// block's first store also gives it an (unsized) memo slot, since its
+// size is no longer version 0's.
 func (d *DataModel) Dirty(a cache.BlockAddr) {
 	d.versions[a]++
-	if memoizable(a) {
-		if i, ok := d.memoFind(a); ok {
-			d.memo[i] &^= memoSegMask
-		}
+	if !memoizable(a) {
+		return
+	}
+	i, found := d.memoFind(a)
+	switch {
+	case found:
+		d.memo[i] &^= memoSegMask
+	case d.shared != nil:
+		d.memoInsert(i, a, 0)
 	}
 }
 
@@ -271,8 +357,13 @@ func (d *DataModel) ForEachVersion(fn func(cache.BlockAddr, uint32)) {
 // PoisonNextSizes corrupts the size memo for the next n SizeOf calls:
 // each memoizes a legal (1..8) but wrong segment count. Fault-injection
 // support — proves the shadow FPC checker catches a size pipeline that
-// disagrees with block contents.
-func (d *DataModel) PoisonNextSizes(n int) { d.poisonNext = n }
+// disagrees with block contents. A poisoned model detaches from its
+// shared table first, so a wrong size never reaches another model, and
+// keeps every later size in its own memo.
+func (d *DataModel) PoisonNextSizes(n int) {
+	d.shared = nil
+	d.poisonNext = n
+}
 
 // packSample is calibration's sample: version 0 of n consecutive blocks
 // from 0x50000000. Calibration packs one sample at thirty knobs, and

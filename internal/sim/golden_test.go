@@ -61,7 +61,11 @@ func pinned(m Metrics) goldenRun {
 // feeding adaptive prefetching's harmful-prefetch test. The codec rows
 // run each non-FPC codec under cache and link compression with
 // prefetching, on a benchmark whose stores dirty blocks, so every
-// codec's size path (version 0 and dirtied versions) is pinned.
+// codec's size path (version 0 and dirtied versions) is pinned. The
+// source rows run each irregular reference source (its profile's own
+// kind) and the engine rows each non-stride prefetch engine, under
+// different L2 corners, so every construction path of the caches, the
+// generators and the engines is pinned.
 func goldenConfigs() map[string]Config {
 	return map[string]Config{
 		"zeus-base":                   smallConfig("zeus"),
@@ -73,7 +77,23 @@ func goldenConfigs() map[string]Config {
 		"jbb-pf-compression-bdi":      codecConfig("jbb", "bdi"),
 		"zeus-pf-compression-zca":     codecConfig("zeus", "zca"),
 		"apache-pf-compression-cpack": codecConfig("apache", "cpack"),
+		"ptrchase-pf-compression":     smallConfig("ptrchase").WithMechanisms(true, true, true, false),
+		"hashprobe-adaptive-link":     smallConfig("hashprobe").WithMechanisms(false, true, true, true),
+		"btree-cache-compr":           smallConfig("btree").WithMechanisms(true, false, false, false),
+		"srvmix-adaptive-compression": smallConfig("srvmix").WithMechanisms(true, true, true, true),
+		"zeus-pf-sequential":          engineConfig("zeus", "sequential", false),
+		"jbb-pf-stream-compression":   engineConfig("jbb", "stream", true),
+		"ptrchase-markov-compression": engineConfig("ptrchase", "markov", true),
 	}
+}
+
+// engineConfig is smallConfig with prefetching by engine kind, adaptive
+// throttling on, over the compressed L2 or the plain one (whose victim
+// FIFO the adaptive controller then reads).
+func engineConfig(bench, kind string, compressed bool) Config {
+	cfg := smallConfig(bench).WithMechanisms(compressed, compressed, true, true)
+	cfg.PrefetcherKind = kind
+	return cfg
 }
 
 // codecConfig is smallConfig with cache and link compression and

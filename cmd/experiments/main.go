@@ -372,13 +372,14 @@ func run() int {
 		start := time.Now()
 		all[name].run()
 		d := sched.Stats()
-		fmt.Fprintf(os.Stderr, "[%s done in %s: %d points simulated (%d runs), %d served from cache, %d from store, %d failed; block sizes %d shared, %d computed, %d tables evicted]\n",
+		fmt.Fprintf(os.Stderr, "[%s done in %s: %d points simulated (%d runs), %d served from cache, %d from store, %d failed; block sizes %d shared, %d computed, %d tables evicted; systems %d recycled, %d fresh]\n",
 			name, time.Since(start).Round(time.Millisecond),
 			d.Unique-before.Unique, d.SeedRuns-before.SeedRuns,
 			d.Cached()-before.Cached(), d.FromStore-before.FromStore,
 			d.Failed-before.Failed,
 			d.SizesShared-before.SizesShared, d.SizesComputed-before.SizesComputed,
-			d.TablesEvicted-before.TablesEvicted)
+			d.TablesEvicted-before.TablesEvicted,
+			d.StorageRecycled-before.StorageRecycled, d.StorageFresh-before.StorageFresh)
 		fmt.Println()
 	}
 	if coord != nil {

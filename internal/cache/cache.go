@@ -52,10 +52,11 @@ const MaxEffectiveRatio = float64(DefaultTagsPerSet) / float64(DefaultLinesPerSe
 // Line's Sharers and ISharers bitmasks.
 const MaxCores = 8 * int(unsafe.Sizeof(Line{}.Sharers))
 
-// Line is one shared-L2 tag and its metadata: Sharers/ISharers/Owner
-// track on-chip L1 copies and Segs the compressed size. The 4-byte
-// fields sit ahead of the 1-byte ones so the struct packs into 24 bytes
-// (TestLineSize pins it).
+// Line is one shared-L2 tag and its metadata: Sharers/ISharers and the
+// owner (Owner, SetOwner) track on-chip L1 copies and Segs the
+// compressed size. The zero Line is an empty tag, so clearing the tag
+// array builds an empty cache. The 4-byte fields sit ahead of the
+// 1-byte ones so the struct packs into 24 bytes (TestLineSize pins it).
 type Line struct {
 	Addr     BlockAddr
 	Sharers  uint32 // bitmask of cores whose L1D holds the line
@@ -65,7 +66,7 @@ type Line struct {
 	Prefetch bool  // set while a prefetched line is unreferenced (paper §3)
 	PfBy     uint8 // prefetcher that brought the line (0 none; see coherence.PfSource)
 	Segs     uint8 // occupied 8-byte segments, 1..8; 8 = uncompressed
-	Owner    int8  // core holding the line in M state, or -1
+	owner    uint8 // core holding the line in M state plus one; 0 = none
 
 	// VictimTag marks an invalid tag that still records the address of
 	// the line that last occupied it (the compressed L2's extra-tag
@@ -73,20 +74,17 @@ type Line struct {
 	VictimTag bool
 }
 
+// Owner returns the core holding the line in M state, or -1.
+func (ln *Line) Owner() int { return int(ln.owner) - 1 }
+
+// SetOwner records core c as holding the line in M state; -1 records
+// that no core does.
+func (ln *Line) SetOwner(c int) { ln.owner = uint8(c + 1) }
+
 // reset clears a line to the invalid state but preserves Addr so that
 // invalid tags serve as victim-address history for harmful-prefetch
 // detection (the compressed cache's "extra tags").
-func (ln *Line) reset() {
-	ln.Valid = false
-	ln.Dirty = false
-	ln.Prefetch = false
-	ln.PfBy = 0
-	ln.Segs = 0
-	ln.Sharers = 0
-	ln.ISharers = 0
-	ln.Owner = -1
-	ln.VictimTag = false
-}
+func (ln *Line) reset() { *ln = Line{Addr: ln.Addr} }
 
 // Stats counts the events a cache observes. The simulation engine reads
 // these for miss-rate and prefetch metrics.
@@ -113,6 +111,17 @@ const (
 	tagValid  BlockAddr = 1 << 63
 	tagVictim BlockAddr = 1 << 62
 )
+
+// recycled returns s resized to n elements, every one zero, in s's
+// array when it holds n (the recycling constructors' reset).
+func recycled[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
 
 // checkPow2 panics unless v is a power of two.
 func checkPow2(v int, what string) {

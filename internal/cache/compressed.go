@@ -50,15 +50,19 @@ type Compressed struct {
 	// victim, 0 otherwise.
 	tagw     []BlockAddr
 	segsUsed []int32 // per-set occupied data segments
-	// victimFIFO holds each set's replaced addresses, oldest first, in
-	// a plain L2 built with victim tags; nil otherwise.
-	victimFIFO [][]BlockAddr
-	valid      int  // current valid-line count
-	tags       int  // tags per set
-	dataSegs   int  // data segments per set
-	plain      bool // every line stored at MaxSegs (NewUncompressedL2)
-	setMask    BlockAddr
-	Stats      Stats
+	// victims holds each set's replaced addresses, oldest first, in a
+	// plain L2 built with vtags victim tags per set: set si's FIFO is
+	// victims[si*vtags:][:nvictims[si]] (victimFIFO). Without victim
+	// tags vtags is 0 and both arrays are empty.
+	victims  []BlockAddr
+	nvictims []int32
+	vtags    int
+	valid    int  // current valid-line count
+	tags     int  // tags per set
+	dataSegs int  // data segments per set
+	plain    bool // every line stored at MaxSegs (NewUncompressedL2)
+	setMask  BlockAddr
+	Stats    Stats
 
 	// CompressedHits counts hits to lines stored in fewer than MaxSegs
 	// segments, which incur the decompression penalty.
@@ -71,6 +75,15 @@ type Compressed struct {
 // data space, tagsPerSet address tags and dataSegsPerSet 8-byte data
 // segments per set.
 func NewCompressedL2(dataBytes, tagsPerSet, dataSegsPerSet int) L2 {
+	return RecycleCompressedL2(nil, dataBytes, tagsPerSet, dataSegsPerSet)
+}
+
+// RecycleCompressedL2 builds NewCompressedL2's cache in old's storage:
+// old's arrays are reused where they are large enough, and every word
+// of the result is reset to what a fresh build holds, so the two
+// behave identically. old is an L2 of any geometry, compressed or
+// plain, that nothing uses any more; nil builds fresh.
+func RecycleCompressedL2(old L2, dataBytes, tagsPerSet, dataSegsPerSet int) L2 {
 	if tagsPerSet <= 0 || dataSegsPerSet <= 0 {
 		panic("cache: tags and segments per set must be positive")
 	}
@@ -79,16 +92,19 @@ func NewCompressedL2(dataBytes, tagsPerSet, dataSegsPerSet int) L2 {
 	}
 	nsets := dataBytes / (dataSegsPerSet * SegmentBytes)
 	checkPow2(nsets, "L2 set count")
-	c := &Compressed{
-		lines:    make([]Line, nsets*tagsPerSet),
-		tagw:     make([]BlockAddr, nsets*tagsPerSet),
-		segsUsed: make([]int32, nsets),
+	c := old
+	if c == nil {
+		c = new(Compressed)
+	}
+	*c = Compressed{
+		lines:    recycled(c.lines, nsets*tagsPerSet),
+		tagw:     recycled(c.tagw, nsets*tagsPerSet),
+		segsUsed: recycled(c.segsUsed, nsets),
+		victims:  c.victims[:0], // kept for a later plain build
+		nvictims: c.nvictims[:0],
 		tags:     tagsPerSet,
 		dataSegs: dataSegsPerSet,
 		setMask:  BlockAddr(nsets - 1),
-	}
-	for i := range c.lines {
-		c.lines[i].Owner = -1
 	}
 	return c
 }
@@ -98,15 +114,18 @@ func NewCompressedL2(dataBytes, tagsPerSet, dataSegsPerSet int) L2 {
 // replaced-address tags per set for the adaptive prefetcher (0 disables
 // harmful-prefetch detection).
 func NewUncompressedL2(totalBytes, ways, victimTags int) L2 {
-	c := NewCompressedL2(totalBytes, ways, ways*MaxSegs)
+	return RecycleUncompressedL2(nil, totalBytes, ways, victimTags)
+}
+
+// RecycleUncompressedL2 builds NewUncompressedL2's cache in old's
+// storage, as RecycleCompressedL2 does.
+func RecycleUncompressedL2(old L2, totalBytes, ways, victimTags int) L2 {
+	c := RecycleCompressedL2(old, totalBytes, ways, ways*MaxSegs)
 	c.plain = true
 	if victimTags > 0 {
-		backing := make([]BlockAddr, len(c.segsUsed)*victimTags)
-		c.victimFIFO = make([][]BlockAddr, len(c.segsUsed))
-		for i := range c.victimFIFO {
-			lo := i * victimTags
-			c.victimFIFO[i] = backing[lo : lo : lo+victimTags]
-		}
+		c.vtags = victimTags
+		c.victims = recycled(c.victims, len(c.segsUsed)*victimTags)
+		c.nvictims = recycled(c.nvictims, len(c.segsUsed))
 	}
 	return c
 }
@@ -294,15 +313,21 @@ func (c *Compressed) drop(si, i int) Line {
 	tg[i] = ln.Addr | tagVictim
 	c.segsUsed[si] -= int32(ln.Segs)
 	c.valid--
-	if c.victimFIFO != nil {
-		vt := c.victimFIFO[si]
-		if len(vt) == cap(vt) {
+	if c.vtags > 0 {
+		vt, n := c.victims[si*c.vtags:][:c.vtags], int(c.nvictims[si])
+		if n == c.vtags {
 			copy(vt, vt[1:])
-			vt = vt[:len(vt)-1]
+			n--
 		}
-		c.victimFIFO[si] = append(vt, ln.Addr)
+		vt[n] = ln.Addr
+		c.nvictims[si] = int32(n + 1)
 	}
 	return ln
+}
+
+// victimFIFO returns set si's victim FIFO, oldest first.
+func (c *Compressed) victimFIFO(si int) []BlockAddr {
+	return c.victims[si*c.vtags:][:c.nvictims[si]]
 }
 
 // Resize changes the stored size of a (e.g. a dirty writeback whose new
@@ -368,13 +393,14 @@ func (c *Compressed) Resize(a BlockAddr, segs uint8, vbuf []Line) (victims []Lin
 // counted once.
 func (c *Compressed) VictimMatch(a BlockAddr) bool {
 	si := c.setIndex(a)
-	if c.victimFIFO == nil {
+	if c.vtags == 0 {
 		return c.invalidTagMatch(si, a)
 	}
-	vt := c.victimFIFO[si]
+	vt := c.victimFIFO(si)
 	for i := range vt {
 		if vt[i] == a {
-			c.victimFIFO[si] = append(vt[:i], vt[i+1:]...)
+			copy(vt[i:], vt[i+1:])
+			c.nvictims[si]--
 			return true
 		}
 	}
@@ -474,6 +500,11 @@ func (c *Compressed) CheckInvariants() string {
 	}
 	if nvalid != c.valid {
 		return fmt.Sprintf("valid-line counter %d desynced from actual count %d", c.valid, nvalid)
+	}
+	for si, n := range c.nvictims {
+		if n < 0 || int(n) > c.vtags {
+			return fmt.Sprintf("set %d: %d victims recorded in a %d-entry FIFO", si, n, c.vtags)
+		}
 	}
 	return ""
 }

@@ -6,24 +6,84 @@ import (
 	"testing"
 )
 
+// l2Geom is a shared-L2 geometry FuzzCompressedSetOps builds: sets of
+// 256 bytes of data each, compressed (8 tags, 32 segments) or plain
+// (4 ways) with fifo victim tags per set.
+type l2Geom struct {
+	plain      bool
+	sets, fifo int
+}
+
+// build builds g in old's storage (nil allocates).
+func (g l2Geom) build(old L2) L2 {
+	if g.plain {
+		return RecycleUncompressedL2(old, g.sets*4*LineBytes, 4, g.fifo)
+	}
+	return RecycleCompressedL2(old, g.sets*4*LineBytes, 8, 32)
+}
+
+// rebuildGeom decodes a rebuild op's geometry from its op byte b: bit 0
+// plain, bit 1 two sets instead of one, bits 2-4 (mod 5) the plain
+// L2's victim FIFO depth, 0 for none.
+func rebuildGeom(b byte) l2Geom {
+	g := l2Geom{plain: b&1 != 0, sets: 1 << (b >> 1 & 1)}
+	if g.plain {
+		g.fifo = int(b>>2&7) % 5
+	}
+	return g
+}
+
+// sameL2 describes the first difference between two L2s' state, every
+// field and every array element; arrays compare by length and
+// contents, not capacity. It returns "" when they are the same.
+func sameL2(got, want *Compressed) string {
+	switch {
+	case !slices.Equal(got.lines, want.lines):
+		return "lines differ"
+	case !slices.Equal(got.tagw, want.tagw):
+		return "tag words differ"
+	case !slices.Equal(got.segsUsed, want.segsUsed):
+		return "segment counts differ"
+	case !slices.Equal(got.victims, want.victims) || !slices.Equal(got.nvictims, want.nvictims):
+		return "victim FIFOs differ"
+	case got.vtags != want.vtags || got.valid != want.valid || got.tags != want.tags ||
+		got.dataSegs != want.dataSegs || got.plain != want.plain || got.setMask != want.setMask:
+		return fmt.Sprintf("geometry or counters differ: %+v vs %+v", *got, *want)
+	case got.Stats != want.Stats || got.CompressedHits != want.CompressedHits || got.ExpansionEvicts != want.ExpansionEvicts:
+		return "statistics differ"
+	}
+	return ""
+}
+
 // FuzzCompressedSetOps drives arbitrary fill/resize/access/victim-match
-// sequences against one set of the shared L2 and cross-checks every
-// step against a brute-force shadow set (a plain address → segments map
-// with no LRU, packing or tag machinery). mode picks the L2: 0 (mod 4)
-// is the compressed L2 with 8 tags and 32 segments; 1..3 the plain L2
-// with 4 ways and a 2-, 3- or 4-entry victim FIFO, where every fill
-// stores MaxSegs and a resize changes nothing. After each operation the
-// two must agree on membership in both directions, per-line stored
-// size, total segment usage — and CheckInvariants() must hold, which is
-// the same sweep the runtime auditor runs.
+// sequences against the shared L2 and cross-checks every step against a
+// brute-force shadow (a plain address → segments map with no LRU,
+// packing or tag machinery). mode picks the first L2: 0 (mod 4) is the
+// compressed L2 with 8 tags and 32 segments; 1..3 the plain L2 with 4
+// ways and a 2-, 3- or 4-entry victim FIFO, where every fill stores
+// MaxSegs and a resize changes nothing. Either way it has one set of
+// 256 bytes, so every address collides and packing or replacement
+// pressure is maximal. After each operation the two must agree on
+// membership in both directions, per-line stored size, total segment
+// usage — and CheckInvariants() must hold, which is the same sweep the
+// runtime auditor runs.
 //
-// In compressed mode a victim match must agree with a scan of the set's
+// Without a victim FIFO a victim match must agree with a scan of the
 // Line structs, and VictimTagCount must drop by one exactly when it
-// matches. In plain mode the shadow also keeps the set's LRU order and
-// victim FIFO: every fill must evict exactly the shadow's LRU line when
-// the set is full and nothing otherwise, the set's tag order and FIFO
-// must equal the shadow's after every step, and every victim match must
-// agree with (and consume from) the shadow FIFO.
+// matches. In a plain L2 the shadow also keeps each set's LRU order
+// and victim FIFO: every fill must evict exactly the shadow's LRU line
+// when the set is full and nothing otherwise, each set's tag order and
+// FIFO must equal the shadow's after every step, and every victim
+// match must agree with (and consume from) the shadow FIFO.
+//
+// An op whose address byte is 0xF0 or above rebuilds the L2 in its own
+// storage (RecycleCompressedL2, RecycleUncompressedL2) with the
+// geometry rebuildGeom decodes from the op byte: one or two sets,
+// compressed or plain, with or without a victim FIFO. The result must
+// reuse the storage where it is large enough and equal a fresh build of
+// that geometry field for field: nothing valid, every lookup and
+// victim match a miss, every statistic zero. The ops that follow drive
+// it against an empty shadow.
 func FuzzCompressedSetOps(f *testing.F) {
 	f.Add(uint8(0), []byte{0x00, 0x01})
 	f.Add(uint8(0), []byte{0x04, 0x01, 0x3c, 0x02, 0x1c, 0x03, 0x08, 0x01})
@@ -36,23 +96,49 @@ func FuzzCompressedSetOps(f *testing.F) {
 	// Plain, 4-entry FIFO: refills of a matched victim.
 	f.Add(uint8(3), []byte{0x00, 0x00, 0x00, 0x01, 0x00, 0x02, 0x00, 0x03, 0x02, 0x00,
 		0x00, 0x04, 0x04, 0x01, 0x00, 0x01, 0x00, 0x05, 0x04, 0x02})
+	// One seed per rebuild transition, each after ops that leave valid
+	// lines, victim tags or FIFO entries behind for the rebuild to clear.
+	// Compressed -> plain with a 4-entry FIFO, which then records a
+	// victim.
+	f.Add(uint8(0), []byte{0x05, 0x00, 0x0a, 0x01, 0x0f, 0x02, 0x14, 0x03, 0x19, 0x04, 0x1e, 0x05,
+		0x11, 0xf0, 0x00, 0x00, 0x00, 0x01, 0x00, 0x02, 0x00, 0x03, 0x00, 0x04, 0x04, 0x00})
+	// Plain with a FIFO -> compressed, whose fills then pack and evict.
+	f.Add(uint8(2), []byte{0x00, 0x00, 0x00, 0x01, 0x00, 0x02, 0x00, 0x03, 0x00, 0x04,
+		0x00, 0xf5, 0x05, 0x00, 0x0a, 0x01, 0x23, 0x02, 0x23, 0x03, 0x23, 0x04, 0x23, 0x05, 0x04, 0x00})
+	// Plain with a FIFO -> plain without one (victim matches must miss).
+	f.Add(uint8(3), []byte{0x00, 0x00, 0x00, 0x01, 0x00, 0x02, 0x00, 0x03, 0x00, 0x04,
+		0x01, 0xf0, 0x00, 0x00, 0x00, 0x01, 0x00, 0x02, 0x00, 0x03, 0x00, 0x04, 0x04, 0x00})
+	// Plain without a FIFO -> plain with a 2-entry FIFO.
+	f.Add(uint8(1), []byte{0x01, 0xf0, 0x00, 0x00, 0x00, 0x01, 0x00, 0x02, 0x00, 0x03,
+		0x00, 0x04, 0x09, 0xf1, 0x00, 0x00, 0x00, 0x01, 0x00, 0x02, 0x00, 0x03, 0x00, 0x04, 0x04, 0x00})
+	// Compressed, one set -> two sets (larger) -> one set (smaller).
+	f.Add(uint8(0), []byte{0x05, 0x00, 0x0a, 0x01, 0x02, 0xf0, 0x05, 0x00, 0x0a, 0x01, 0x0f, 0x02,
+		0x14, 0x03, 0x00, 0xf2, 0x05, 0x04, 0x04, 0x00})
+	// Plain, one set -> two sets with a 3-entry FIFO -> one set.
+	f.Add(uint8(1), []byte{0x00, 0x00, 0x00, 0x01, 0x0f, 0xf0, 0x00, 0x00, 0x00, 0x02, 0x00, 0x04,
+		0x00, 0x06, 0x00, 0x08, 0x00, 0x0a, 0x04, 0x00, 0x0d, 0xf3, 0x00, 0x01, 0x04, 0x01})
 	f.Fuzz(func(t *testing.T, mode uint8, ops []byte) {
-		// Either way the L2 is 256 B of data in exactly one set, so every
-		// address collides and packing or replacement pressure is maximal.
-		plain, fifoCap := mode%4 != 0, int(mode%4)+1
-		c := NewCompressedL2(256, 8, 32)
-		if plain {
-			c = NewUncompressedL2(256, 4, fifoCap)
+		g := l2Geom{plain: mode%4 != 0, sets: 1}
+		if g.plain {
+			g.fifo = int(mode%4) + 1
 		}
-		shadow := map[BlockAddr]uint8{}
-		var lru, fifo []BlockAddr // plain mode: MRU first; oldest first
+		c := g.build(nil)
+		var shadow map[BlockAddr]uint8
+		var lru, fifo [][]BlockAddr // per set, plain L2: MRU first; oldest first
+		empty := func() {
+			shadow = map[BlockAddr]uint8{}
+			lru, fifo = make([][]BlockAddr, g.sets), make([][]BlockAddr, g.sets)
+		}
+		empty()
 		var vbuf []Line
+		setOf := func(a BlockAddr) int { return int(a) % g.sets }
 
 		promote := func(a BlockAddr) {
-			if i := slices.Index(lru, a); i >= 0 {
-				lru = slices.Delete(lru, i, i+1)
+			l := lru[setOf(a)]
+			if i := slices.Index(l, a); i >= 0 {
+				l = slices.Delete(l, i, i+1)
 			}
-			lru = slices.Insert(lru, 0, a)
+			lru[setOf(a)] = slices.Insert(l, 0, a)
 		}
 		evict := func(victims []Line, op string) {
 			for _, v := range victims {
@@ -64,15 +150,19 @@ func FuzzCompressedSetOps(f *testing.F) {
 						op, uint64(v.Addr), v.Segs, shadow[v.Addr])
 				}
 				delete(shadow, v.Addr)
-				if plain {
-					if n := len(lru); n == 0 || lru[n-1] != v.Addr {
-						t.Fatalf("%s evicted %#x, shadow LRU order %v", op, uint64(v.Addr), lru)
+				if g.plain {
+					si := setOf(v.Addr)
+					if n := len(lru[si]); n == 0 || lru[si][n-1] != v.Addr {
+						t.Fatalf("%s evicted %#x, shadow LRU order %v", op, uint64(v.Addr), lru[si])
 					}
-					lru = lru[:len(lru)-1]
-					if len(fifo) == fifoCap {
-						fifo = fifo[1:]
+					lru[si] = lru[si][:len(lru[si])-1]
+					if g.fifo == 0 {
+						continue
 					}
-					fifo = append(fifo, v.Addr)
+					if len(fifo[si]) == g.fifo {
+						fifo[si] = fifo[si][1:]
+					}
+					fifo[si] = append(fifo[si], v.Addr)
 				}
 			}
 		}
@@ -99,20 +189,48 @@ func FuzzCompressedSetOps(f *testing.F) {
 			if got := c.UsedSegments(); got != total {
 				t.Fatalf("after %s: %d segments used, shadow sums to %d", op, got, total)
 			}
-			if !plain {
+			if !g.plain {
 				return
 			}
-			for j, ln := range c.lines {
-				if (j < len(lru)) != ln.Valid || ln.Valid && ln.Addr != lru[j] {
-					t.Fatalf("after %s: tag %d holds %+v, shadow LRU order %v", op, j, ln, lru)
+			for si := 0; si < g.sets; si++ {
+				set, _ := c.set(si)
+				for j, ln := range set {
+					if (j < len(lru[si])) != ln.Valid || ln.Valid && ln.Addr != lru[si][j] {
+						t.Fatalf("after %s: set %d tag %d holds %+v, shadow LRU order %v", op, si, j, ln, lru[si])
+					}
+				}
+				if g.fifo > 0 && !slices.Equal(c.victimFIFO(si), fifo[si]) {
+					t.Fatalf("after %s: set %d victim FIFO %v, shadow %v", op, si, c.victimFIFO(si), fifo[si])
 				}
 			}
-			if !slices.Equal(c.victimFIFO[0], fifo) {
-				t.Fatalf("after %s: victim FIFO %v, shadow %v", op, c.victimFIFO[0], fifo)
+		}
+		rebuild := func(b byte) string {
+			g = rebuildGeom(b)
+			op := fmt.Sprintf("rebuild %+v", g)
+			old, lines := c, c.lines
+			if c = g.build(c); c != old {
+				t.Fatalf("%s built a new L2 instead of reusing its storage", op)
 			}
+			if cap(lines) >= len(c.lines) && &lines[:1][0] != &c.lines[0] {
+				t.Fatalf("%s allocated a tag array its old one could hold", op)
+			}
+			if msg := sameL2(c, g.build(nil)); msg != "" {
+				t.Fatalf("%s differs from a fresh build: %s", op, msg)
+			}
+			for a := BlockAddr(0); a < 16; a++ {
+				if c.Lookup(a) != nil || c.VictimMatch(a) {
+					t.Fatalf("%s: block %#x still present or recorded as a victim", op, uint64(a))
+				}
+			}
+			empty()
+			return op
 		}
 
 		for i := 0; i+1 < len(ops); i += 2 {
+			if ops[i+1] >= 0xf0 {
+				check(rebuild(ops[i]))
+				continue
+			}
 			kind := ops[i] % 5
 			segs := 1 + (ops[i]/5)%MaxSegs
 			addr := BlockAddr(ops[i+1] % 16)
@@ -126,19 +244,19 @@ func FuzzCompressedSetOps(f *testing.F) {
 				op = fmt.Sprintf("fill %#x @%d", uint64(addr), segs)
 				victims, inserted := c.Fill(addr, segs, ops[i]&0x80 != 0, vbuf[:0])
 				stored := segs
-				if plain {
+				if g.plain {
 					stored = MaxSegs
 					want := 0 // a one-tag-per-way set evicts only when full
-					if len(lru) == 4 {
+					if len(lru[setOf(addr)]) == 4 {
 						want = 1
 					}
 					if len(victims) != want {
-						t.Fatalf("%s into a set of %d lines evicted %d", op, len(lru), len(victims))
+						t.Fatalf("%s into a set of %d lines evicted %d", op, len(lru[setOf(addr)]), len(victims))
 					}
 				}
 				evict(victims, op)
 				shadow[addr] = stored
-				if plain {
+				if g.plain {
 					promote(addr)
 				}
 				if inserted == nil || inserted.Addr != addr || inserted.Segs != stored {
@@ -150,22 +268,23 @@ func FuzzCompressedSetOps(f *testing.F) {
 				if found != present {
 					t.Fatalf("%s found=%v, shadow presence %v", op, found, present)
 				}
-				if plain && len(victims) != 0 {
+				if g.plain && len(victims) != 0 {
 					t.Fatalf("%s in a plain L2 evicted %d lines", op, len(victims))
 				}
 				evict(victims, op)
-				if found && !plain {
+				if found && !g.plain {
 					shadow[addr] = segs
 				}
 			case 4: // victim match
 				op = fmt.Sprintf("victim match %#x", uint64(addr))
-				if plain {
-					j := slices.Index(fifo, addr)
+				if g.fifo > 0 {
+					si := setOf(addr)
+					j := slices.Index(fifo[si], addr)
 					if got := c.VictimMatch(addr); got != (j >= 0) {
-						t.Fatalf("%s = %v, shadow FIFO %v", op, got, fifo)
+						t.Fatalf("%s = %v, shadow FIFO %v", op, got, fifo[si])
 					}
 					if j >= 0 {
-						fifo = slices.Delete(fifo, j, j+1)
+						fifo[si] = slices.Delete(fifo[si], j, j+1)
 					}
 					break
 				}
@@ -200,7 +319,7 @@ func FuzzCompressedSetOps(f *testing.F) {
 					if compressed != (ln.Segs < MaxSegs) {
 						t.Fatalf("%s compressed=%v at %d segs", op, compressed, ln.Segs)
 					}
-					if plain {
+					if g.plain {
 						promote(addr)
 					}
 				}

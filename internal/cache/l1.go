@@ -54,13 +54,24 @@ type L1 struct {
 // NewL1 builds an L1 of totalBytes capacity with the given
 // associativity and 64-byte lines. totalBytes must give a power-of-two
 // set count.
-func NewL1(totalBytes, ways int) *L1 {
+func NewL1(totalBytes, ways int) *L1 { return RecycleL1(nil, totalBytes, ways) }
+
+// RecycleL1 builds NewL1's cache in old's storage: old's tag array is
+// reused when it is large enough and every way is reset to empty, so
+// the two behave identically. old is an L1 of any geometry that
+// nothing uses any more; nil builds fresh.
+func RecycleL1(old *L1, totalBytes, ways int) *L1 {
 	if totalBytes <= 0 || ways <= 0 {
 		panic("cache: capacity and ways must be positive")
 	}
 	nsets := totalBytes / (LineBytes * ways)
 	checkPow2(nsets, "L1 set count")
-	return &L1{ways: make([]L1Line, nsets*ways), nways: ways, setMask: BlockAddr(nsets - 1)}
+	c := old
+	if c == nil {
+		c = new(L1)
+	}
+	*c = L1{ways: recycled(c.ways, nsets*ways), nways: ways, setMask: BlockAddr(nsets - 1)}
+	return c
 }
 
 // set returns the ways of a's set.

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -165,18 +166,32 @@ func same(w L1Line, r l1Ref) bool {
 	return w.Valid() && w.Addr() == r.addr && w.Dirty() == r.dirty && w.Prefetch() == r.prefetch && w.PfBy() == r.pfBy
 }
 
-// FuzzL1SetOps drives an L1 (2 sets × 4 ways) and l1Model through fill,
-// access, fast-hit, invalidate, lookup and set-dirty operations and
-// checks after every step that both return the same answers, hold the
-// same lines in the same LRU order and count the same statistics, and
-// that CheckInvariants holds. Each op is two bytes: the low three bits
-// of the first pick the op, the rest are its flags; the second is the
-// address, offset past 2^58 when its top bit is set (those must never
-// hit, and Fill must refuse them).
+// FuzzL1SetOps drives an L1 (2 sets × 4 ways at first) and l1Model
+// through fill, access, fast-hit, invalidate, lookup and set-dirty
+// operations and checks after every step that both return the same
+// answers, hold the same lines in the same LRU order and count the same
+// statistics, and that CheckInvariants holds. Each op is two bytes:
+// the low three bits of the first pick the op, the rest are its flags;
+// the second is the address, offset past 2^58 when its top bit is set
+// (those must never hit, and Fill must refuse them).
+//
+// An op byte with its top bit and all three op bits set (0x87 under
+// mask) rebuilds the L1 in its own storage (RecycleL1) with 1, 2, 4 or
+// 8 sets (bits 3-4) of 1 to 4 ways (bits 5-6). The result must reuse
+// the tag array when it is large enough and equal a fresh build: every
+// way empty, every lookup a miss, the statistics zero. The ops that
+// follow drive it against an empty model of the new geometry.
 func FuzzL1SetOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x01, 0x01})
 	f.Add([]byte{0x08, 0x02, 0x00, 0x04, 0x00, 0x06, 0x00, 0x08, 0x00, 0x0a, 0x03, 0x02, 0x12, 0x04})
 	f.Add([]byte{0x30, 0x03, 0x02, 0x03, 0x1a, 0x03, 0x05, 0x03, 0x03, 0x03, 0x00, 0x83})
+	// Rebuilds after fills: to 8 sets × 4 ways (larger), then 1 set × 2
+	// ways (smaller), then back to 2 sets × 4 ways, each followed by
+	// fills that overflow a set and a hit.
+	f.Add([]byte{0x00, 0x00, 0x08, 0x02, 0x00, 0x04,
+		0xff, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x10, 0x00, 0x18, 0x00, 0x20, 0x02, 0x08,
+		0xa7, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x02, 0x02, 0x02,
+		0xef, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x04, 0x00, 0x06, 0x00, 0x08, 0x02, 0x08})
 	rng := rand.New(rand.NewSource(1))
 	for k := 0; k < 4; k++ {
 		ops := make([]byte, 512)
@@ -187,11 +202,34 @@ func FuzzL1SetOps(f *testing.F) {
 		f.Add(ops)
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		const ways = 4
+		ways := 4
 		c := NewL1(2*ways*LineBytes, ways)
 		m := &l1Model{sets: make([][]l1Ref, 2)}
 		for i := 0; i+1 < len(ops); i += 2 {
 			b := ops[i]
+			if b&0x87 == 0x87 {
+				nsets := 1 << (b >> 3 & 3)
+				ways = 1 + int(b>>5&3)
+				op := fmt.Sprintf("rebuild %d sets x %d ways", nsets, ways)
+				old, arr := c, c.ways
+				if c = RecycleL1(c, nsets*ways*LineBytes, ways); c != old {
+					t.Fatalf("%s built a new L1 instead of reusing its storage", op)
+				}
+				if cap(arr) >= len(c.ways) && &arr[:1][0] != &c.ways[0] {
+					t.Fatalf("%s allocated a tag array its old one could hold", op)
+				}
+				fresh := NewL1(nsets*ways*LineBytes, ways)
+				if !slices.Equal(c.ways, fresh.ways) || c.nways != fresh.nways || c.setMask != fresh.setMask || c.Stats != fresh.Stats {
+					t.Fatalf("%s differs from a fresh build: %+v vs %+v", op, *c, *fresh)
+				}
+				for a := BlockAddr(0); a < 0x80; a++ {
+					if c.Lookup(a).Valid() {
+						t.Fatalf("%s: block %#x still present", op, uint64(a))
+					}
+				}
+				m = &l1Model{sets: make([][]l1Ref, nsets)}
+				continue
+			}
 			a := BlockAddr(ops[i+1] & 0x7f)
 			if ops[i+1]&0x80 != 0 {
 				a |= 1 << 58

@@ -166,7 +166,14 @@ type Hierarchy struct {
 }
 
 // New builds a hierarchy; cfg.L2 and cfg.Size must be set.
-func New(cfg Config) *Hierarchy {
+func New(cfg Config) *Hierarchy { return Recycle(nil, cfg) }
+
+// Recycle builds New's hierarchy in old's storage: each core's L1s are
+// rebuilt in old's (cache.RecycleL1), so the result behaves exactly
+// like New's. Only old's L1I and L1D are read, and old may have any
+// core count or be nil; nothing may use it any more. cfg.L2 is the
+// caller's to build, in old.L2's storage or not.
+func Recycle(old *Hierarchy, cfg Config) *Hierarchy {
 	if cfg.Cores <= 0 || cfg.Cores > cache.MaxCores {
 		panic(fmt.Sprintf("coherence: cores must be in 1..%d", cache.MaxCores))
 	}
@@ -174,11 +181,26 @@ func New(cfg Config) *Hierarchy {
 		panic("coherence: L2 and Size are required")
 	}
 	h := &Hierarchy{cfg: cfg, L2: cfg.L2, size: cfg.Size}
-	for c := 0; c < cfg.Cores; c++ {
-		h.L1I = append(h.L1I, cache.NewL1(cfg.L1Bytes, cfg.L1Ways))
-		h.L1D = append(h.L1D, cache.NewL1(cfg.L1Bytes, cfg.L1Ways))
+	if old == nil {
+		old = &Hierarchy{}
 	}
+	h.L1I = recycleL1s(old.L1I, cfg)
+	h.L1D = recycleL1s(old.L1D, cfg)
 	return h
+}
+
+// recycleL1s builds cfg's L1s of one kind, core c's in old[c]'s storage
+// where old has one.
+func recycleL1s(old []*cache.L1, cfg Config) []*cache.L1 {
+	l1s := make([]*cache.L1, cfg.Cores)
+	for c := range l1s {
+		if c < len(old) {
+			l1s[c] = cache.RecycleL1(old[c], cfg.L1Bytes, cfg.L1Ways)
+		} else {
+			l1s[c] = cache.NewL1(cfg.L1Bytes, cfg.L1Ways)
+		}
+	}
+	return l1s
 }
 
 // l1For selects core c's L1 for the access kind.
@@ -228,7 +250,7 @@ func (h *Hierarchy) Access(core int, kind Kind, a cache.BlockAddr) AccessResult 
 			r.Invalidations += h.invalidateOtherSharers(core, a)
 			l1.SetDirty(a, true)
 			if l2ln := h.L2.Lookup(a); l2ln != nil {
-				l2ln.Owner = int8(core)
+				l2ln.SetOwner(core)
 			}
 		}
 		r.Writebacks = h.wbuf
@@ -246,12 +268,12 @@ func (h *Hierarchy) Access(core int, kind Kind, a cache.BlockAddr) AccessResult 
 		}
 		// If another core holds the line modified, it must supply the
 		// data (writeback to L2) before we proceed.
-		if l2ln.Owner >= 0 && int(l2ln.Owner) != core {
+		if o := l2ln.Owner(); o >= 0 && o != core {
 			r.DirtyForward = true
 			h.DirtyForwards++
-			h.L1D[l2ln.Owner].SetDirty(a, false)
+			h.L1D[o].SetDirty(a, false)
 			l2ln.Dirty = true
-			l2ln.Owner = -1
+			l2ln.SetOwner(-1)
 		}
 	} else {
 		// L2 miss: harmful-prefetch detection via the extra tags, then
@@ -272,7 +294,7 @@ func (h *Hierarchy) Access(core int, kind Kind, a cache.BlockAddr) AccessResult 
 	// Coherence action for the requester.
 	if kind == Store {
 		r.Invalidations += h.invalidateOtherSharersLine(l2ln, core, a)
-		l2ln.Owner = int8(core)
+		l2ln.SetOwner(core)
 	}
 	h.addSharer(l2ln, core, kind)
 
@@ -333,8 +355,8 @@ func (h *Hierarchy) invalidateOtherSharersLine(ln *cache.Line, core int, a cache
 			ln.Sharers &^= 1 << uint(c)
 		}
 	}
-	if ln.Owner >= 0 && int(ln.Owner) != core {
-		ln.Owner = -1
+	if o := ln.Owner(); o >= 0 && o != core {
+		ln.SetOwner(-1)
 	}
 	return n
 }
@@ -362,8 +384,8 @@ func (h *Hierarchy) fillL1(l1 *cache.L1, core int, kind Kind, a cache.BlockAddr,
 			h.L1Writebacks++
 			r.L1DirtyVictim = true
 			l2ln.Dirty = true
-			if int8(core) == l2ln.Owner {
-				l2ln.Owner = -1
+			if l2ln.Owner() == core {
+				l2ln.SetOwner(-1)
 			}
 			if h.L2.StoresCompressed() {
 				// Recompress: the stored size tracks current contents.
@@ -443,7 +465,7 @@ func (h *Hierarchy) PrefetchL1(core int, kind Kind, a cache.BlockAddr, by PfSour
 		}
 		// A modified copy in another L1 stays put: prefetching does not
 		// steal ownership; skip the prefetch instead (conservative).
-		if l2ln.Owner >= 0 && int(l2ln.Owner) != core {
+		if o := l2ln.Owner(); o >= 0 && o != core {
 			out.AlreadyPresent = true
 			return out
 		}
@@ -539,8 +561,8 @@ func (h *Hierarchy) AuditMSI() string {
 			bad = fmt.Sprintf("L2 line %#x has sharer bits %#x beyond %d cores", uint64(ln.Addr), ln.Sharers, h.cfg.Cores)
 		case ln.ISharers&^mask != 0:
 			bad = fmt.Sprintf("L2 line %#x has isharer bits %#x beyond %d cores", uint64(ln.Addr), ln.ISharers, h.cfg.Cores)
-		case ln.Owner < -1 || int(ln.Owner) >= h.cfg.Cores:
-			bad = fmt.Sprintf("L2 line %#x has owner %d beyond %d cores", uint64(ln.Addr), ln.Owner, h.cfg.Cores)
+		case ln.Owner() >= h.cfg.Cores:
+			bad = fmt.Sprintf("L2 line %#x has owner %d beyond %d cores", uint64(ln.Addr), ln.Owner(), h.cfg.Cores)
 		}
 		if bad != "" {
 			return
@@ -560,8 +582,8 @@ func (h *Hierarchy) AuditMSI() string {
 			}
 			if dln.Dirty() {
 				dirtyCopies++
-				if int(ln.Owner) != c {
-					bad = fmt.Sprintf("L1D[%d] holds %#x modified but L2 owner is %d", c, uint64(ln.Addr), ln.Owner)
+				if ln.Owner() != c {
+					bad = fmt.Sprintf("L1D[%d] holds %#x modified but L2 owner is %d", c, uint64(ln.Addr), ln.Owner())
 					return
 				}
 			}
@@ -570,10 +592,10 @@ func (h *Hierarchy) AuditMSI() string {
 			bad = fmt.Sprintf("L2 line %#x has %d modified L1 copies", uint64(ln.Addr), dirtyCopies)
 			return
 		}
-		if ln.Owner >= 0 {
-			dln := h.L1D[ln.Owner].Lookup(ln.Addr)
+		if o := ln.Owner(); o >= 0 {
+			dln := h.L1D[o].Lookup(ln.Addr)
 			if !dln.Dirty() {
-				bad = fmt.Sprintf("L2 line %#x owned by core %d whose L1D copy is %s", uint64(ln.Addr), ln.Owner,
+				bad = fmt.Sprintf("L2 line %#x owned by core %d whose L1D copy is %s", uint64(ln.Addr), o,
 					map[bool]string{true: "clean", false: "absent"}[dln.Valid()])
 			}
 		}

@@ -80,8 +80,8 @@ func TestStoreUpgradeInvalidatesSharers(t *testing.T) {
 		t.Fatal("other sharers must be invalidated")
 	}
 	ln := h.L2.Lookup(0x100)
-	if ln.Owner != 0 {
-		t.Fatalf("owner = %d, want 0", ln.Owner)
+	if ln.Owner() != 0 {
+		t.Fatalf("owner = %d, want 0", ln.Owner())
 	}
 	if msg := h.CheckSharerBits(); msg != "" {
 		t.Fatal(msg)
@@ -100,7 +100,7 @@ func TestDirtyForwardOnRemoteLoad(t *testing.T) {
 		t.Fatal("owner's copy should be clean-shared now")
 	}
 	l2ln := h.L2.Lookup(0x100)
-	if !l2ln.Dirty || l2ln.Owner != -1 {
+	if !l2ln.Dirty || l2ln.Owner() != -1 {
 		t.Fatalf("L2 line after forward: %+v", l2ln)
 	}
 }
@@ -115,8 +115,8 @@ func TestStoreMissInvalidatesRemoteOwner(t *testing.T) {
 	if h.L1D[0].Lookup(0x100).Valid() {
 		t.Fatal("previous owner must be invalidated")
 	}
-	if ln := h.L2.Lookup(0x100); ln.Owner != 1 {
-		t.Fatalf("owner = %d, want 1", ln.Owner)
+	if ln := h.L2.Lookup(0x100); ln.Owner() != 1 {
+		t.Fatalf("owner = %d, want 1", ln.Owner())
 	}
 }
 

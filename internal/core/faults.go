@@ -20,7 +20,6 @@ import (
 
 	"cmpsim/internal/audit"
 	"cmpsim/internal/sim"
-	"cmpsim/internal/workload"
 )
 
 // Failure reasons carried by PointError. No failure is retried:
@@ -103,9 +102,9 @@ func (e *pointEntry) newPointError(seed int, err error) *PointError {
 }
 
 // simulateSeed runs one seed job with panic isolation and the optional
-// watchdog deadline, and returns where its block sizes came from. Any
+// watchdog deadline, and returns how its System ran (sim.RunInfo). Any
 // failure comes back as a *PointError.
-func (e *pointEntry) simulateSeed(seed int) (sim.Metrics, workload.SizeCounts, error) {
+func (e *pointEntry) simulateSeed(seed int) (sim.Metrics, sim.RunInfo, error) {
 	cfg := e.opts.config(e.bench, e.mech, int64(seed)+1)
 	if e.checkSet {
 		cfg.CheckLevel = e.checkLevel
@@ -115,16 +114,16 @@ func (e *pointEntry) simulateSeed(seed int) (sim.Metrics, workload.SizeCounts, e
 	}
 	r := e.runWithDeadline(cfg, seed)
 	if r.err != nil {
-		return sim.Metrics{}, r.sizes, e.newPointError(seed, r.err)
+		return sim.Metrics{}, r.info, e.newPointError(seed, r.err)
 	}
-	return r.met, r.sizes, nil
+	return r.met, r.info, nil
 }
 
 // seedResult is what one seed's simulation returns.
 type seedResult struct {
-	met   sim.Metrics
-	sizes workload.SizeCounts
-	err   error
+	met  sim.Metrics
+	info sim.RunInfo
+	err  error
 }
 
 // runWithDeadline executes the simulation. Without a deadline it runs
@@ -150,7 +149,9 @@ func (e *pointEntry) runWithDeadline(cfg sim.Config, seed int) seedResult {
 // guardedRun fires the fault-injection hook (if any) and the simulation
 // with panic isolation: a panic anywhere below becomes a panicError
 // instead of killing the worker pool. The simulation shares version-0
-// block sizes through the submitting scheduler's registry.
+// block sizes through the submitting scheduler's registry, and builds
+// its System in recycled storage (sim.RunShared). A job the watchdog
+// abandoned hands its storage back only when its own run returns.
 func (e *pointEntry) guardedRun(cfg sim.Config, seed int) (r seedResult) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -162,6 +163,6 @@ func (e *pointEntry) guardedRun(cfg sim.Config, seed int) (r seedResult) {
 			return seedResult{err: herr}
 		}
 	}
-	r.met, r.sizes, r.err = sim.RunShared(cfg, e.sizes)
+	r.met, r.info, r.err = sim.RunShared(cfg, e.sizes)
 	return r
 }

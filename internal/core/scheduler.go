@@ -167,8 +167,8 @@ func (e *pointEntry) key() pointKey {
 // watchdog deadline (faults.go) — and finishes the point when it is the
 // last seed to land.
 func (e *pointEntry) runSeed(s *Scheduler, seed int) {
-	met, sizes, err := e.simulateSeed(seed)
-	s.noteSizes(sizes)
+	met, info, err := e.simulateSeed(seed)
+	s.noteRun(info)
 	e.mu.Lock()
 	if err != nil && e.err == nil {
 		e.err = err
@@ -288,6 +288,8 @@ type Scheduler struct {
 	fromStore uint64
 	failed    uint64
 	sizeCount workload.SizeCounts // summed over finished seed jobs
+	recycled  uint64              // seed jobs whose System was built in recycled storage
+	fresh     uint64              // seed jobs whose System was built in new memory
 
 	obsPanicOnce sync.Once // first observer panic reported to stderr
 }
@@ -402,12 +404,18 @@ func (s *Scheduler) noteFailed() {
 	s.mu.Unlock()
 }
 
-// noteSizes adds one seed job's size counts.
-func (s *Scheduler) noteSizes(c workload.SizeCounts) {
+// noteRun adds one seed job's size and storage counts.
+func (s *Scheduler) noteRun(info sim.RunInfo) {
 	s.mu.Lock()
-	s.sizeCount.Shared += c.Shared
-	s.sizeCount.Computed += c.Computed
-	s.sizeCount.Evicted += c.Evicted
+	s.sizeCount.Shared += info.Sizes.Shared
+	s.sizeCount.Computed += info.Sizes.Computed
+	s.sizeCount.Evicted += info.Sizes.Evicted
+	if info.Recycled {
+		s.recycled++
+	}
+	if info.Fresh {
+		s.fresh++
+	}
 	s.mu.Unlock()
 }
 
@@ -597,8 +605,8 @@ func (s *Scheduler) Close() {
 
 // SchedulerStats counts cache effectiveness and pipeline health: how
 // much simulation the memoized point cache and the result store avoided,
-// how many points failed, and where the seed jobs' block sizes came
-// from.
+// how many points failed, where the seed jobs' block sizes came from
+// and what their Systems were built in.
 type SchedulerStats struct {
 	Requests  uint64 // Submit calls
 	Unique    uint64 // distinct points actually simulated (locally or via the lease adapter)
@@ -609,6 +617,9 @@ type SchedulerStats struct {
 	SizesShared   uint64 // block sizes seed jobs read from the shared version-0 table
 	SizesComputed uint64 // block sizes seed jobs synthesized and priced themselves
 	TablesEvicted uint64 // shared size tables evicted to make room for this scheduler's
+
+	StorageRecycled uint64 // seed jobs whose System was built in storage an earlier run left
+	StorageFresh    uint64 // seed jobs whose System was built in newly allocated memory
 }
 
 // Cached returns how many requests were served from the in-process
@@ -625,6 +636,7 @@ func (s *Scheduler) Stats() SchedulerStats {
 		Requests: s.requests, Unique: s.unique, SeedRuns: s.seedRuns,
 		FromStore: s.fromStore, Failed: s.failed,
 		SizesShared: s.sizeCount.Shared, SizesComputed: s.sizeCount.Computed,
-		TablesEvicted: s.sizeCount.Evicted,
+		TablesEvicted:   s.sizeCount.Evicted,
+		StorageRecycled: s.recycled, StorageFresh: s.fresh,
 	}
 }

@@ -94,7 +94,7 @@ func TestSharedSizesBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				alone += n.Computed
+				alone += n.Sizes.Computed
 			}
 		}
 	}
@@ -183,10 +183,11 @@ func TestDirectRunLeavesSharedSizesAlone(t *testing.T) {
 	if _, err := sim.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	_, alone, err := sim.RunShared(cfg, workload.NewSizeRegistry())
+	_, info, err := sim.RunShared(cfg, workload.NewSizeRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
+	alone := info.Sizes
 	s.Submit("apache", Compression, o).MustWait()
 	st := s.Stats()
 	if st.SizesComputed != alone.Computed || st.SizesShared != alone.Shared {

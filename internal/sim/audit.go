@@ -212,7 +212,7 @@ func (s *System) applyStateFault() {
 			}
 			for c := 0; c < s.cfg.Cores; c++ {
 				if !s.h.L1D[c].Lookup(ln.Addr).Dirty() {
-					ln.Owner = int8(c)
+					ln.SetOwner(c)
 					done = true
 					return
 				}

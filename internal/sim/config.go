@@ -17,9 +17,11 @@
 // counters) and shares no mutable package state, which is what lets
 // internal/core's scheduler fan seed-level runs across a worker pool
 // with bit-identical results to a serial sweep. RunShared, which the
-// scheduler calls, shares one thing more: the version-0 block sizes in
+// scheduler calls, shares two things more: the version-0 block sizes in
 // the registry it is handed, which are the same for every run that
-// reads them (workload.SizeRegistry).
+// reads them (workload.SizeRegistry), and the storage of finished runs,
+// which it builds its System in and resets to the freshly allocated
+// state, so no two live Systems share memory.
 package sim
 
 import (

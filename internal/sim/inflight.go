@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"cmpsim/internal/cache"
 	"cmpsim/internal/timing"
 )
@@ -31,8 +33,16 @@ const inflightKey cache.BlockAddr = 1 << 63
 
 const inflightMinBits = 8 // log2 of the initial slot count
 
-func newInflightTable() inflightTable {
-	return inflightTable{slots: make([]inflightSlot, 1<<inflightMinBits), shift: 64 - inflightMinBits}
+// newInflightTable returns an empty table in old's slot array, a
+// finished table's (nil allocates the minimum size). A table of any
+// size answers every operation alike: nothing reads its slot order.
+func newInflightTable(old []inflightSlot) inflightTable {
+	if len(old) < 1<<inflightMinBits {
+		old = make([]inflightSlot, 1<<inflightMinBits)
+	} else {
+		clear(old)
+	}
+	return inflightTable{slots: old, shift: uint(64 - bits.TrailingZeros(uint(len(old))))}
 }
 
 // home returns the slot a's probe chain starts at.

@@ -14,7 +14,7 @@ import (
 // wrapped chain lands. The rest are boundary addresses (0, the largest
 // legal block address) and keys from a simulated region.
 var inflightKeys = func() []cache.BlockAddr {
-	probe := newInflightTable()
+	probe := newInflightTable(nil)
 	last := len(probe.slots) - 1
 	var atLast, atZero []cache.BlockAddr
 	for a := cache.BlockAddr(1); len(atLast) < 12 || len(atZero) < 6; a++ {
@@ -48,14 +48,52 @@ func (t *inflightTable) get(a cache.BlockAddr) (timing.Tick, bool) {
 // prune (tick is the horizon) or a bulk put of op/5 fresh keys that
 // forces the table to grow. After every op the table must hold exactly
 // the model's entries.
+//
+// Op 4, a bulk put of no key, instead rebuilds the table in its own
+// slots halved key%4 times (a finished System's table is rebuilt in
+// its whole array; below the minimum size a fresh array is allocated).
+// The result must reuse the array when it is large enough and look
+// like a fresh table of its size: every slot empty, no entry, every
+// lookup a miss. The ops that follow drive it against an empty model.
 func FuzzInflightTable(f *testing.F) {
 	f.Add([]byte{0, 0, 10, 0, 1, 20, 2, 0, 0, 1, 1, 0})
 	f.Add([]byte{0, 0, 5, 0, 1, 6, 0, 2, 7, 0, 12, 8, 2, 0, 0, 3, 0, 7, 1, 2, 0})
 	f.Add([]byte{249, 0, 0, 0, 3, 9, 3, 0, 100, 2, 4, 0, 1, 5, 0})
+	// Grow to 2048 slots, then rebuild in the whole array (same size)
+	// and in half of it (smaller), each refilled and probed; then in an
+	// eighth of that, below the minimum size (a fresh array), which is
+	// refilled until it grows, pruned and probed.
+	f.Add([]byte{249, 0, 40, 249, 0, 40, 249, 0, 40, 249, 0, 40, 249, 0, 40, 249, 0, 40, 249, 0, 40, 249, 0, 40, 249, 0, 40, 249, 0, 40, 249, 0, 40,
+		4, 0, 0, 0, 0, 9, 1, 0, 0, 249, 0, 40, 249, 0, 40, 249, 0, 40,
+		4, 1, 0, 0, 12, 9, 2, 12, 0, 249, 0, 40, 249, 0, 40, 249, 0, 40,
+		4, 3, 0, 0, 13, 9, 1, 13, 0, 249, 0, 40, 249, 0, 40, 249, 0, 40, 3, 0, 50, 1, 13, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		tab := newInflightTable()
+		tab := newInflightTable(nil)
 		model := map[cache.BlockAddr]timing.Tick{}
 		fresh := cache.BlockAddr(0x1000_0000)
+		rebuild := func(halvings byte) string {
+			slots := tab.slots[:len(tab.slots)>>(halvings%4)]
+			op := fmt.Sprintf("rebuild in %d slots", len(slots))
+			tab = newInflightTable(slots)
+			if n := len(tab.slots); n < 1<<inflightMinBits || n&(n-1) != 0 || 1<<(64-tab.shift) != n {
+				t.Fatalf("%s: %d slots, shift %d", op, n, tab.shift)
+			}
+			if len(slots) >= 1<<inflightMinBits && &tab.slots[0] != &slots[0] {
+				t.Fatalf("%s allocated an array its old one could hold", op)
+			}
+			for j, e := range tab.slots {
+				if e != (inflightSlot{}) {
+					t.Fatalf("%s: slot %d holds %+v", op, j, e)
+				}
+			}
+			for k := range model {
+				if _, ok := tab.get(k); ok {
+					t.Fatalf("%s: %#x still in flight", op, uint64(k))
+				}
+			}
+			clear(model)
+			return op
+		}
 		for i := 0; i+2 < len(ops); i += 3 {
 			a := inflightKeys[int(ops[i+1])%len(inflightKeys)]
 			tick := timing.Tick(ops[i+2]) - 32 // negative ticks too
@@ -89,6 +127,10 @@ func FuzzInflightTable(f *testing.F) {
 					}
 				}
 			default:
+				if ops[i] == 4 {
+					op = rebuild(ops[i+1])
+					break
+				}
 				n := int(ops[i] / 5)
 				op = fmt.Sprintf("bulk put %d", n)
 				for j := 0; j < n; j++ {

@@ -1,0 +1,35 @@
+package sim
+
+import "testing"
+
+// TestOnlyRunSharedTakesStorage drains the storage pool and gives it a
+// New function that counts its calls. An empty pool calls New on every
+// Get, so the count is how often anything asked the pool for storage:
+// never for Run and NewSystem, once for RunShared, which then reports
+// its System built fresh.
+func TestOnlyRunSharedTakesStorage(t *testing.T) {
+	for storages.Get() != nil {
+	}
+	gets := 0
+	storages.New = func() any { gets++; return nil }
+	defer func() { storages.New = nil }()
+
+	cfg := smallConfig("zeus").WithMechanisms(true, true, true, true)
+	cfg.WarmupInstr, cfg.MeasureInstr = 5_000, 5_000
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSystem(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if gets != 0 {
+		t.Fatalf("Run and NewSystem asked the storage pool %d times", gets)
+	}
+	_, info, err := RunShared(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gets != 1 || info.Recycled || !info.Fresh {
+		t.Fatalf("RunShared on an empty pool: %d gets, info %+v", gets, info)
+	}
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"cmpsim/internal/audit"
 	"cmpsim/internal/cache"
@@ -66,19 +67,45 @@ type System struct {
 	faultAt    uint64
 }
 
-// NewSystem builds a system for cfg; the workload's BaseCPI overrides
-// the CPU config's.
-func NewSystem(cfg Config) (*System, error) { return newSystem(cfg, nil) }
+// NewSystem builds a system for cfg in newly allocated memory; the
+// workload's BaseCPI overrides the CPU config's.
+func NewSystem(cfg Config) (*System, error) { return newSystem(cfg, nil, nil) }
+
+// storage is what a System whose run returned normally leaves for the
+// next one to be built in (DESIGN.md §6f "Recycled storage"): its
+// caches and its in-flight slots. It keeps nothing else of the run, so
+// a pooled storage holds no data model, size table or auditor alive.
+type storage struct {
+	h        *coherence.Hierarchy // its caches only: L1I, L1D and L2
+	inflight []inflightSlot
+}
+
+// storages is the process-wide pool of storage that RunShared builds
+// its Systems in and hands back to. The GC empties a sync.Pool, so it
+// needs no cap.
+var storages sync.Pool
+
+// recyclable returns the storage s leaves for the next System.
+func (s *System) recyclable() *storage {
+	return &storage{
+		h:        &coherence.Hierarchy{L1I: s.h.L1I, L1D: s.h.L1D, L2: s.h.L2},
+		inflight: s.inflight.slots,
+	}
+}
 
 // newSystem builds a system whose data model, if it has one, shares
-// version-0 block sizes through sizes (nil keeps them private).
-func newSystem(cfg Config, sizes *workload.SizeRegistry) (*System, error) {
+// version-0 block sizes through sizes (nil keeps them private), in
+// old's storage (nil allocates it).
+func newSystem(cfg Config, sizes *workload.SizeRegistry, old *storage) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	prof, err := workload.ByName(cfg.Benchmark)
 	if err != nil {
 		return nil, err
+	}
+	if old == nil {
+		old = &storage{h: &coherence.Hierarchy{}}
 	}
 	memCfg := cfg.Memory
 	memCfg.LinkCompression = cfg.LinkCompression
@@ -88,7 +115,7 @@ func newSystem(cfg Config, sizes *workload.SizeRegistry) (*System, error) {
 		prof:     prof,
 		codec:    cdc,
 		mem:      memory.New(memCfg),
-		inflight: newInflightTable(),
+		inflight: newInflightTable(old.inflight),
 	}
 	size := coherence.SizeFunc(uncompressedSize)
 	if cfg.readsSizes() {
@@ -103,15 +130,15 @@ func newSystem(cfg Config, sizes *workload.SizeRegistry) (*System, error) {
 
 	var l2 cache.L2
 	if cfg.CacheCompression {
-		l2 = cache.NewCompressedL2(cfg.L2Bytes, cfg.L2TagsPerSet, cfg.L2SegsPerSet)
+		l2 = cache.RecycleCompressedL2(old.h.L2, cfg.L2Bytes, cfg.L2TagsPerSet, cfg.L2SegsPerSet)
 	} else {
 		victims := 0
 		if cfg.AdaptivePrefetch {
 			victims = cfg.UncompressedVictimTags
 		}
-		l2 = cache.NewUncompressedL2(cfg.L2Bytes, cfg.L2Ways, victims)
+		l2 = cache.RecycleUncompressedL2(old.h.L2, cfg.L2Bytes, cfg.L2Ways, victims)
 	}
-	s.h = coherence.New(coherence.Config{
+	s.h = coherence.Recycle(old.h, coherence.Config{
 		Cores:   cfg.Cores,
 		L1Bytes: cfg.L1Bytes,
 		L1Ways:  cfg.L1Ways,
@@ -145,26 +172,57 @@ func uncompressedSize(cache.BlockAddr) uint8 { return cache.MaxSegs }
 // Run executes warmup then the measurement window and returns Metrics.
 // An audit violation (CheckLevel > Off, or an injected StateFault that
 // a check catches) is returned as a *audit.Violation error; any other
-// panic propagates unchanged.
+// panic propagates unchanged. The System is built in newly allocated
+// memory.
 func Run(cfg Config) (Metrics, error) {
-	m, _, err := RunShared(cfg, nil)
-	return m, err
+	s, err := NewSystem(cfg)
+	if err != nil {
+		return Metrics{}, err
+	}
+	return s.runChecked()
 }
 
-// RunShared is Run for a system whose data model reads and writes the
-// version-0 block sizes of sizes' table for its (seed, knob, codec)
-// (internal/core's seed jobs share one registry). Metrics are
-// bit-identical to Run's. It also returns where the model's sizes came
-// from (zero without a data model), even when the run fails an audit.
-func RunShared(cfg Config, sizes *workload.SizeRegistry) (m Metrics, c workload.SizeCounts, err error) {
-	s, err := newSystem(cfg, sizes)
+// RunInfo is what RunShared reports beside the Metrics about how it
+// ran, which the Metrics leave out.
+type RunInfo struct {
+	// Sizes counts where the data model's sizes came from (zero without
+	// a data model), even when the run fails an audit.
+	Sizes workload.SizeCounts
+	// Recycled and Fresh report that the System was built in storage
+	// from the pool or in newly allocated memory; both are false when
+	// cfg built no System.
+	Recycled, Fresh bool
+}
+
+// RunShared is Run for internal/core's seed jobs, with two things
+// shared across runs and Metrics bit-identical to Run's. The data
+// model reads and writes the version-0 block sizes of sizes' table for
+// its (seed, knob, codec). The System is built in storage a finished
+// RunShared left in the process-wide pool, when it holds one, and its
+// own storage goes back there if the run returns normally; a run that
+// panics or fails an audit drops it. Only this goroutine hands the
+// storage back, after the run, so no two live Systems share memory.
+func RunShared(cfg Config, sizes *workload.SizeRegistry) (m Metrics, info RunInfo, err error) {
+	old, _ := storages.Get().(*storage)
+	s, err := newSystem(cfg, sizes, old)
 	if err != nil {
-		return Metrics{}, c, err
+		return Metrics{}, info, err
 	}
+	info.Recycled, info.Fresh = old != nil, old == nil
+	m, err = s.runChecked()
+	if s.data != nil {
+		info.Sizes = s.data.SizeCounts()
+	}
+	if err == nil {
+		storages.Put(s.recyclable())
+	}
+	return m, info, err
+}
+
+// runChecked runs s, returning an audit violation as the error; any
+// other panic propagates.
+func (s *System) runChecked() (m Metrics, err error) {
 	defer func() {
-		if s.data != nil {
-			c = s.data.SizeCounts()
-		}
 		if r := recover(); r != nil {
 			v, ok := r.(*audit.Violation)
 			if !ok {
@@ -173,7 +231,7 @@ func RunShared(cfg Config, sizes *workload.SizeRegistry) (m Metrics, c workload.
 			m, err = Metrics{}, v
 		}
 	}()
-	return s.run(), c, nil
+	return s.run(), nil
 }
 
 // maxCoreNow returns the furthest-ahead core clock (audit and

@@ -129,9 +129,9 @@ func TestRecycleWalkCoverage(t *testing.T) {
 // bad storage behind for the clean ones to be built in: a
 // compressed L2 corrupted by corrupt-segs under the invariant audit
 // (the run fails, so its storage is dropped), one corrupted by dup-tag
-// with the audit off (the run may finish and hand the corrupted
-// storage back), and a point the watchdog abandons, whose run wakes up
-// while clean points run and must never share their arrays (-race).
+// with the audit off (the run finishes and hands the corrupted storage
+// back), and a point the watchdog abandons, whose run wakes up while
+// clean points run and must never share their arrays (-race).
 func TestRecycledSystemsBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("%d workers", workers), func(t *testing.T) {
@@ -160,7 +160,9 @@ func TestRecycledSystemsBitIdentical(t *testing.T) {
 			}
 			dup := bad
 			dup.CheckLevel = "off"
-			s.Submit("apache", CacheCompr, dup).Wait() // finishing and failing are both fine
+			if _, err := s.Submit("apache", CacheCompr, dup).Wait(); err != nil {
+				t.Fatalf("the dup-tag point did not finish: %v", err)
+			}
 			abandoned := bad
 			abandoned.PointTimeout = 10 * time.Millisecond
 			if _, err := s.Submit("oltp", Compression, abandoned).Wait(); err == nil {

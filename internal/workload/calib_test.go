@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"cmpsim/internal/cache"
 	"cmpsim/internal/codec"
 )
 
@@ -115,3 +116,91 @@ func TestCalibrationKnobsPinned(t *testing.T) {
 		check(fmt.Sprintf("target %g", k.target), k.target, k.codec, k.bits)
 	}
 }
+
+// TestCalibrationWork bounds the lines one calibration synthesizes. A
+// search step re-synthesizes only the lines holding a word whose class
+// moved, about 13,400 over a whole search; re-synthesizing every line
+// at every step would be 30 × 2048 = 61,440.
+func TestCalibrationWork(t *testing.T) {
+	const limit = 20_000
+	for _, c := range codec.All() {
+		for _, name := range []string{"zeus", "mgrid", "ptrchase"} {
+			s := newPackSample(1, calibSamples, c)
+			searchKnob(MustByName(name).TargetRatio, s)
+			if s.synthesized > limit {
+				t.Errorf("%s %s: one calibration synthesized %d lines, limit %d", name, c.Name(), s.synthesized, limit)
+			}
+		}
+	}
+}
+
+// FuzzPackSample drives one pack sample through a fuzz-chosen sequence
+// of knobs: repeats, halving search steps in either direction, and
+// jumps. After every ratio call the ratio must equal a fresh sample's
+// at that knob alone, and every kept size must equal the codec's size
+// of the line synthesized afresh.
+//
+// Input: a seed, a codec index, a line count (1-256) and one op byte a
+// step. Op 0 repeats the knob; ops 1-127 take a search step, down when
+// the op is even and up when odd; ops 128-255 jump to (op-128)/127.
+func FuzzPackSample(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(255), []byte{1, 2, 1, 0, 1, 2, 2, 0, 0, 1})
+	f.Add(uint64(7), uint8(1), uint8(100), []byte{255, 128, 200, 0, 1, 1, 2})
+	f.Add(uint64(42), uint8(2), uint8(7), []byte{0, 0, 3, 4, 5, 6, 170})
+	f.Add(uint64(3), uint8(3), uint8(64), []byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 228, 2, 2, 2})
+	// Two whole thirty-step searches over 256 lines, the second from a jump.
+	f.Add(uint64(5), uint8(0), uint8(255), []byte{
+		1, 2, 2, 1, 2, 1, 1, 2, 1, 2, 2, 2, 1, 1, 2, 1, 2, 1, 2, 2, 1, 1, 1, 2, 1, 2, 2, 1, 2, 1,
+		128, 2, 1, 1, 2, 2, 1, 2, 1, 1, 1, 2, 2, 1, 2, 1, 2, 2, 1, 1, 2, 1, 2, 1, 1, 2, 2, 1, 2, 1})
+	f.Fuzz(func(t *testing.T, seed uint64, ci, nb uint8, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		all := codec.All()
+		c := all[int(ci)%len(all)]
+		n := int(nb) + 1
+		s := newPackSample(seed, n, c)
+		var line [cache.LineBytes]byte
+		k, lo, hi := 0.5, 0.0, 1.0
+		for step, op := range ops {
+			switch {
+			case op == 0:
+			case op < 128:
+				if op%2 == 0 {
+					hi = k
+				} else {
+					lo = k
+				}
+				k = (lo + hi) / 2
+			default:
+				k, lo, hi = float64(op-128)/127, 0, 1
+			}
+			th := knobThresholds(k)
+			got := s.ratio(&th)
+			if want := newPackSample(seed, n, c).ratio(&th); got != want {
+				t.Fatalf("step %d knob %g: ratio %v, fresh sample %v", step, k, got, want)
+			}
+			for i := range s.hashes {
+				synthLine(&th, &s.hashes[i], line[:])
+				if want := c.CompressedSizeSegments(line[:]); int(s.segs[i]) != want {
+					t.Fatalf("step %d knob %g line %d: kept size %d, contents size %d", step, k, i, s.segs[i], want)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkCalibrateKnob times one uncached calibration, sample
+// included, at zeus's target under each codec.
+func BenchmarkCalibrateKnob(b *testing.B) {
+	target := MustByName("zeus").TargetRatio
+	for _, c := range codec.All() {
+		b.Run(c.Name(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				benchKnob = searchKnob(target, newPackSample(uint64(i), calibSamples, c))
+			}
+		})
+	}
+}
+
+var benchKnob float64

@@ -3,6 +3,8 @@ package workload
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
+	"sort"
 	"sync"
 
 	"cmpsim/internal/cache"
@@ -170,12 +172,11 @@ func hashLine(seed uint64, a cache.BlockAddr, ver uint32, h *[lineWords]uint64) 
 }
 
 // synthLine writes the line whose word hashes are h into dst (≥ 64
-// bytes) under the cumulative class thresholds th, and returns the
-// words' classes, 3 bits each (word w's at bit 3w). The low 16 bits of a
+// bytes) under the cumulative class thresholds th. The low 16 bits of a
 // hash are the word's dial, and its class is the number of thresholds at
 // or below the dial; the next 32 bits are the value bits the class's
 // rule reads. No branch depends on the (random) dial or value.
-func synthLine(th *[6]uint32, h *[lineWords]uint64, dst []byte) (classes uint64) {
+func synthLine(th *[6]uint32, h *[lineWords]uint64, dst []byte) {
 	dst = dst[:cache.LineBytes]
 	for w, hw := range h {
 		dial := uint32(hw & 0xFFFF)
@@ -187,9 +188,7 @@ func synthLine(th *[6]uint32, h *[lineWords]uint64, dst []byte) (classes uint64)
 		c := &wordClasses[cls&7]
 		v := (val&c.mask)*c.mul + uint32(c.off) + c.ifZero*uint32((uint64(val)-1)>>63)
 		binary.LittleEndian.PutUint32(dst[w*4:], v)
-		classes |= uint64(cls) << (3 * w)
 	}
-	return classes
 }
 
 // FillLine writes the block's current contents into dst (≥ 64 bytes).
@@ -366,32 +365,79 @@ func (d *DataModel) PoisonNextSizes(n int) {
 }
 
 // packSample is calibration's sample: version 0 of n consecutive blocks
-// from 0x50000000. Calibration packs one sample at thirty knobs, and
-// between two successive knobs of its binary search a word changes
-// class only when its dial lies between a threshold's old and new
-// value, which the halving step makes rarer each time. So the sample
-// keeps every word's hash and each line's classes and size from the
-// last knob, and runs the codec only on lines whose classes moved; a
-// size is a pure function of the contents, so this is exact.
+// from 0x50000000. Calibration packs one sample at thirty knobs. A
+// word's class is the number of thresholds at or below its dial, so
+// when the thresholds move from th to th′ a word changes class exactly
+// when its dial lies in [min(thᵢ, th′ᵢ), max(thᵢ, th′ᵢ)) for some i;
+// a line none of whose words did keeps its contents, and so its size.
+// The sample therefore keeps every word's hash, each line's size at the
+// last thresholds, and an index of all its words in dial order, and
+// re-synthesizes and re-prices only the lines of the words whose dials
+// the thresholds crossed. A size is a pure function of the contents,
+// so this is exact.
 type packSample struct {
-	codec   codec.Codec
-	hashes  [][lineWords]uint64
-	classes []uint64 // as synthLine returns them; ^0 (no line's) until sized
-	segs    []uint8
+	codec  codec.Codec
+	hashes [][lineWords]uint64
+	segs   []uint8 // each line's size at th
+	// dials holds every word's dial<<16 | line, in ascending dial order.
+	dials  []uint32
+	th     [6]uint32 // the thresholds segs were priced at
+	priced bool      // segs holds sizes (the first ratio call prices every line)
+	moved  []uint64  // bitset of the lines to re-price, clear between calls
+	buf    [cache.LineBytes]byte
+	// synthesized counts the lines synthesized so far (work guard).
+	synthesized int
 }
 
+// newPackSample builds the sample of n ≤ 2^16 lines, so that a line
+// index fits beside a dial in one dials entry.
 func newPackSample(seed uint64, n int, c codec.Codec) *packSample {
+	if n > 1<<16 {
+		panic("workload: pack sample of more than 2^16 lines")
+	}
 	s := &packSample{
-		codec:   c,
-		hashes:  make([][lineWords]uint64, n),
-		classes: make([]uint64, n),
-		segs:    make([]uint8, n),
+		codec:  c,
+		hashes: make([][lineWords]uint64, n),
+		segs:   make([]uint8, n),
+		dials:  make([]uint32, 0, n*lineWords),
+		moved:  make([]uint64, (n+63)/64),
 	}
 	for i := range s.hashes {
 		hashLine(seed, cache.BlockAddr(0x50000000+i), 0, &s.hashes[i])
-		s.classes[i] = ^uint64(0)
+		for _, h := range s.hashes[i] {
+			s.dials = append(s.dials, uint32(h&0xFFFF)<<16|uint32(i))
+		}
 	}
+	sortByDial(s.dials, make([]uint32, len(s.dials)))
 	return s
+}
+
+// sortByDial sorts keys (dial<<16 | line) by dial in two stable counting
+// passes, on the dial's low byte and then its high byte; tmp is scratch
+// space of keys' length. The result ends in keys.
+func sortByDial(keys, tmp []uint32) {
+	for _, shift := range [2]uint{16, 24} {
+		var next [257]int // next[b+1] counts byte b, then next[b] is b's next slot
+		for _, k := range keys {
+			next[k>>shift&0xFF+1]++
+		}
+		for b := 1; b < len(next); b++ {
+			next[b] += next[b-1]
+		}
+		for _, k := range keys {
+			b := k >> shift & 0xFF
+			tmp[next[b]] = k
+			next[b]++
+		}
+		keys, tmp = tmp, keys
+	}
+}
+
+// reprice re-synthesizes line i under th and prices it.
+func (s *packSample) reprice(i int, th *[6]uint32) {
+	synthLine(th, &s.hashes[i], s.buf[:])
+	s.segs[i] = uint8(s.codec.CompressedSizeSegments(s.buf[:]))
+	s.synthesized++
 }
 
 // ratio estimates the effective-size ratio the sample achieves under
@@ -402,23 +448,41 @@ func newPackSample(seed uint64, n int, c codec.Codec) *packSample {
 // budget runs out, as the decoupled variable-segment cache does. This
 // captures the packing-granularity loss the mean-based bound misses
 // (e.g. four 7-segment lines leave 4 free segments that fit nothing).
+// Only lines whose words changed class since the last call are
+// re-priced; every line is packed.
 func (s *packSample) ratio(th *[6]uint32) float64 {
-	var buf [cache.LineBytes]byte
+	if !s.priced {
+		for i := range s.hashes {
+			s.reprice(i, th)
+		}
+		s.priced = true
+	} else {
+		for k, t := range th {
+			lo, hi := min(s.th[k], t), max(s.th[k], t)
+			i := sort.Search(len(s.dials), func(j int) bool { return s.dials[j]>>16 >= lo })
+			for ; i < len(s.dials) && s.dials[i]>>16 < hi; i++ {
+				line := s.dials[i] & 0xFFFF
+				s.moved[line/64] |= 1 << (line % 64)
+			}
+		}
+		for w, m := range s.moved {
+			for ; m != 0; m &= m - 1 {
+				s.reprice(w*64+bits.TrailingZeros64(m), th)
+			}
+			s.moved[w] = 0
+		}
+	}
+	s.th = *th
 	totalLines, sets := 0, 0
 	tags, segs := 0, 0
-	for i := range s.hashes {
-		if cls := synthLine(th, &s.hashes[i], buf[:]); cls != s.classes[i] {
-			s.classes[i] = cls
-			s.segs[i] = uint8(s.codec.CompressedSizeSegments(buf[:]))
-		}
-		n := int(s.segs[i])
-		if tags+1 > cache.DefaultTagsPerSet || segs+n > cache.DefaultSegsPerSet {
+	for _, n := range s.segs {
+		if tags+1 > cache.DefaultTagsPerSet || segs+int(n) > cache.DefaultSegsPerSet {
 			totalLines += tags
 			sets++
 			tags, segs = 0, 0
 		}
 		tags++
-		segs += n
+		segs += int(n)
 	}
 	if sets == 0 {
 		return 1
@@ -447,6 +511,9 @@ type calibKey struct {
 	codec string
 }
 
+// calibSamples is the number of sample lines a calibration packs.
+const calibSamples = 2048
+
 // CalibrateKnobCodec binary-searches the compressibility knob whose
 // expected compressed size under codec c yields the target
 // effective-cache-size ratio; the memo is keyed per codec so two codecs
@@ -464,18 +531,22 @@ func CalibrateKnobCodec(targetRatio float64, seed uint64, c codec.Codec) float64
 	if v, ok := calibCache.Load(key); ok {
 		return v.(float64)
 	}
-	const samples = 2048
-	sample := newPackSample(seed, samples, c)
+	v, _ := calibCache.LoadOrStore(key, searchKnob(targetRatio, newPackSample(seed, calibSamples, c)))
+	return v.(float64)
+}
+
+// searchKnob is CalibrateKnobCodec's search on sample s, without the
+// memo: thirty halving steps over [0, 1].
+func searchKnob(targetRatio float64, s *packSample) float64 {
 	lo, hi := 0.0, 1.0
 	for iter := 0; iter < 30; iter++ {
 		mid := (lo + hi) / 2
 		th := knobThresholds(mid)
-		if sample.ratio(&th) < targetRatio {
+		if s.ratio(&th) < targetRatio {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	v, _ := calibCache.LoadOrStore(key, (lo+hi)/2)
-	return v.(float64)
+	return (lo + hi) / 2
 }

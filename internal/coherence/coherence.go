@@ -15,6 +15,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cmpsim/internal/cache"
 )
@@ -151,6 +152,10 @@ type Hierarchy struct {
 	vbuf []cache.Line      // scratch victim buffer
 	wbuf []cache.BlockAddr // scratch writeback buffer
 
+	// coreBits masks sharer bits to the configured cores. The protocol
+	// walks only these; a bit beyond them is left for AuditMSI to report.
+	coreBits uint32
+
 	// OnL2Size, when non-nil, observes every L2 fill and resize with the
 	// stored segment count (audit support: the shadow checker records
 	// and verifies sizes at the only sites allowed to change them).
@@ -180,7 +185,7 @@ func Recycle(old *Hierarchy, cfg Config) *Hierarchy {
 	if cfg.L2 == nil || cfg.Size == nil {
 		panic("coherence: L2 and Size are required")
 	}
-	h := &Hierarchy{cfg: cfg, L2: cfg.L2, size: cfg.Size}
+	h := &Hierarchy{cfg: cfg, L2: cfg.L2, size: cfg.Size, coreBits: uint32(1)<<uint(cfg.Cores) - 1}
 	if old == nil {
 		old = &Hierarchy{}
 	}
@@ -339,21 +344,17 @@ func (h *Hierarchy) invalidateOtherSharersLine(ln *cache.Line, core int, a cache
 		return 0
 	}
 	n := 0
-	for c := 0; c < h.cfg.Cores; c++ {
-		if c == core {
-			continue
-		}
-		if ln.Sharers&(1<<uint(c)) != 0 {
-			if old := h.L1D[c].Invalidate(a); old.Valid() {
-				n++
-				h.CoherenceInval++
-				if old.Dirty() {
-					// The remote M copy's data comes back to the L2.
-					ln.Dirty = true
-				}
+	for m := ln.Sharers & h.coreBits &^ (1 << uint(core)); m != 0; m &= m - 1 {
+		c := bits.TrailingZeros32(m)
+		if old := h.L1D[c].Invalidate(a); old.Valid() {
+			n++
+			h.CoherenceInval++
+			if old.Dirty() {
+				// The remote M copy's data comes back to the L2.
+				ln.Dirty = true
 			}
-			ln.Sharers &^= 1 << uint(c)
 		}
+		ln.Sharers &^= 1 << uint(c)
 	}
 	if o := ln.Owner(); o >= 0 && o != core {
 		ln.SetOwner(-1)
@@ -415,21 +416,19 @@ func (h *Hierarchy) handleL2Victims(victims []cache.Line, r *AccessResult) {
 			r.L2UselessEvict++
 		}
 		// Inclusion: invalidate every L1 copy.
-		for c := 0; c < h.cfg.Cores; c++ {
-			if v.Sharers&(1<<uint(c)) != 0 {
-				if old := h.L1D[c].Invalidate(v.Addr); old.Valid() {
-					h.InclusionInval++
-					r.Invalidations++
-					if old.Dirty() {
-						dirty = true
-					}
+		for m := v.Sharers & h.coreBits; m != 0; m &= m - 1 {
+			if old := h.L1D[bits.TrailingZeros32(m)].Invalidate(v.Addr); old.Valid() {
+				h.InclusionInval++
+				r.Invalidations++
+				if old.Dirty() {
+					dirty = true
 				}
 			}
-			if v.ISharers&(1<<uint(c)) != 0 {
-				if old := h.L1I[c].Invalidate(v.Addr); old.Valid() {
-					h.InclusionInval++
-					r.Invalidations++
-				}
+		}
+		for m := v.ISharers & h.coreBits; m != 0; m &= m - 1 {
+			if old := h.L1I[bits.TrailingZeros32(m)].Invalidate(v.Addr); old.Valid() {
+				h.InclusionInval++
+				r.Invalidations++
 			}
 		}
 		if dirty {
@@ -550,7 +549,7 @@ func (h *Hierarchy) AuditMSI() string {
 			return bad
 		}
 	}
-	mask := uint32(1)<<uint(h.cfg.Cores) - 1
+	mask := h.coreBits
 	var bad string
 	h.L2.ForEachValid(func(ln *cache.Line) {
 		if bad != "" {

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -155,6 +156,41 @@ func TestInclusionInvalidatesL1OnL2Eviction(t *testing.T) {
 	}
 	if msg := h.CheckInclusion(); msg != "" {
 		t.Fatal(msg)
+	}
+}
+
+// TestSharerBitsBeyondCoresReachAudit plants sharer bits for cores the
+// hierarchy does not have (the flip-sharer fault's fallback). A store
+// upgrade and an L2 eviction of the line must walk only the configured
+// cores' bits, leaving the planted ones for AuditMSI to report.
+func TestSharerBitsBeyondCoresReachAudit(t *testing.T) {
+	l2 := cache.NewUncompressedL2(4*1024, 8, 4)
+	h := New(Config{Cores: 2, L1Bytes: 1024, L1Ways: 2, L2: l2,
+		Size: func(cache.BlockAddr) uint8 { return cache.MaxSegs }})
+	h.Access(0, Load, 0)
+	h.Access(1, Load, 0)
+	ln := h.L2.Lookup(0)
+	ln.Sharers |= 1 << 2
+	ln.ISharers |= 1 << 3
+	beyond := func(when string) {
+		t.Helper()
+		if msg := h.AuditMSI(); !strings.Contains(msg, "beyond 2 cores") {
+			t.Fatalf("%s: audit says %q, want the planted bits beyond 2 cores", when, msg)
+		}
+	}
+	beyond("planted")
+	if r := h.Access(0, Store, 0); r.Invalidations != 1 {
+		t.Fatalf("store upgrade invalidated %d copies, want core 1's", r.Invalidations)
+	}
+	if ln.Sharers != 1<<2|1<<0 {
+		t.Fatalf("sharers after the upgrade %#b, want core 0 and the planted bit", ln.Sharers)
+	}
+	beyond("after the upgrade")
+	for i := 1; i <= 8; i++ {
+		h.Access(1, Load, cache.BlockAddr(i*8))
+	}
+	if h.L2.Lookup(0) != nil {
+		t.Fatal("block 0 was not evicted from the L2")
 	}
 }
 

@@ -23,6 +23,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 
 	"cmpsim/internal/timing"
 )
@@ -80,6 +81,10 @@ type Core struct {
 	// which bounds its length, and entries leave by compacting in place,
 	// so issuing a miss never allocates.
 	outstanding []miss
+	// firstDone is at most the earliest completion tick in outstanding
+	// (the maximum tick when it is empty), so no miss can have completed
+	// while Now is before it.
+	firstDone timing.Tick
 
 	// StallTicks accumulates time spent waiting on memory.
 	StallTicks timing.Tick
@@ -90,8 +95,11 @@ func New(cfg Config) *Core {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Core{cfg: cfg, cpi: timing.FromCycles(cfg.BaseCPI), outstanding: make([]miss, 0, cfg.MSHRs)}
+	return &Core{cfg: cfg, cpi: timing.FromCycles(cfg.BaseCPI), outstanding: make([]miss, 0, cfg.MSHRs), firstDone: noMiss}
 }
+
+// noMiss is firstDone with nothing outstanding.
+const noMiss = timing.Tick(math.MaxInt64)
 
 // Advance retires n instructions of non-memory work, respecting the
 // reorder-buffer bound on run-ahead past outstanding misses.
@@ -102,15 +110,23 @@ func (c *Core) Advance(n uint64) {
 	c.enforceROB()
 }
 
-// retireCompleted drops outstanding misses whose data has arrived.
+// retireCompleted drops outstanding misses whose data has arrived. It
+// returns at once while the clock is before the earliest completion,
+// which is most calls.
 func (c *Core) retireCompleted() {
+	if c.Now < c.firstDone {
+		return
+	}
 	keep := c.outstanding[:0]
+	first := noMiss
 	for _, m := range c.outstanding {
 		if m.done > c.Now {
 			keep = append(keep, m)
+			first = min(first, m.done)
 		}
 	}
 	c.outstanding = keep
+	c.firstDone = first
 }
 
 // waitFor advances the clock to t, accounting the stall.
@@ -146,6 +162,7 @@ func (c *Core) IssueMiss(done timing.Tick, blocking bool) {
 		c.retireCompleted()
 	}
 	c.outstanding = append(c.outstanding, miss{done: done, atInstr: c.Instrs})
+	c.firstDone = min(c.firstDone, done)
 	c.enforceROB()
 }
 

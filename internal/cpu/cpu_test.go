@@ -194,3 +194,31 @@ func TestIssueMissAllocFree(t *testing.T) {
 		t.Fatalf("%v allocations per 1000 misses, want 0", n)
 	}
 }
+
+// TestFirstDoneBoundsOutstanding drives a core with random work and
+// misses and checks after every call that firstDone is at most every
+// outstanding completion tick: retireCompleted skips its scan while the
+// clock is before firstDone, which drops nothing only under that bound.
+func TestFirstDoneBoundsOutstanding(t *testing.T) {
+	f := func(ops []uint16) bool {
+		c := New(Config{BaseCPI: 0.5, ROBWindow: 16, MSHRs: 4})
+		for _, op := range ops {
+			switch op % 3 {
+			case 0:
+				c.Advance(uint64(op >> 2 % 40))
+			default:
+				c.IssueMiss(c.Now+cy(int64(op>>2%600)), op%3 == 2 && op&0x8000 != 0)
+			}
+			for _, m := range c.outstanding {
+				if m.done < c.firstDone {
+					return false
+				}
+			}
+		}
+		c.Drain()
+		return c.firstDone == noMiss && len(c.outstanding) == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -228,6 +228,12 @@ type Engine struct {
 	probeSkips uint64     // stream allocations suppressed while disabled
 	reqbuf     []cache.BlockAddr
 	Stats      Stats
+
+	// demandSlots has bit slotOf(x) set for every address x that
+	// OnAccess advances a valid stream on, its nextDemand and
+	// nextDemand+stride, so an access whose bit is clear advances none.
+	// indexStreams recomputes it whenever a stream changes.
+	demandSlots uint64
 }
 
 // New builds an engine; it panics on an invalid Config (programmer error).
@@ -263,6 +269,20 @@ func (e *Engine) depth() int {
 	return d
 }
 
+// streamSlots returns the demandSlots bits of the valid streams.
+func (e *Engine) streamSlots() uint64 {
+	var m uint64
+	for i := range e.streams {
+		if s := &e.streams[i]; s.valid {
+			m |= 1<<slotOf(uint64(s.nextDemand)) | 1<<slotOf(uint64(advance(s.nextDemand, s.stride)))
+		}
+	}
+	return m
+}
+
+// indexStreams brings demandSlots up to date after a stream changed.
+func (e *Engine) indexStreams() { e.demandSlots = e.streamSlots() }
+
 // OnAccess informs the engine of a demand access (hit or miss) so active
 // streams advance. Prefetch addresses to issue are appended to the
 // returned slice, which aliases an internal buffer valid until the next
@@ -270,7 +290,9 @@ func (e *Engine) depth() int {
 func (e *Engine) OnAccess(a cache.BlockAddr) []cache.BlockAddr {
 	e.tick++
 	e.reqbuf = e.reqbuf[:0]
-	issue := e.depth() > 0
+	if e.demandSlots&(1<<slotOf(uint64(a))) == 0 {
+		return e.reqbuf
+	}
 	for i := range e.streams {
 		s := &e.streams[i]
 		if !s.valid {
@@ -284,12 +306,13 @@ func (e *Engine) OnAccess(a cache.BlockAddr) []cache.BlockAddr {
 			}
 			s.nextDemand = advance(s.nextDemand, s.stride)
 			s.used = e.tick
-			if issue {
+			if e.depth() > 0 {
 				e.reqbuf = append(e.reqbuf, s.nextPf)
 				s.nextPf = advance(s.nextPf, s.stride)
 				e.Stats.Advances++
 				e.Stats.Issued++
 			}
+			e.indexStreams()
 			break
 		}
 	}
@@ -453,6 +476,7 @@ func (e *Engine) allocStream(a cache.BlockAddr, stride int64) {
 	s.nextDemand = advance(a, stride)
 	s.nextPf = advance(a, int64(d+1)*stride)
 	s.used = e.tick
+	e.indexStreams()
 	e.Stats.StreamAllocs++
 	for k := 1; k <= d; k++ {
 		e.reqbuf = append(e.reqbuf, advance(a, int64(k)*stride))
@@ -508,8 +532,9 @@ func sign(v int64) int64 {
 // CheckInvariants validates stream- and filter-table state (audit
 // support): active streams have a non-zero stride within the configured
 // bound with their prefetch pointer a whole number of strides from the
-// demand pointer, filter entries keep strides and counts in range, and
-// the scan words and both indexes agree with the entries.
+// demand pointer, the stream slot filter covers exactly the valid
+// streams, filter entries keep strides and counts in range, and the
+// scan words and both indexes agree with the entries.
 // It returns the first violation, or "".
 func (e *Engine) CheckInvariants() string {
 	for i := range e.streams {
@@ -526,6 +551,9 @@ func (e *Engine) CheckInvariants() string {
 			return fmt.Sprintf("stream %d: prefetch pointer %#x not stride-aligned with demand pointer %#x (stride %d)",
 				i, uint64(s.nextPf), uint64(s.nextDemand), s.stride)
 		}
+	}
+	if want := e.streamSlots(); e.demandSlots != want {
+		return fmt.Sprintf("stream slot filter %#x, streams imply %#x", e.demandSlots, want)
 	}
 	for _, t := range []*filterTable{&e.pos, &e.neg, &e.nonunit} {
 		for i, u := range t.used {
@@ -608,6 +636,7 @@ func (s *Sequential) CheckInvariants() string {
 // with no active stream, a zero-stride entry is fabricated), a state
 // CheckInvariants must catch.
 func (e *Engine) CorruptStream() {
+	defer e.indexStreams()
 	for i := range e.streams {
 		if e.streams[i].valid {
 			e.streams[i].stride = 0

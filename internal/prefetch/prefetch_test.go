@@ -312,6 +312,83 @@ func TestStartupAddressesProperty(t *testing.T) {
 	}
 }
 
+// scanOnAccess is OnAccess without the stream slot filter: a linear
+// scan of every stream, on a copy of streams. It returns the copy and
+// the prefetches the access issues.
+func scanOnAccess(streams []streamEntry, tick uint64, issue bool, a cache.BlockAddr) ([]streamEntry, []cache.BlockAddr) {
+	ss := append([]streamEntry(nil), streams...)
+	var reqs []cache.BlockAddr
+	for i := range ss {
+		s := &ss[i]
+		if !s.valid || a != s.nextDemand && a != advance(s.nextDemand, s.stride) {
+			continue
+		}
+		if a != s.nextDemand {
+			s.nextDemand = advance(s.nextDemand, s.stride)
+		}
+		s.nextDemand = advance(s.nextDemand, s.stride)
+		s.used = tick
+		if issue {
+			reqs = append(reqs, s.nextPf)
+			s.nextPf = advance(s.nextPf, s.stride)
+		}
+		break
+	}
+	return ss, reqs
+}
+
+// TestOnAccessFilterMatchesScan drives an engine with interleaved
+// strided streams (accesses on, one past and off each stream, misses
+// that train and replace streams, and a cap that turns issue off and
+// on) and checks every OnAccess against scanOnAccess: the same
+// prefetches and the same stream table, with the slot filter in sync.
+func TestOnAccessFilterMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := New(Config{FilterEntries: 32, StreamEntries: 4, TrainThreshold: 2, StartupDepth: 3, MaxStride: 64})
+		capVal := 3
+		e.SetCap(func() int { return capVal })
+		strides := []int64{1, -1, 5, -17, 64}
+		var heads [6]cache.BlockAddr
+		for i := range heads {
+			heads[i] = cache.BlockAddr(1<<20 + i<<12)
+		}
+		for step := 0; step < 5000; step++ {
+			k := rng.Intn(len(heads))
+			stride := strides[k%len(strides)]
+			a := heads[k]
+			switch r := rng.Intn(10); {
+			case r < 6:
+				heads[k] = advance(a, stride)
+			case r < 8:
+				a = advance(a, stride)
+				heads[k] = advance(a, stride)
+			default:
+				a = cache.BlockAddr(rng.Int63n(1 << 22))
+			}
+			if rng.Intn(50) == 0 {
+				capVal = 3 - capVal
+			}
+			want, wantReqs := scanOnAccess(e.streams, e.tick+1, capVal > 0, a)
+			got := e.OnAccess(a)
+			if len(got) != len(wantReqs) || len(got) == 1 && got[0] != wantReqs[0] {
+				t.Fatalf("seed %d step %d access %#x: prefetches %v, scan %v", seed, step, uint64(a), got, wantReqs)
+			}
+			for i := range want {
+				if e.streams[i] != want[i] {
+					t.Fatalf("seed %d step %d access %#x: stream %d is %+v, scan %+v", seed, step, uint64(a), i, e.streams[i], want[i])
+				}
+			}
+			if len(got) == 0 && rng.Intn(2) == 0 {
+				e.OnMiss(a)
+			}
+			if msg := e.CheckInvariants(); msg != "" {
+				t.Fatalf("seed %d step %d: %s", seed, step, msg)
+			}
+		}
+	}
+}
+
 func BenchmarkOnMissStrided(b *testing.B) {
 	e := New(L2Config())
 	a := cache.BlockAddr(0)

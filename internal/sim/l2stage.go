@@ -48,7 +48,7 @@ func newL2Stage(cfg Config, mem *memory.System) (*l2Stage, error) {
 // data is on chip: bank reservation, then the hit latency (plus
 // decompression / dirty-forward penalties) or the full memory round
 // trip.
-func (l *l2Stage) Demand(now timing.Tick, addr cache.BlockAddr, r coherence.AccessResult) timing.Tick {
+func (l *l2Stage) Demand(now timing.Tick, addr cache.BlockAddr, r *coherence.AccessResult) timing.Tick {
 	st := l.banks.Acquire(uint64(addr), now)
 	if r.L2Hit {
 		lat := l.hitLat
@@ -72,7 +72,7 @@ func (l *l2Stage) Demand(now timing.Tick, addr cache.BlockAddr, r coherence.Acce
 
 // FillForL1 prices an L1 prefetch fill served by the L2 (hit) or by
 // memory.
-func (l *l2Stage) FillForL1(now timing.Tick, addr cache.BlockAddr, out coherence.PrefetchOutcome) timing.Tick {
+func (l *l2Stage) FillForL1(now timing.Tick, addr cache.BlockAddr, out *coherence.PrefetchOutcome) timing.Tick {
 	st := l.banks.Acquire(uint64(addr), now)
 	if out.MemFetch {
 		done := l.mem.Fetch(st+l.hitLat, addr, out.FetchSegs)

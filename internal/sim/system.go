@@ -451,7 +451,7 @@ func (s *System) step(c int) {
 		ad = s.fe.adL1I[c]
 		eng = s.fe.engL1I[c]
 	}
-	partial := s.resolveInflight(addr, now, r)
+	partial := s.resolveInflight(addr, now, &r)
 	if r.L1PrefetchHit {
 		ad.Useful()
 	}
@@ -475,7 +475,7 @@ func (s *System) step(c int) {
 			core.IssueMiss(partial, blocking)
 		}
 	} else {
-		done := s.l2.Demand(now, addr, r)
+		done := s.l2.Demand(now, addr, &r)
 		if partial > done {
 			done = partial
 		}
@@ -496,7 +496,7 @@ func (s *System) step(c int) {
 // resolveInflight handles partial hits: the first demand reference to a
 // block whose prefetch is still in flight waits for it. Returns the
 // in-flight completion tick (or 0) and updates attribution counters.
-func (s *System) resolveInflight(addr cache.BlockAddr, now timing.Tick, r coherence.AccessResult) timing.Tick {
+func (s *System) resolveInflight(addr cache.BlockAddr, now timing.Tick, r *coherence.AccessResult) timing.Tick {
 	src := coherence.PfNone
 	if r.L1PrefetchHit {
 		src = r.L1PfBy
@@ -589,7 +589,7 @@ func (s *System) issueL1Prefetches(c int, kind coherence.Kind, src coherence.PfS
 			}
 			s.fe.adL2.Useful()
 		}
-		done := s.l2.FillForL1(now, a, out)
+		done := s.l2.FillForL1(now, a, &out)
 		for _, wb := range out.Writebacks {
 			s.auditWriteback(now, wb)
 		}

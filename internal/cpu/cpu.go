@@ -111,8 +111,7 @@ func (c *Core) Advance(n uint64) {
 }
 
 // retireCompleted drops outstanding misses whose data has arrived. It
-// returns at once while the clock is before the earliest completion,
-// which is most calls.
+// returns at once while the clock is before the earliest completion.
 func (c *Core) retireCompleted() {
 	if c.Now < c.firstDone {
 		return

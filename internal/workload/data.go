@@ -389,12 +389,9 @@ type packSample struct {
 	synthesized int
 }
 
-// newPackSample builds the sample of n ≤ 2^16 lines, so that a line
-// index fits beside a dial in one dials entry.
+// newPackSample builds the sample of n lines; n is at most 2^16, so a
+// line index fits beside a dial in one dials entry.
 func newPackSample(seed uint64, n int, c codec.Codec) *packSample {
-	if n > 1<<16 {
-		panic("workload: pack sample of more than 2^16 lines")
-	}
 	s := &packSample{
 		codec:  c,
 		hashes: make([][lineWords]uint64, n),
@@ -408,14 +405,14 @@ func newPackSample(seed uint64, n int, c codec.Codec) *packSample {
 			s.dials = append(s.dials, uint32(h&0xFFFF)<<16|uint32(i))
 		}
 	}
-	sortByDial(s.dials, make([]uint32, len(s.dials)))
+	sortByDial(s.dials)
 	return s
 }
 
 // sortByDial sorts keys (dial<<16 | line) by dial in two stable counting
-// passes, on the dial's low byte and then its high byte; tmp is scratch
-// space of keys' length. The result ends in keys.
-func sortByDial(keys, tmp []uint32) {
+// passes, on the dial's low byte and then its high byte.
+func sortByDial(keys []uint32) {
+	tmp := make([]uint32, len(keys))
 	for _, shift := range [2]uint{16, 24} {
 		var next [257]int // next[b+1] counts byte b, then next[b] is b's next slot
 		for _, k := range keys {

@@ -20,7 +20,11 @@
 // "successfully" decoding a line that was never encoded).
 package codec
 
-import "fmt"
+import (
+	"fmt"
+
+	"cmpsim/internal/registry"
+)
 
 // LineSize is the cache-line size in bytes every codec compresses.
 const LineSize = 64
@@ -66,73 +70,41 @@ type Codec interface {
 	DecompressionCycles() float64
 }
 
-// registry holds the codecs in registration order, so Names and All are
+// codecs holds the codecs in registration order, so Names and All are
 // deterministic across processes (the bakeoff CSV row order and the
 // experiment sweep order depend on it).
-var (
-	registry []Codec
-	byName   = make(map[string]Codec)
-)
-
-// register adds a codec at package init; duplicate names are a bug.
-func register(c Codec) {
-	if _, dup := byName[c.Name()]; dup {
-		panic(fmt.Sprintf("codec: duplicate registration of %q", c.Name()))
-	}
-	registry = append(registry, c)
-	byName[c.Name()] = c
-}
+var codecs = registry.New[Codec]("codec", "codec", DefaultName)
 
 func init() {
-	register(FPC{})
-	register(BDI{})
-	register(ZCA{})
-	register(CPack{})
+	for _, c := range []Codec{FPC{}, BDI{}, ZCA{}, CPack{}} {
+		codecs.Add(c.Name(), c)
+	}
 }
 
 // DefaultName is the simulator's default codec (the paper's).
 const DefaultName = "fpc"
 
 // Default returns the default codec (FPC).
-func Default() Codec { return byName[DefaultName] }
+func Default() Codec { return codecs.Must("") }
 
 // Names lists the registered codec names in registration order.
-func Names() []string {
-	names := make([]string, len(registry))
-	for i, c := range registry {
-		names[i] = c.Name()
-	}
-	return names
-}
+func Names() []string { return codecs.Names() }
 
 // All returns the registered codecs in registration order.
 func All() []Codec {
-	out := make([]Codec, len(registry))
-	copy(out, registry)
+	var out []Codec
+	for _, name := range codecs.Names() {
+		out = append(out, codecs.Must(name))
+	}
 	return out
 }
 
 // ByName resolves a codec by registry name. The empty string means the
 // default codec, so config fields can leave "codec" unset.
-func ByName(name string) (Codec, error) {
-	if name == "" {
-		return Default(), nil
-	}
-	c, ok := byName[name]
-	if !ok {
-		return nil, fmt.Errorf("codec: unknown codec %q (have %v)", name, Names())
-	}
-	return c, nil
-}
+func ByName(name string) (Codec, error) { return codecs.Get(name) }
 
 // MustByName is ByName for known-good names.
-func MustByName(name string) Codec {
-	c, err := ByName(name)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
+func MustByName(name string) Codec { return codecs.Must(name) }
 
 // segsForBytes converts an encoded byte length to the segment count,
 // clamped to the raw-storage convention.

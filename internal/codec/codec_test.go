@@ -133,8 +133,9 @@ func TestRegistry(t *testing.T) {
 	if err != nil || c.Name() != DefaultName {
 		t.Fatalf("ByName(\"\") = %v, %v; want the default codec", c, err)
 	}
-	if _, err := ByName("huffman"); err == nil {
-		t.Fatal("ByName on an unknown codec did not fail")
+	_, err = ByName("huffman")
+	if wantErr := `codec: unknown codec "huffman" (have [fpc bdi zca cpack])`; err == nil || err.Error() != wantErr {
+		t.Fatalf("ByName on an unknown codec: %v, want %q", err, wantErr)
 	}
 	if len(All()) != len(want) {
 		t.Fatalf("All() has %d codecs, want %d", len(All()), len(want))

@@ -18,8 +18,9 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("empty name must resolve to the default: %v", err)
 	}
 	_, err := ByName("nosuch")
-	if err == nil || !strings.Contains(err.Error(), "stride") {
-		t.Errorf("unknown-kind error must list registered names, got %v", err)
+	wantErr := `prefetch: unknown prefetcher "nosuch" (have [stride sequential stream markov])`
+	if err == nil || err.Error() != wantErr {
+		t.Errorf("unknown-kind error %v, want %q", err, wantErr)
 	}
 	for _, name := range Names() {
 		if p := MustByName(name)(L1Config()); p == nil {

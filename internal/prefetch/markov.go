@@ -6,25 +6,12 @@ import (
 	"cmpsim/internal/cache"
 )
 
-// MarkovConfig parameterizes the Markov (miss-correlation) prefetcher.
-type MarkovConfig struct {
-	// Entries is the correlation-table size, rounded up to a power of
-	// two.
-	Entries int
-	// Successors is the number of successor addresses kept per entry,
-	// MRU-ordered; all of them are candidates on a hit.
-	Successors int
-}
-
-// MarkovConfigFor derives the table geometry from a level's stride
-// engine Config: the filter-table budget scaled up (the correlation
-// table is the scheme's main cost) and the classic two successors.
-func MarkovConfigFor(c Config) MarkovConfig {
-	return MarkovConfig{Entries: c.FilterEntries * 64, Successors: 2}
-}
-
 // markovNone marks an empty tag or successor slot.
 const markovNone = ^cache.BlockAddr(0)
+
+// markovSuccessors is the number of successor addresses kept per
+// entry, MRU-ordered: the classic two, all of them candidates on a hit.
+const markovSuccessors = 2
 
 // Markov is a Joseph/Grunwald-style miss-correlation prefetcher: the
 // table maps a miss address to the addresses that followed it in the
@@ -32,10 +19,9 @@ const markovNone = ^cache.BlockAddr(0)
 // only kind here that can cover data-dependent pointer chases — the
 // successor of a node is arbitrary, but it repeats across traversals.
 type Markov struct {
-	cfg  MarkovConfig
 	mask uint64
 	tags []cache.BlockAddr
-	succ []cache.BlockAddr // cfg.Successors per entry, MRU first
+	succ []cache.BlockAddr // markovSuccessors per entry, MRU first
 
 	prev      cache.BlockAddr
 	prevValid bool
@@ -45,22 +31,19 @@ type Markov struct {
 	Stats Stats
 }
 
-// NewMarkov builds the correlation table.
-func NewMarkov(cfg MarkovConfig) *Markov {
-	if cfg.Entries < 1 || cfg.Successors < 1 {
-		panic("prefetch: markov table needs at least one entry and one successor")
-	}
+// newMarkov builds a level's correlation table: the stride engine's
+// filter-table budget scaled up 64-fold (the correlation table is the
+// scheme's main cost), rounded up to a power of two.
+func newMarkov(c Config) Prefetcher {
 	n := 1
-	for n < cfg.Entries {
+	for n < c.FilterEntries*64 {
 		n <<= 1
 	}
-	cfg.Entries = n
 	m := &Markov{
-		cfg:    cfg,
 		mask:   uint64(n - 1),
 		tags:   make([]cache.BlockAddr, n),
-		succ:   make([]cache.BlockAddr, n*cfg.Successors),
-		reqbuf: make([]cache.BlockAddr, 0, cfg.Successors),
+		succ:   make([]cache.BlockAddr, n*markovSuccessors),
+		reqbuf: make([]cache.BlockAddr, 0, markovSuccessors),
 	}
 	for i := range m.tags {
 		m.tags[i] = markovNone
@@ -78,23 +61,15 @@ func (m *Markov) index(a cache.BlockAddr) int {
 // SetCap installs the adaptive issue bound.
 func (m *Markov) SetCap(cap func() int) { m.cap = cap }
 
-func (m *Markov) depth() int {
-	d := m.cfg.Successors
-	if m.cap != nil {
-		if c := m.cap(); c < d {
-			d = c
-		}
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
+// row returns entry e's successor slots.
+func (m *Markov) row(e int) []cache.BlockAddr {
+	return m.succ[e*markovSuccessors : (e+1)*markovSuccessors]
 }
 
 // train records prev -> a in prev's entry, MRU first.
 func (m *Markov) train(prev, a cache.BlockAddr) {
 	e := m.index(prev)
-	row := m.succ[e*m.cfg.Successors : (e+1)*m.cfg.Successors]
+	row := m.row(e)
 	if m.tags[e] != prev {
 		m.tags[e] = prev
 		for i := range row {
@@ -130,8 +105,8 @@ func (m *Markov) OnMiss(a cache.BlockAddr) []cache.BlockAddr {
 		return m.reqbuf
 	}
 	m.Stats.FilterHits++
-	d := m.depth()
-	row := m.succ[e*m.cfg.Successors : (e+1)*m.cfg.Successors]
+	d := capped(markovSuccessors, m.cap)
+	row := m.row(e)
 	for i := 0; i < len(row) && len(m.reqbuf) < d; i++ {
 		if row[i] == markovNone {
 			break
@@ -166,7 +141,7 @@ func (m *Markov) Allocations() uint64 { return m.Stats.StreamAllocs }
 // successors, live rows are MRU-compact and distinct.
 func (m *Markov) CheckInvariants() string {
 	for e := range m.tags {
-		row := m.succ[e*m.cfg.Successors : (e+1)*m.cfg.Successors]
+		row := m.row(e)
 		if m.tags[e] == markovNone {
 			for i := range row {
 				if row[i] != markovNone {
@@ -200,13 +175,8 @@ func (m *Markov) CheckInvariants() string {
 // CorruptStream deliberately breaks the table shape (audit fault
 // injection).
 func (m *Markov) CorruptStream() {
-	row := m.succ[:m.cfg.Successors]
-	if len(row) > 1 {
-		m.tags[0] = 1
-		row[0] = markovNone
-		row[len(row)-1] = 2
-		return
-	}
-	m.tags[0] = markovNone
-	row[0] = 2
+	row := m.row(0)
+	m.tags[0] = 1
+	row[0] = markovNone
+	row[len(row)-1] = 2
 }

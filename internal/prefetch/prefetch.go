@@ -254,19 +254,13 @@ func New(cfg Config) *Engine {
 // nil provider (the default) means non-adaptive operation at full depth.
 func (e *Engine) SetCap(cap func() int) { e.cap = cap }
 
-// depth returns the current allowed startup depth (0 disables).
-func (e *Engine) depth() int {
-	if e.cap == nil {
-		return e.cfg.StartupDepth
+// capped bounds an engine's full depth by its adaptive cap, when one is
+// installed: the lesser of the two, and never below 0 (0 disables).
+func capped(depth int, cap func() int) int {
+	if cap != nil {
+		depth = min(depth, cap())
 	}
-	d := e.cap()
-	if d > e.cfg.StartupDepth {
-		d = e.cfg.StartupDepth
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
+	return max(depth, 0)
 }
 
 // streamSlots returns the demandSlots bits of the valid streams.
@@ -306,7 +300,7 @@ func (e *Engine) OnAccess(a cache.BlockAddr) []cache.BlockAddr {
 			}
 			s.nextDemand = advance(s.nextDemand, s.stride)
 			s.used = e.tick
-			if e.depth() > 0 {
+			if capped(e.cfg.StartupDepth, e.cap) > 0 {
 				e.reqbuf = append(e.reqbuf, s.nextPf)
 				s.nextPf = advance(s.nextPf, s.stride)
 				e.Stats.Advances++
@@ -452,7 +446,7 @@ func (e *Engine) alloc(t *filterTable, a cache.BlockAddr, stride int64) {
 // through hits on prefetched lines, so a disabled engine must retain a
 // trickle of evidence-gathering prefetches.
 func (e *Engine) allocStream(a cache.BlockAddr, stride int64) {
-	d := e.depth()
+	d := capped(e.cfg.StartupDepth, e.cap)
 	if d == 0 {
 		e.probeSkips++
 		if e.probeSkips%32 != 0 {

@@ -34,67 +34,37 @@ var (
 // Allocations implements Prefetcher for the stride engine.
 func (e *Engine) Allocations() uint64 { return e.Stats.StreamAllocs }
 
-// SequentialConfig parameterizes the sequential prefetcher.
-type SequentialConfig struct {
-	// Degree is the number of next-sequential blocks fetched per miss.
-	Degree int
-	// Tagged also prefetches on the first demand reference to a
-	// prefetched block (Smith's tagged prefetching), which keeps a
-	// sequential run going without further misses.
-	Tagged bool
-}
-
-// DefaultSequentialConfig matches the classic degree-1 tagged scheme.
-func DefaultSequentialConfig() SequentialConfig {
-	return SequentialConfig{Degree: 1, Tagged: true}
-}
-
-// Sequential is a one-block-lookahead (degree-N) sequential prefetcher:
-// every miss to block a prefetches a+1..a+Degree. With Tagged it also
-// extends runs on accesses that consumed a prefetch. It has no filter
+// Sequential is a tagged sequential prefetcher of degree N (Smith's
+// scheme): every miss to block a prefetches a+1..a+N, and an access to
+// the most recently prefetched window extends the run by one block, so
+// a sequential run keeps going without further misses. It has no filter
 // or stream tables and catches only unit-stride locality — the baseline
 // the stride engine is measured against.
 type Sequential struct {
-	cfg    SequentialConfig
+	degree int
 	cap    func() int
 	reqbuf []cache.BlockAddr
-	// lastPrefetched supports Tagged mode without per-line state in the
-	// prefetcher: an access to the most recently prefetched window
-	// extends the run.
+	// The most recently prefetched window; an access inside it extends
+	// the run without per-line state in the prefetcher.
 	windowStart, windowEnd cache.BlockAddr
 	windowValid            bool
 
 	Stats Stats
 }
 
-// NewSequential builds the baseline prefetcher.
-func NewSequential(cfg SequentialConfig) *Sequential {
-	if cfg.Degree < 1 {
-		panic("prefetch: sequential degree must be at least 1")
-	}
-	return &Sequential{cfg: cfg}
+// newSequential builds the baseline for a level: degree a third of the
+// stride engine's startup depth, for comparable aggressiveness.
+func newSequential(c Config) Prefetcher {
+	return &Sequential{degree: max(c.StartupDepth/3, 1)}
 }
 
 // SetCap installs the adaptive bound.
 func (s *Sequential) SetCap(cap func() int) { s.cap = cap }
 
-func (s *Sequential) degree() int {
-	d := s.cfg.Degree
-	if s.cap != nil {
-		if c := s.cap(); c < d {
-			d = c
-		}
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// OnMiss prefetches the next Degree sequential blocks.
+// OnMiss prefetches the next degree sequential blocks.
 func (s *Sequential) OnMiss(a cache.BlockAddr) []cache.BlockAddr {
 	s.reqbuf = s.reqbuf[:0]
-	d := s.degree()
+	d := capped(s.degree, s.cap)
 	for k := 1; k <= d; k++ {
 		s.reqbuf = append(s.reqbuf, a+cache.BlockAddr(k))
 	}
@@ -107,11 +77,11 @@ func (s *Sequential) OnMiss(a cache.BlockAddr) []cache.BlockAddr {
 	return s.reqbuf
 }
 
-// OnAccess extends the current run in Tagged mode when the demand
-// stream reaches the prefetched window.
+// OnAccess extends the current run when the demand stream reaches the
+// prefetched window.
 func (s *Sequential) OnAccess(a cache.BlockAddr) []cache.BlockAddr {
 	s.reqbuf = s.reqbuf[:0]
-	if !s.cfg.Tagged || !s.windowValid || s.degree() == 0 {
+	if !s.windowValid || capped(s.degree, s.cap) == 0 {
 		return s.reqbuf
 	}
 	if a >= s.windowStart && a <= s.windowEnd {

@@ -6,8 +6,14 @@ import (
 	"cmpsim/internal/cache"
 )
 
+// sequentialOfDegree builds the sequential engine from the level
+// Config that gives it the wanted degree.
+func sequentialOfDegree(degree int) Prefetcher {
+	return newSequential(Config{StartupDepth: 3 * degree})
+}
+
 func TestSequentialMissPrefetchesNextBlocks(t *testing.T) {
-	s := NewSequential(SequentialConfig{Degree: 3})
+	s := sequentialOfDegree(3)
 	reqs := s.OnMiss(100)
 	if len(reqs) != 3 || reqs[0] != 101 || reqs[2] != 103 {
 		t.Fatalf("reqs = %v", reqs)
@@ -18,9 +24,9 @@ func TestSequentialMissPrefetchesNextBlocks(t *testing.T) {
 }
 
 func TestSequentialTaggedExtendsRun(t *testing.T) {
-	s := NewSequential(DefaultSequentialConfig()) // degree 1, tagged
-	s.OnMiss(100)                                 // prefetched 101
-	reqs := s.OnAccess(101)                       // demand reaches the window
+	s := sequentialOfDegree(1)
+	s.OnMiss(100)           // prefetched 101
+	reqs := s.OnAccess(101) // demand reaches the window
 	if len(reqs) != 1 || reqs[0] != 102 {
 		t.Fatalf("tagged extension = %v", reqs)
 	}
@@ -34,16 +40,8 @@ func TestSequentialTaggedExtendsRun(t *testing.T) {
 	}
 }
 
-func TestSequentialUntaggedDoesNotExtend(t *testing.T) {
-	s := NewSequential(SequentialConfig{Degree: 2, Tagged: false})
-	s.OnMiss(100)
-	if reqs := s.OnAccess(101); len(reqs) != 0 {
-		t.Fatalf("untagged extension = %v", reqs)
-	}
-}
-
 func TestSequentialCap(t *testing.T) {
-	s := NewSequential(SequentialConfig{Degree: 4})
+	s := sequentialOfDegree(4)
 	cap := 2
 	s.SetCap(func() int { return cap })
 	if reqs := s.OnMiss(100); len(reqs) != 2 {
@@ -56,14 +54,14 @@ func TestSequentialCap(t *testing.T) {
 }
 
 func TestSequentialTriggerStreamNoOp(t *testing.T) {
-	s := NewSequential(DefaultSequentialConfig())
+	s := sequentialOfDegree(1)
 	if reqs := s.TriggerStream(100, 1); len(reqs) != 0 {
 		t.Fatalf("trigger = %v", reqs)
 	}
 }
 
 func TestSequentialStreamStride(t *testing.T) {
-	s := NewSequential(DefaultSequentialConfig())
+	s := sequentialOfDegree(1)
 	if s.StreamStride() != 0 {
 		t.Fatal("cold prefetcher should report stride 0")
 	}
@@ -73,19 +71,10 @@ func TestSequentialStreamStride(t *testing.T) {
 	}
 }
 
-func TestSequentialRejectsZeroDegree(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("degree 0 should panic")
-		}
-	}()
-	NewSequential(SequentialConfig{Degree: 0})
-}
-
 func TestSequentialMissesNonUnitStride(t *testing.T) {
 	// The sequential baseline cannot follow stride-3 streams: its
 	// prefetches never match the demand addresses.
-	s := NewSequential(SequentialConfig{Degree: 2, Tagged: true})
+	s := sequentialOfDegree(2)
 	hits := 0
 	addr := cache.BlockAddr(1000)
 	prefetched := map[cache.BlockAddr]bool{}

@@ -6,27 +6,6 @@ import (
 	"cmpsim/internal/cache"
 )
 
-// StreamConfig parameterizes the Jouppi-style stream buffers.
-type StreamConfig struct {
-	// Buffers is the number of concurrent stream buffers (Jouppi's
-	// classic configuration uses 4).
-	Buffers int
-	// Depth is the lookahead each buffer maintains ahead of the demand
-	// stream, in blocks.
-	Depth int
-}
-
-// StreamConfigFor derives the buffer geometry from a level's stride
-// engine Config: half the stream-table entries as buffers, the same
-// startup depth as lookahead.
-func StreamConfigFor(c Config) StreamConfig {
-	buffers := c.StreamEntries / 2
-	if buffers < 1 {
-		buffers = 1
-	}
-	return StreamConfig{Buffers: buffers, Depth: c.StartupDepth}
-}
-
 // streamBuf is one buffer: a unit-stride window [next, tail] of blocks
 // prefetched ahead of the demand stream. next is the address the
 // demand stream is expected to ask for; tail is the last block issued.
@@ -44,42 +23,28 @@ type streamBuf struct {
 // ascending unit-stride runs, which is exactly what the irregular
 // suite withholds.
 type StreamBuffers struct {
-	cfg    StreamConfig
-	bufs   []streamBuf
-	tick   uint64
-	cap    func() int
-	reqbuf []cache.BlockAddr
+	lookahead int // blocks each buffer keeps ahead of the demand stream
+	bufs      []streamBuf
+	tick      uint64
+	cap       func() int
+	reqbuf    []cache.BlockAddr
 
 	Stats Stats
 }
 
-// NewStreamBuffers builds the buffer set.
-func NewStreamBuffers(cfg StreamConfig) *StreamBuffers {
-	if cfg.Buffers < 1 || cfg.Depth < 1 {
-		panic("prefetch: stream buffers need at least one buffer and depth 1")
-	}
+// newStreamBuffers builds a level's buffer set: half the stride
+// engine's stream-table entries as buffers, its startup depth as
+// lookahead.
+func newStreamBuffers(c Config) Prefetcher {
 	return &StreamBuffers{
-		cfg:    cfg,
-		bufs:   make([]streamBuf, cfg.Buffers),
-		reqbuf: make([]cache.BlockAddr, 0, cfg.Depth),
+		lookahead: c.StartupDepth,
+		bufs:      make([]streamBuf, max(c.StreamEntries/2, 1)),
+		reqbuf:    make([]cache.BlockAddr, 0, c.StartupDepth),
 	}
 }
 
 // SetCap installs the adaptive issue bound.
 func (s *StreamBuffers) SetCap(cap func() int) { s.cap = cap }
-
-func (s *StreamBuffers) depth() int {
-	d := s.cfg.Depth
-	if s.cap != nil {
-		if c := s.cap(); c < d {
-			d = c
-		}
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
 
 // consume advances the buffer whose head matches a, issuing one block
 // to keep the window at depth. Reports whether a matched.
@@ -92,7 +57,7 @@ func (s *StreamBuffers) consume(a cache.BlockAddr) bool {
 		b.next++
 		b.used = s.tick
 		s.Stats.Advances++
-		if d := s.depth(); d > 0 && int64(b.tail)-int64(b.next)+1 < int64(d) {
+		if d := capped(s.lookahead, s.cap); d > 0 && int64(b.tail)-int64(b.next)+1 < int64(d) {
 			b.tail++
 			s.reqbuf = append(s.reqbuf, b.tail)
 			s.Stats.Issued++
@@ -107,7 +72,7 @@ func (s *StreamBuffers) consume(a cache.BlockAddr) bool {
 
 // alloc restarts the LRU buffer as a window after a.
 func (s *StreamBuffers) alloc(a cache.BlockAddr) {
-	d := s.depth()
+	d := capped(s.lookahead, s.cap)
 	if d == 0 {
 		return
 	}
@@ -188,9 +153,9 @@ func (s *StreamBuffers) CheckInvariants() string {
 			continue
 		}
 		w := int64(b.tail) - int64(b.next) + 1
-		if w < 0 || w > int64(s.cfg.Depth) {
+		if w < 0 || w > int64(s.lookahead) {
 			return fmt.Sprintf("stream buffer %d window [%d,%d] width %d outside [0,%d]",
-				i, b.next, b.tail, w, s.cfg.Depth)
+				i, b.next, b.tail, w, s.lookahead)
 		}
 	}
 	return ""

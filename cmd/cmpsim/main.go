@@ -86,7 +86,7 @@ func main() {
 	if _, err := prefetch.ByName(*pfKind); err != nil {
 		usageErr("-prefetcher: %v", err)
 	}
-	if *source != "" && !workload.SourceRegistered(*source) {
+	if !workload.SourceRegistered(*source) {
 		usageErr("-workload %q unknown (have %v)", *source, workload.SourceNames())
 	}
 	if *cores < 1 || *cores > cache.MaxCores {

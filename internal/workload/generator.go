@@ -41,49 +41,99 @@ type stream struct {
 	remaining int
 }
 
-// Generator produces core coreID's reference stream for one benchmark.
-type Generator struct {
-	p    Profile
-	core int
-	rng  *rand.Rand
+// front is the front half every reference source shares: the core's
+// RNG and private base, the instruction stream's code-block walk, the
+// emission counters and the store/blocking draw. A kind embeds it and
+// keeps its own sampleGap and dataRef; its Next keeps the data branch
+// inline and hands the fetch branch to fetch.
+type front struct {
+	p        Profile
+	rng      *rand.Rand
+	privBase cache.BlockAddr
 
-	// Instruction stream state.
 	iBlock     cache.BlockAddr // current code block (offset within footprint)
 	iRun       int             // sequential blocks left before a branch away
 	instrInBlk int             // instructions retired in the current block
+	gapData    int             // instructions until the next data reference
 
-	// Data stream state.
+	instructions, dataRefs, ifetches uint64
+}
+
+// init validates p, seeds the core's RNG with the kind's salt and draws
+// the first code block.
+func (f *front) init(p Profile, core int, seed int64, salt uint64) {
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
+	f.p = p
+	f.rng = rand.New(rand.NewSource(seed ^ int64(splitmix64(uint64(core)+salt))))
+	f.privBase = privateBase + cache.BlockAddr(core)*(privateSize+coreSkew)
+	if p.DataShared {
+		f.privBase = privateBase // one footprint for all cores
+	}
+	f.iBlock = cache.BlockAddr(f.rng.Intn(p.IFootprint))
+	f.iRun = p.ISeqRun
+}
+
+// fetch fills r with the instruction stream's move to its next code
+// block after adv more instructions.
+func (f *front) fetch(r *Ref, adv int) {
+	f.gapData -= adv
+	f.instrInBlk = 0
+	f.instructions += uint64(adv)
+	f.ifetches++
+	if f.iRun > 0 {
+		f.iRun--
+		f.iBlock++
+		if f.iBlock >= cache.BlockAddr(f.p.IFootprint) {
+			f.iBlock = 0
+		}
+	} else {
+		f.iBlock = cache.BlockAddr(f.rng.Intn(f.p.IFootprint))
+		f.iRun = f.p.ISeqRun
+	}
+	r.Gap = uint32(adv)
+	r.Kind = coherence.IFetch
+	r.Addr = codeBase + f.iBlock
+	r.Blocking = true // the front end stalls on an I-miss
+}
+
+// finishRef draws a data reference's kind and dependence.
+func (f *front) finishRef(r *Ref) {
+	if f.rng.Float64() < f.p.StoreFrac {
+		r.Kind = coherence.Store
+		r.Blocking = false
+	} else {
+		r.Kind = coherence.Load
+		r.Blocking = f.rng.Float64() < f.p.BlockingFrac
+	}
+}
+
+// Counts implements RefSource.
+func (f *front) Counts() (instructions, dataRefs, ifetches uint64) {
+	return f.instructions, f.dataRefs, f.ifetches
+}
+
+// Generator produces a core's strided reference stream for one
+// benchmark: strided bursts, shared-region touches and hot/cold private
+// references.
+type Generator struct {
+	front
+
 	streams   []stream
-	gapData   int // instructions until the next data reference
 	hotSpan   cache.BlockAddr
-	privBase  cache.BlockAddr
 	strmBase  cache.BlockAddr
 	strmWS    int
 	burstLeft int     // strided refs remaining in the current burst
 	burstIdx  int     // stream the burst walks
 	pStrided  float64 // per-draw probability of entering a burst
-
-	// Counters.
-	Instructions uint64
-	DataRefs     uint64
-	IFetches     uint64
 }
 
 // NewGenerator builds the per-core reference generator. Generators for
 // different (core, seed) pairs are independent and deterministic.
 func NewGenerator(p Profile, core int, seed int64) *Generator {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	g := &Generator{
-		p:        p,
-		core:     core,
-		rng:      rand.New(rand.NewSource(seed ^ int64(splitmix64(uint64(core)+0xABCD)))),
-		privBase: privateBase + cache.BlockAddr(core)*(privateSize+coreSkew),
-	}
-	if p.DataShared {
-		g.privBase = privateBase // one footprint for all cores
-	}
+	g := &Generator{}
+	g.init(p, core, seed, 0xABCD)
 	g.strmBase, g.strmWS = g.privBase, p.PrivateWS
 	if p.StreamWS > 0 {
 		g.strmWS = p.StreamWS
@@ -97,8 +147,6 @@ func NewGenerator(p Profile, core int, seed int64) *Generator {
 	if g.hotSpan < 1 {
 		g.hotSpan = 1
 	}
-	g.iBlock = cache.BlockAddr(g.rng.Intn(p.IFootprint))
-	g.iRun = p.ISeqRun
 	for i := 0; i < p.Streams; i++ {
 		g.streams = append(g.streams, g.seedStream())
 	}
@@ -137,21 +185,6 @@ func (g *Generator) seedStream() stream {
 		start += cache.BlockAddr(-st * int64(length))
 	}
 	return stream{next: start, stride: st, remaining: length}
-}
-
-// nextIBlock advances the instruction stream to its next code block.
-func (g *Generator) nextIBlock() cache.BlockAddr {
-	if g.iRun > 0 {
-		g.iRun--
-		g.iBlock++
-		if g.iBlock >= cache.BlockAddr(g.p.IFootprint) {
-			g.iBlock = 0
-		}
-	} else {
-		g.iBlock = cache.BlockAddr(g.rng.Intn(g.p.IFootprint))
-		g.iRun = g.p.ISeqRun
-	}
-	return codeBase + g.iBlock
 }
 
 // strideTouch emits the next block of stream i.
@@ -194,17 +227,6 @@ func (g *Generator) dataRef(r *Ref) {
 	g.finishRef(r)
 }
 
-// finishRef assigns the reference kind and dependence.
-func (g *Generator) finishRef(r *Ref) {
-	if g.rng.Float64() < g.p.StoreFrac {
-		r.Kind = coherence.Store
-		r.Blocking = false
-	} else {
-		r.Kind = coherence.Load
-		r.Blocking = g.rng.Float64() < g.p.BlockingFrac
-	}
-}
-
 // NextN fills refs with the next len(refs) references in program order
 // and returns len(refs); the synthetic stream never ends. Batch
 // generation amortizes per-reference call overhead.
@@ -224,20 +246,11 @@ func (g *Generator) Next(r *Ref) {
 		adv := g.gapData
 		g.instrInBlk += adv
 		g.gapData = g.sampleGap()
-		g.Instructions += uint64(adv)
-		g.DataRefs++
+		g.instructions += uint64(adv)
+		g.dataRefs++
 		r.Gap = uint32(adv)
 		g.dataRef(r)
 		return
 	}
-	// Instruction stream crosses into the next code block.
-	adv := dI
-	g.gapData -= adv
-	g.instrInBlk = 0
-	g.Instructions += uint64(adv)
-	g.IFetches++
-	r.Gap = uint32(adv)
-	r.Kind = coherence.IFetch
-	r.Addr = g.nextIBlock()
-	r.Blocking = true // the front end stalls on an I-miss
+	g.fetch(r, dI) // the instruction stream crosses into the next code block
 }

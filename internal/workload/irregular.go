@@ -4,15 +4,14 @@ import (
 	"math/rand"
 
 	"cmpsim/internal/cache"
-	"cmpsim/internal/coherence"
 )
 
-// The irregular sources share the strided Generator's front half — the
-// instruction-stream interleaving, exponential gap sampling and
-// store/blocking assignment — so per-reference cost, the trace format
-// and the profile's MemPer1000 calibration stay uniform across kinds;
-// only the data-address function differs. Each source is deterministic
-// in (Profile, core, seed) and holds only core-private state (DESIGN.md
+// The irregular sources share the strided Generator's front half
+// (front): the instruction-stream interleaving, exponential gap sampling
+// and store/blocking assignment, so per-reference cost and the profile's
+// MemPer1000 calibration stay uniform across kinds; only the
+// data-address function differs. Each source is deterministic in
+// (Profile, core, seed) and holds only core-private state (DESIGN.md
 // §6i).
 
 // chaseHeads is the number of distinct list heads a pointer chase
@@ -21,61 +20,27 @@ import (
 // has something to learn.
 const chaseHeads = 64
 
-// irrGen is the shared front half of every irregular source.
+// irrGen is every irregular source: the shared front half plus the
+// kind's data-address walk, which its constructor closes over.
 type irrGen struct {
-	p   Profile
-	rng *rand.Rand
-
-	// Instruction stream state (mirrors Generator).
-	iBlock     cache.BlockAddr
-	iRun       int
-	instrInBlk int
-
-	// Data stream state.
-	gapData  int
-	gapScale float64 // service-mix load phases modulate the data-ref rate
-	privBase cache.BlockAddr
-
-	data func(r *Ref) // kind-specific data-address generator
-
-	instructions, dataRefs, ifetches uint64
+	front
+	gapScale float64      // service-mix load phases modulate the data-ref rate
+	data     func(r *Ref) // kind-specific data-address generator
 }
 
-func (g *irrGen) init(p Profile, core int, seed int64, kindSalt uint64) {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	g.p = p
-	g.rng = rand.New(rand.NewSource(seed ^ int64(splitmix64(uint64(core)+kindSalt))))
-	g.privBase = privateBase + cache.BlockAddr(core)*(privateSize+coreSkew)
-	if p.DataShared {
-		g.privBase = privateBase // one footprint for all cores
-	}
-	g.gapScale = 1
-	g.iBlock = cache.BlockAddr(g.rng.Intn(p.IFootprint))
-	g.iRun = p.ISeqRun
+// newIrrGen builds the front half of an irregular source and draws its
+// first gap; the caller then builds its walk and sets data.
+func newIrrGen(p Profile, core int, seed int64, salt uint64) *irrGen {
+	g := &irrGen{gapScale: 1}
+	g.init(p, core, seed, salt)
 	g.gapData = g.sampleGap()
+	return g
 }
 
 // sampleGap draws the instruction distance to the next data reference.
 func (g *irrGen) sampleGap() int {
 	mean := g.gapScale * 1000 / g.p.MemPer1000
 	return int(g.rng.ExpFloat64()*mean + 0.5)
-}
-
-// nextIBlock advances the instruction stream to its next code block.
-func (g *irrGen) nextIBlock() cache.BlockAddr {
-	if g.iRun > 0 {
-		g.iRun--
-		g.iBlock++
-		if g.iBlock >= cache.BlockAddr(g.p.IFootprint) {
-			g.iBlock = 0
-		}
-	} else {
-		g.iBlock = cache.BlockAddr(g.rng.Intn(g.p.IFootprint))
-		g.iRun = g.p.ISeqRun
-	}
-	return codeBase + g.iBlock
 }
 
 // dataRef produces the next data reference: an occasional touch of the
@@ -87,13 +52,7 @@ func (g *irrGen) dataRef(r *Ref) {
 	} else {
 		g.data(r)
 	}
-	if g.rng.Float64() < g.p.StoreFrac {
-		r.Kind = coherence.Store
-		r.Blocking = false
-	} else {
-		r.Kind = coherence.Load
-		r.Blocking = g.rng.Float64() < g.p.BlockingFrac
-	}
+	g.finishRef(r)
 }
 
 // Next fills r with the next reference in program order, interleaving
@@ -110,15 +69,7 @@ func (g *irrGen) Next(r *Ref) {
 		g.dataRef(r)
 		return
 	}
-	adv := dI
-	g.gapData -= adv
-	g.instrInBlk = 0
-	g.instructions += uint64(adv)
-	g.ifetches++
-	r.Gap = uint32(adv)
-	r.Kind = coherence.IFetch
-	r.Addr = g.nextIBlock()
-	r.Blocking = true
+	g.fetch(r, dI)
 }
 
 // NextN fills refs with the next len(refs) references and returns
@@ -128,11 +79,6 @@ func (g *irrGen) NextN(refs []Ref) int {
 		g.Next(&refs[i])
 	}
 	return len(refs)
-}
-
-// Counts implements RefSource.
-func (g *irrGen) Counts() (instructions, dataRefs, ifetches uint64) {
-	return g.instructions, g.dataRefs, g.ifetches
 }
 
 // chaseWalk is the data-dependent pointer walk shared by the ptrchase
@@ -148,6 +94,14 @@ type chaseWalk struct {
 	hops  int
 }
 
+func newChaseWalk(p Profile, rng *rand.Rand) chaseWalk {
+	length := p.ChaseLen
+	if length <= 0 {
+		length = 64
+	}
+	return chaseWalk{salt: rng.Uint64(), nodes: int64(p.PrivateWS), len: length}
+}
+
 func (w *chaseWalk) next(rng *rand.Rand) int64 {
 	if w.hops <= 0 {
 		w.cur = int64(splitmix64(w.salt^uint64(rng.Intn(chaseHeads))) % uint64(w.nodes))
@@ -159,25 +113,13 @@ func (w *chaseWalk) next(rng *rand.Rand) int64 {
 	return cur
 }
 
-// chaseSource walks linked lists laid out hash-scattered across a
+// newChaseSource walks linked lists laid out hash-scattered across a
 // heap-like arena: long chains of dependent loads with no stride.
-type chaseSource struct {
-	irrGen
-	walk chaseWalk
-}
-
 func newChaseSource(p Profile, core int, seed int64) RefSource {
-	s := &chaseSource{}
-	s.init(p, core, seed, 0xC11A5E)
-	length := p.ChaseLen
-	if length <= 0 {
-		length = 64
-	}
-	s.walk = chaseWalk{salt: s.rng.Uint64(), nodes: int64(p.PrivateWS), len: length}
-	s.data = func(r *Ref) {
-		r.Addr = s.privBase + cache.BlockAddr(s.walk.next(s.rng))
-	}
-	return s
+	g := newIrrGen(p, core, seed, 0xC11A5E)
+	walk := newChaseWalk(p, g.rng)
+	g.data = func(r *Ref) { r.Addr = g.privBase + cache.BlockAddr(walk.next(g.rng)) }
+	return g
 }
 
 // hashProbe models open-hashing lookups: a key hashes to a bucket whose
@@ -237,20 +179,12 @@ func (h *hashProbe) next(rng *rand.Rand) int64 {
 	return a
 }
 
-// hashProbeSource drives hash-table probing over the private arena.
-type hashProbeSource struct {
-	irrGen
-	probe hashProbe
-}
-
+// newHashProbeSource drives hash-table probing over the private arena.
 func newHashProbeSource(p Profile, core int, seed int64) RefSource {
-	s := &hashProbeSource{}
-	s.init(p, core, seed, 0x11A5_4B0B)
-	s.probe = newHashProbe(p, s.rng)
-	s.data = func(r *Ref) {
-		r.Addr = s.privBase + cache.BlockAddr(s.probe.next(s.rng))
-	}
-	return s
+	g := newIrrGen(p, core, seed, 0x11A5_4B0B)
+	probe := newHashProbe(p, g.rng)
+	g.data = func(r *Ref) { r.Addr = g.privBase + cache.BlockAddr(probe.next(g.rng)) }
+	return g
 }
 
 // btreeWalk performs root-to-leaf descents of a B-tree laid out level
@@ -326,67 +260,45 @@ func (w *btreeWalk) next(rng *rand.Rand) int64 {
 	return a
 }
 
-// bTreeSource drives B-tree lookups over the private arena.
-type bTreeSource struct {
-	irrGen
-	walk btreeWalk
-}
-
+// newBTreeSource drives B-tree lookups over the private arena.
 func newBTreeSource(p Profile, core int, seed int64) RefSource {
-	s := &bTreeSource{}
-	s.init(p, core, seed, 0xB7EE)
-	s.walk = newBTreeWalk(p, s.rng)
-	s.data = func(r *Ref) {
-		r.Addr = s.privBase + cache.BlockAddr(s.walk.next(s.rng))
-	}
-	return s
+	g := newIrrGen(p, core, seed, 0xB7EE)
+	walk := newBTreeWalk(p, g.rng)
+	g.data = func(r *Ref) { r.Addr = g.privBase + cache.BlockAddr(walk.next(g.rng)) }
+	return g
 }
 
-// serviceMixSource models a server alternating through load phases of
-// PhaseInstr instructions each: point lookups at nominal load, range
+// newServiceMixSource models a server alternating through load phases
+// of PhaseInstr instructions each: point lookups at nominal load, range
 // scans at heavy load (the gap scale shortens, raising the data-ref
 // rate), and pointer-walk maintenance at light load. The phase is a
 // function of the core-private instruction count, so the mix stays
 // deterministic in (Profile, core, seed).
-type serviceMixSource struct {
-	irrGen
-	phaseInstr uint64
-	probe      hashProbe
-	walk       chaseWalk
-	scanCur    int64
-}
-
 func newServiceMixSource(p Profile, core int, seed int64) RefSource {
-	s := &serviceMixSource{}
-	s.init(p, core, seed, 0x5E5501)
-	s.phaseInstr = p.PhaseInstr
-	if s.phaseInstr == 0 {
-		s.phaseInstr = 200_000
+	g := newIrrGen(p, core, seed, 0x5E5501)
+	phaseInstr := p.PhaseInstr
+	if phaseInstr == 0 {
+		phaseInstr = 200_000
 	}
-	s.probe = newHashProbe(p, s.rng)
-	length := p.ChaseLen
-	if length <= 0 {
-		length = 64
-	}
-	s.walk = chaseWalk{salt: s.rng.Uint64(), nodes: int64(p.PrivateWS), len: length}
-	s.data = s.mix
-	return s
-}
-
-func (s *serviceMixSource) mix(r *Ref) {
-	switch (s.instructions / s.phaseInstr) % 3 {
-	case 0: // point lookups, nominal load
-		s.gapScale = 1.0
-		r.Addr = s.privBase + cache.BlockAddr(s.probe.next(s.rng))
-	case 1: // range scans, heavy load
-		s.gapScale = 0.6
-		r.Addr = s.privBase + cache.BlockAddr(s.scanCur)
-		s.scanCur++
-		if s.scanCur >= int64(s.p.PrivateWS) {
-			s.scanCur = 0
+	probe := newHashProbe(p, g.rng)
+	walk := newChaseWalk(p, g.rng)
+	var scanCur int64
+	g.data = func(r *Ref) {
+		switch (g.instructions / phaseInstr) % 3 {
+		case 0: // point lookups, nominal load
+			g.gapScale = 1.0
+			r.Addr = g.privBase + cache.BlockAddr(probe.next(g.rng))
+		case 1: // range scans, heavy load
+			g.gapScale = 0.6
+			r.Addr = g.privBase + cache.BlockAddr(scanCur)
+			scanCur++
+			if scanCur >= int64(p.PrivateWS) {
+				scanCur = 0
+			}
+		default: // pointer-walk maintenance, light load
+			g.gapScale = 1.7
+			r.Addr = g.privBase + cache.BlockAddr(walk.next(g.rng))
 		}
-	default: // pointer-walk maintenance, light load
-		s.gapScale = 1.7
-		r.Addr = s.privBase + cache.BlockAddr(s.walk.next(s.rng))
 	}
+	return g
 }

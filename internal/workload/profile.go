@@ -144,7 +144,7 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("workload %s: StoreDirtyProb out of range", p.Name)
 	case p.BurstLen < 0 || (p.BurstLen > 1 && p.BurstGap <= 0):
 		return fmt.Errorf("workload %s: BurstLen needs a positive BurstGap", p.Name)
-	case p.Kind != "" && !SourceRegistered(p.Kind):
+	case !SourceRegistered(p.Kind):
 		return fmt.Errorf("workload %s: unknown reference-source kind %q (have %v)", p.Name, p.Kind, SourceNames())
 	case p.ChaseLen < 0 || p.TreeFanout < 0 || p.TreeLevels < 0:
 		return fmt.Errorf("workload %s: linked-structure parameters must be non-negative", p.Name)

@@ -1,6 +1,6 @@
 package workload
 
-import "fmt"
+import "cmpsim/internal/registry"
 
 // RefSource is the contract between a per-core reference generator and
 // the simulator's front end: batched generation plus its emission
@@ -23,84 +23,40 @@ type SourceFactory func(p Profile, core int, seed int64) RefSource
 // the original strided Generator.
 const DefaultSource = "strided"
 
-var (
-	sourceNames []string // registration order
-	sources     = map[string]SourceFactory{}
-)
-
-// registerSource adds a factory under a unique name. All registrations
-// happen from this package's init below so the name order is fixed.
-func registerSource(name string, f SourceFactory) {
-	if name == "" || f == nil {
-		panic("workload: registerSource with empty name or nil factory")
-	}
-	if _, dup := sources[name]; dup {
-		panic("workload: duplicate reference source " + name)
-	}
-	sourceNames = append(sourceNames, name)
-	sources[name] = f
-}
+// sources holds the source factories in registration order, so
+// SourceNames is fixed.
+var sources = registry.New[SourceFactory]("workload", "reference source", DefaultSource)
 
 func init() {
-	registerSource(DefaultSource, func(p Profile, core int, seed int64) RefSource {
+	sources.Add(DefaultSource, func(p Profile, core int, seed int64) RefSource {
 		return NewGenerator(p, core, seed)
 	})
-	registerSource("ptrchase", newChaseSource)
-	registerSource("hashprobe", newHashProbeSource)
-	registerSource("btree", newBTreeSource)
-	registerSource("srvmix", newServiceMixSource)
+	sources.Add("ptrchase", newChaseSource)
+	sources.Add("hashprobe", newHashProbeSource)
+	sources.Add("btree", newBTreeSource)
+	sources.Add("srvmix", newServiceMixSource)
 }
 
 // SourceNames lists the registered reference-source kinds in
 // registration order (the default first).
-func SourceNames() []string {
-	return append([]string(nil), sourceNames...)
-}
+func SourceNames() []string { return sources.Names() }
 
-// SourceRegistered reports whether name is a registered kind.
-func SourceRegistered(name string) bool {
-	_, ok := sources[name]
-	return ok
-}
+// SourceRegistered reports whether name is a registered kind; "" means
+// the default.
+func SourceRegistered(name string) bool { return sources.Has(name) }
 
 // SourceByName returns the factory for a kind; "" means the default
 // strided generator.
-func SourceByName(name string) (SourceFactory, error) {
-	if name == "" {
-		name = DefaultSource
-	}
-	f, ok := sources[name]
-	if !ok {
-		return nil, fmt.Errorf("workload: unknown reference source %q (have %v)", name, SourceNames())
-	}
-	return f, nil
-}
+func SourceByName(name string) (SourceFactory, error) { return sources.Get(name) }
 
-// NewSource builds core's reference source of the given kind; "" means
-// the profile's own Kind (and, failing that, the strided default).
-func NewSource(kind string, p Profile, core int, seed int64) (RefSource, error) {
+// MustNewSource builds core's reference source of the given kind, which
+// the caller has validated; "" means the profile's own Kind (and,
+// failing that, the strided default).
+func MustNewSource(kind string, p Profile, core int, seed int64) RefSource {
 	if kind == "" {
 		kind = p.Kind
 	}
-	f, err := SourceByName(kind)
-	if err != nil {
-		return nil, err
-	}
-	return f(p, core, seed), nil
-}
-
-// MustNewSource is NewSource for callers with validated kinds.
-func MustNewSource(kind string, p Profile, core int, seed int64) RefSource {
-	s, err := NewSource(kind, p, core, seed)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Counts implements RefSource for the strided Generator.
-func (g *Generator) Counts() (instructions, dataRefs, ifetches uint64) {
-	return g.Instructions, g.DataRefs, g.IFetches
+	return sources.Must(kind)(p, core, seed)
 }
 
 var _ RefSource = (*Generator)(nil)

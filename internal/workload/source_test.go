@@ -2,7 +2,6 @@ package workload
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"cmpsim/internal/cache"
@@ -21,8 +20,9 @@ func TestSourceRegistry(t *testing.T) {
 		t.Error("SourceRegistered misclassifies")
 	}
 	_, err := SourceByName("nosuch")
-	if err == nil || !strings.Contains(err.Error(), "strided") {
-		t.Errorf("unknown-source error must list registered names, got %v", err)
+	wantErr := `workload: unknown reference source "nosuch" (have [strided ptrchase hashprobe btree srvmix])`
+	if err == nil || err.Error() != wantErr {
+		t.Errorf("unknown-source error %v, want %q", err, wantErr)
 	}
 }
 
@@ -45,11 +45,8 @@ func TestSourceResolution(t *testing.T) {
 			t.Errorf("%s with forced strided kind must build a *Generator", name)
 		}
 	}
-	if _, ok := MustNewSource("ptrchase", MustByName("zeus"), 0, 1).(*chaseSource); !ok {
-		t.Error("forcing ptrchase onto zeus must build a chase source")
-	}
-	if _, err := NewSource("nosuch", MustByName("zeus"), 0, 1); err == nil {
-		t.Error("unknown kind must error")
+	if _, ok := MustNewSource("ptrchase", MustByName("zeus"), 0, 1).(*irrGen); !ok {
+		t.Error("forcing ptrchase onto zeus must build an irregular source")
 	}
 }
 
@@ -213,5 +210,29 @@ func TestSourceAddressRegions(t *testing.T) {
 			src.NextN(refs)
 			checkRegions(t, p, 2, refs)
 		}
+	}
+}
+
+// BenchmarkSourceNextN times every registered reference source on its
+// own profile (the strided Generator on apache, the first of the
+// paper's benchmarks) in batches of refBatch's 256 references, as the
+// simulator draws them, and reports ns/ref.
+func BenchmarkSourceNextN(b *testing.B) {
+	for _, kind := range SourceNames() {
+		var p Profile
+		for _, name := range Names() {
+			if p = MustByName(name); p.Kind == kind || p.Kind == "" && kind == DefaultSource {
+				break
+			}
+		}
+		b.Run(kind, func(b *testing.B) {
+			src := MustNewSource(kind, p, 0, 1)
+			refs := make([]Ref, 256)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src.NextN(refs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(refs)), "ns/ref")
+		})
 	}
 }

@@ -219,7 +219,7 @@ func TestGeneratorMixMatchesProfile(t *testing.T) {
 	g := NewGenerator(p, 0, 42)
 	var r Ref
 	var data, ifetch, stores, loads, blocking uint64
-	for g.Instructions < 2_000_000 {
+	for g.instructions < 2_000_000 {
 		g.Next(&r)
 		switch r.Kind {
 		case coherence.IFetch:
@@ -235,7 +235,7 @@ func TestGeneratorMixMatchesProfile(t *testing.T) {
 			}
 		}
 	}
-	per1000 := float64(data) / float64(g.Instructions) * 1000
+	per1000 := float64(data) / float64(g.instructions) * 1000
 	if math.Abs(per1000-p.MemPer1000) > p.MemPer1000*0.1 {
 		t.Errorf("data refs per 1000 = %.1f, want ≈%.1f", per1000, p.MemPer1000)
 	}
@@ -248,7 +248,7 @@ func TestGeneratorMixMatchesProfile(t *testing.T) {
 		t.Errorf("blocking frac = %.3f, want ≈%.2f", blockFrac, p.BlockingFrac)
 	}
 	// One I-block fetch per InstrPerIBlock instructions.
-	wantIF := float64(g.Instructions) / float64(p.InstrPerIBlock)
+	wantIF := float64(g.instructions) / float64(p.InstrPerIBlock)
 	if math.Abs(float64(ifetch)-wantIF) > wantIF*0.05 {
 		t.Errorf("ifetches = %d, want ≈%.0f", ifetch, wantIF)
 	}
@@ -359,15 +359,6 @@ func TestGapSamplingNonNegative(t *testing.T) {
 		if int32(r.Gap) < 0 {
 			t.Fatal("negative gap")
 		}
-	}
-}
-
-func BenchmarkGeneratorNext(b *testing.B) {
-	g := NewGenerator(MustByName("apache"), 0, 1)
-	var r Ref
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Next(&r)
 	}
 }
 

@@ -204,6 +204,22 @@ func TestInvalidSubmissionsCountFailed(t *testing.T) {
 	}
 }
 
+// TestNegativePrefetchDepthFails pins that a negative depth override is
+// an invalid point, not the paper's default simulated under a point key
+// of its own: it fails before any System is built.
+func TestNegativePrefetchDepthFails(t *testing.T) {
+	s := NewScheduler(1)
+	defer s.Close()
+	o := tinyOptions()
+	o.L2PrefetchDepth = -1
+	if _, err := s.Submit("zeus", Prefetch, o).Wait(); err == nil || !strings.Contains(err.Error(), "prefetch depth") {
+		t.Fatalf("L2PrefetchDepth -1: err = %v, want the prefetch-depth validation error", err)
+	}
+	if st := s.Stats(); st.Failed != 1 || st.StorageFresh+st.StorageRecycled != 0 {
+		t.Fatalf("stats = %+v, want one failed point and no System built", st)
+	}
+}
+
 func TestStudyDegradesGracefully(t *testing.T) {
 	o := tinyOptions()
 	in := faultinject.New(faultinject.Rule{

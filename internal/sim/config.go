@@ -55,7 +55,8 @@ type Config struct {
 	AdaptivePrefetch bool
 
 	// Prefetch-depth overrides for ablation studies (0 = the paper's
-	// defaults: 6 startup prefetches for L1 engines, 25 for L2).
+	// defaults: 6 startup prefetches for L1 engines, 25 for L2;
+	// negative values are invalid).
 	L1PrefetchDepth int
 	L2PrefetchDepth int
 
@@ -188,6 +189,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: invalid L1 geometry")
 	case c.L1HitCycles <= 0:
 		return fmt.Errorf("sim: L1 hit latency must be positive")
+	case c.L1PrefetchDepth < 0 || c.L2PrefetchDepth < 0:
+		return fmt.Errorf("sim: prefetch depth overrides %d (L1) and %d (L2) must be non-negative (0 = the paper's default)",
+			c.L1PrefetchDepth, c.L2PrefetchDepth)
 	case c.UncompressedVictimTags < 0:
 		return fmt.Errorf("sim: UncompressedVictimTags must be non-negative")
 	case c.L2Bytes <= 0 || c.L2Ways <= 0 || c.L2TagsPerSet <= 0 || c.L2SegsPerSet < 8:

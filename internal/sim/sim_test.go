@@ -240,6 +240,8 @@ func TestConfigValidation(t *testing.T) {
 		{"non-power-of-two L2 sets", func(c *Config) { c.L2Bytes = 3 << 20 }},
 		{"non-power-of-two compressed L2 sets", func(c *Config) { c.L2Bytes = 3 << 20; c.CacheCompression = true }},
 		{"zero L1 hit latency", func(c *Config) { c.L1HitCycles = 0 }},
+		{"negative L1 prefetch depth", func(c *Config) { c.L1PrefetchDepth = -1 }},
+		{"negative L2 prefetch depth", func(c *Config) { c.L2PrefetchDepth = -1 }},
 		{"negative victim tags", func(c *Config) { c.UncompressedVictimTags = -1 }},
 		{"zero L2 size", func(c *Config) { c.L2Bytes = 0 }},
 		{"zero L2 banks", func(c *Config) { c.L2Banks = 0 }},

@@ -26,11 +26,6 @@ type Prefetcher interface {
 	CheckInvariants() string
 }
 
-var (
-	_ Prefetcher = (*Engine)(nil)
-	_ Prefetcher = (*Sequential)(nil)
-)
-
 // Allocations implements Prefetcher for the stride engine.
 func (e *Engine) Allocations() uint64 { return e.Stats.StreamAllocs }
 

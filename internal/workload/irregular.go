@@ -94,6 +94,8 @@ type chaseWalk struct {
 	hops  int
 }
 
+// newChaseWalk draws a walk's salt; its chains are ChaseLen hops long
+// (64 when the profile leaves it unset).
 func newChaseWalk(p Profile, rng *rand.Rand) chaseWalk {
 	length := p.ChaseLen
 	if length <= 0 {

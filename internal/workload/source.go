@@ -58,5 +58,3 @@ func MustNewSource(kind string, p Profile, core int, seed int64) RefSource {
 	}
 	return sources.Must(kind)(p, core, seed)
 }
-
-var _ RefSource = (*Generator)(nil)

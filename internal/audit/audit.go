@@ -289,17 +289,17 @@ func (a *Auditor) roundTrip(cycle timing.Tick, addr cache.BlockAddr, segs int) {
 	}
 }
 
-// CheckL2Line verifies one resident L2 line against the shadow size
-// model during a sweep: its stored segment count must still be what the
-// last fill/resize recorded (anything else means the tag state was
-// mutated outside the fill/resize protocol).
-func (a *Auditor) CheckL2Line(cycle timing.Tick, ln *cache.Line) {
+// CheckL2Line verifies one resident L2 line, addr stored at segs
+// segments, against the shadow size model during a sweep: segs must
+// still be what the last fill/resize recorded (anything else means the
+// tag state was mutated outside the fill/resize protocol).
+func (a *Auditor) CheckL2Line(cycle timing.Tick, addr cache.BlockAddr, segs uint8) {
 	if a.level < Shadow {
 		return
 	}
-	if want, ok := a.sizes[ln.Addr]; ok && want != ln.Segs {
-		a.Fail("shadow-l2-size", cycle, -1, -1, ln.Addr,
-			fmt.Sprintf("resident line holds %d segments, last fill/resize recorded %d", ln.Segs, want))
+	if want, ok := a.sizes[addr]; ok && want != segs {
+		a.Fail("shadow-l2-size", cycle, -1, -1, addr,
+			fmt.Sprintf("resident line holds %d segments, last fill/resize recorded %d", segs, want))
 	}
 }
 

@@ -225,16 +225,15 @@ func TestCheckL2LineSweep(t *testing.T) {
 	a := NewCodec(Shadow, src, codec.Default())
 	segs := src.set(3, func(i int) byte { return 0 })
 	a.OnL2Data(1, 3, segs, true)
-	ln := &cache.Line{Addr: 3, Valid: true, Segs: segs}
-	if v := capture(func() { a.CheckL2Line(2, ln) }); v != nil {
+	if v := capture(func() { a.CheckL2Line(2, 3, segs) }); v != nil {
 		t.Fatalf("consistent line raised %v", v)
 	}
-	ln.Segs = segs + 1 // mutated outside the fill/resize protocol
-	if v := capture(func() { a.CheckL2Line(3, ln) }); v == nil || v.Invariant != "shadow-l2-size" {
+	// A size mutated outside the fill/resize protocol.
+	if v := capture(func() { a.CheckL2Line(3, 3, segs+1) }); v == nil || v.Invariant != "shadow-l2-size" {
 		t.Fatalf("mutated line produced %+v", v)
 	}
 	// Lines the model never saw (filled before warmup hooks) are skipped.
-	if v := capture(func() { a.CheckL2Line(4, &cache.Line{Addr: 99, Valid: true, Segs: 1}) }); v != nil {
+	if v := capture(func() { a.CheckL2Line(4, 99, 1) }); v != nil {
 		t.Fatalf("unknown line raised %v", v)
 	}
 }
@@ -245,7 +244,7 @@ func TestLowLevelsAreFreeOfShadowState(t *testing.T) {
 	a.OnLoad(1, 0, 1, 42) // would mismatch if checked
 	a.OnL2Data(1, 1, 3, true)
 	a.OnWriteback(1, 1, 3)
-	a.CheckL2Line(1, &cache.Line{Addr: 1, Valid: true, Segs: 5})
+	a.CheckL2Line(1, 1, 5)
 	a.CheckVersions(1, func(fn func(cache.BlockAddr, uint32)) { fn(1, 9) })
 	if a.ShadowChecks != 0 {
 		t.Fatal("Off level performed shadow checks")

@@ -2,7 +2,9 @@
 // compression+prefetching CMP study: the private L1s (L1, one packed
 // word per way) and the shared L2 (L2), a decoupled variable-segment
 // cache that is built either compressed or plain, as the conventional
-// set-associative uncompressed baseline.
+// set-associative uncompressed baseline. The L2 packs each tag into a
+// tag word, a sharer word and a 2-byte metadata entry, 18 bytes in
+// all, and keeps a set's words in one block.
 //
 // All caches operate on 64-byte block addresses (BlockAddr). They are
 // purely functional state machines: hits, fills, evictions and
@@ -13,7 +15,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"unsafe"
 )
 
 // BlockAddr is a cache-block-aligned address: the byte address divided by
@@ -48,43 +49,33 @@ const (
 // DefaultTagsPerSet lines in DefaultLinesPerSet lines' worth of space.
 const MaxEffectiveRatio = float64(DefaultTagsPerSet) / float64(DefaultLinesPerSet)
 
-// MaxCores is the most cores a hierarchy can track: the width of a
-// Line's Sharers and ISharers bitmasks.
-const MaxCores = 8 * int(unsafe.Sizeof(Line{}.Sharers))
+// addrBits is the width of the block address in a packed L1 way
+// (L1Line) and in a shared-L2 tag word. A 64-bit byte address has a
+// 58-bit block address, so the bound costs no simulated address; both
+// caches' Fill panics on a block above maxAddr, and their lookups miss
+// it.
+const (
+	addrBits = 58
+	maxAddr  = BlockAddr(1)<<addrBits - 1
+)
 
-// Line is one shared-L2 tag and its metadata: Sharers/ISharers and the
-// owner (Owner, SetOwner) track on-chip L1 copies and Segs the
-// compressed size. The zero Line is an empty tag, so clearing the tag
-// array builds an empty cache. The 4-byte fields sit ahead of the
-// 1-byte ones so the struct packs into 24 bytes (TestLineSize pins it).
+// MaxCores is the most cores a hierarchy can track: the width of each
+// half of a shared-L2 sharer word (Sharers | ISharers<<32).
+const MaxCores = 32
+
+// Line is a shared-L2 line as a value: what Fill and Resize report for
+// each line they evict, and what LineRef.Line reads of a resident one.
+// It leaves the owner out: an evicted line's modified data comes back
+// from the owner's dirty L1D copy, which the eviction invalidates.
 type Line struct {
 	Addr     BlockAddr
 	Sharers  uint32 // bitmask of cores whose L1D holds the line
 	ISharers uint32 // bitmask of cores whose L1I holds the line
-	Valid    bool
 	Dirty    bool
 	Prefetch bool  // set while a prefetched line is unreferenced (paper §3)
 	PfBy     uint8 // prefetcher that brought the line (0 none; see coherence.PfSource)
 	Segs     uint8 // occupied 8-byte segments, 1..8; 8 = uncompressed
-	owner    uint8 // core holding the line in M state plus one; 0 = none
-
-	// VictimTag marks an invalid tag that still records the address of
-	// the line that last occupied it (the compressed L2's extra-tag
-	// victim history used for harmful-prefetch detection).
-	VictimTag bool
 }
-
-// Owner returns the core holding the line in M state, or -1.
-func (ln *Line) Owner() int { return int(ln.owner) - 1 }
-
-// SetOwner records core c as holding the line in M state; -1 records
-// that no core does.
-func (ln *Line) SetOwner(c int) { ln.owner = uint8(c + 1) }
-
-// reset clears a line to the invalid state but preserves Addr so that
-// invalid tags serve as victim-address history for harmful-prefetch
-// detection (the compressed cache's "extra tags").
-func (ln *Line) reset() { *ln = Line{Addr: ln.Addr} }
 
 // Stats counts the events a cache observes. The simulation engine reads
 // these for miss-rate and prefetch metrics.
@@ -100,18 +91,6 @@ type Stats struct {
 	Invals       uint64
 }
 
-// tagValid is OR-ed into a line's address to form its entry in the L2's
-// struct-of-arrays tag mirror: valid lines store Addr|tagValid and
-// invalid tags never carry the bit, so a lookup key (a|tagValid) can
-// never match an invalid tag. An invalid tag stores 0, or Addr|tagVictim
-// while it still records a victim, so a victim match never touches Line
-// structs. Block addresses must stay below 2^62 (a 64-bit byte address
-// needs only 58 bits of block address).
-const (
-	tagValid  BlockAddr = 1 << 63
-	tagVictim BlockAddr = 1 << 62
-)
-
 // recycled returns s resized to n elements, every one zero, in s's
 // array when it holds n (the recycling constructors' reset).
 func recycled[T any](s []T, n int) []T {
@@ -121,6 +100,13 @@ func recycled[T any](s []T, n int) []T {
 	s = s[:n]
 	clear(s)
 	return s
+}
+
+// promote moves entry i of s to the front as v, shifting s[:i] back by
+// one: both caches keep each set's entries most recently used first.
+func promote[T any](s []T, i int, v T) {
+	copy(s[1:i+1], s[:i])
+	s[0] = v
 }
 
 // checkPow2 panics unless v is a power of two.

@@ -38,11 +38,40 @@ func TestNewSetAssocRejectsBadGeometry(t *testing.T) {
 	mustPanic("non-pow2 sets", func() { NewUncompressedL2(3*64*LineBytes, 4, 0) })
 }
 
-// TestLineSize pins Line's packing: a new field that re-pads it grows
-// every compressed-L2 tag (131,072 of them in the 4 MB L2).
-func TestLineSize(t *testing.T) {
-	if got := unsafe.Sizeof(Line{}); got != 24 {
-		t.Fatalf("cache.Line is %d bytes, want 24", got)
+// TestL2Footprint pins the shared L2's host storage: 18 bytes a tag
+// (a tag word, a sharer word and a 2-byte metadata entry), which every
+// access reads and every build clears. The paper's 4 MB compressed L2
+// has 131,072 tags in 2.25 MB of them; the 4 MB 8-way plain L2 has
+// 65,536. Beside them each set keeps a 4-byte segment count, and a
+// plain L2 with victim tags a FIFO of them and its 4-byte length.
+func TestL2Footprint(t *testing.T) {
+	const tagBytes = 18
+	if got := 2*unsafe.Sizeof(uint64(0)) + unsafe.Sizeof(tagMeta{}); got != tagBytes {
+		t.Fatalf("a tag is %d bytes of storage, want %d", got, tagBytes)
+	}
+	for _, tc := range []struct {
+		name        string
+		c           *Compressed
+		sets, vtags int
+	}{
+		{"compressed 4 MB, 8 tags", NewCompressedL2(4<<20, 8, 32), 16384, 0},
+		{"plain 4 MB, 8 ways", NewUncompressedL2(4<<20, 8, 0), 8192, 0},
+		{"plain 4 MB, 8 ways, 4 victim tags", NewUncompressedL2(4<<20, 8, 4), 8192, 4},
+	} {
+		c := tc.c
+		tags := tc.sets * c.tags
+		perTag := len(c.blocks)*int(unsafe.Sizeof(c.blocks[0])) + len(c.meta)*int(unsafe.Sizeof(c.meta[0]))
+		if perTag != tagBytes*tags {
+			t.Errorf("%s: %d bytes of tag storage for %d tags, want %d a tag", tc.name, perTag, tags, tagBytes)
+		}
+		perSet := len(c.segsUsed)*4 + len(c.victims)*8 + len(c.nvictims)*4
+		if want := tc.sets * (4 + tc.vtags*8 + min(tc.vtags, 1)*4); perSet != want {
+			t.Errorf("%s: %d bytes of per-set storage, want %d", tc.name, perSet, want)
+		}
+	}
+	const paperMax = 9 << 18 // 2.25 MB
+	if c := NewCompressedL2(4<<20, DefaultTagsPerSet, DefaultSegsPerSet); len(c.blocks)*8+len(c.meta)*2 > paperMax {
+		t.Errorf("the paper's 4 MB compressed L2 holds %d bytes of tags, more than %d", len(c.blocks)*8+len(c.meta)*2, paperMax)
 	}
 }
 
@@ -52,8 +81,8 @@ func TestLineSize(t *testing.T) {
 func fillPlain(t *testing.T, c *Compressed, a BlockAddr, prefetch bool) Line {
 	t.Helper()
 	victims, inserted := c.Fill(a, 3, prefetch, nil)
-	if inserted.Addr != a || inserted.Segs != MaxSegs {
-		t.Fatalf("fill %d inserted %+v, want it at %d segments", a, inserted, MaxSegs)
+	if inserted.Addr() != a || inserted.Segs() != MaxSegs {
+		t.Fatalf("fill %d inserted %+v, want it at %d segments", a, inserted.Line(), MaxSegs)
 	}
 	if len(victims) > 1 {
 		t.Fatalf("fill %d evicted %d lines from a one-tag-per-way set", a, len(victims))
@@ -86,15 +115,15 @@ func TestSetAssocLRUEviction(t *testing.T) {
 	// Touch 1 so 2 becomes LRU.
 	c.Access(1)
 	v := fillPlain(t, c, 5, false)
-	if !v.Valid || v.Addr != 2 {
+	if v.Addr != 2 || v.Segs != MaxSegs {
 		t.Fatalf("expected to evict 2, got %+v", v)
 	}
-	if c.Lookup(1) == nil || c.Lookup(5) == nil {
+	if !c.Lookup(1).Valid() || !c.Lookup(5).Valid() {
 		t.Fatal("1 and 5 should be present")
 	}
 	// A resize, which only a compressed L2 honours, changes nothing.
-	if victims, found := c.Resize(5, 1, nil); !found || len(victims) != 0 || c.Lookup(5).Segs != MaxSegs {
-		t.Fatalf("plain resize: found=%v victims=%v segs=%d", found, victims, c.Lookup(5).Segs)
+	if victims, found := c.Resize(5, 1, nil); !found || len(victims) != 0 || c.Lookup(5).Segs() != MaxSegs {
+		t.Fatalf("plain resize: found=%v victims=%v segs=%d", found, victims, c.Lookup(5).Segs())
 	}
 	if msg := c.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
@@ -115,7 +144,7 @@ func TestSetAssocDuplicateFillPanics(t *testing.T) {
 func TestPrefetchBitLifecycle(t *testing.T) {
 	c := NewUncompressedL2(4*LineBytes, 4, 0)
 	fillPlain(t, c, 7, true)
-	if ln := c.Lookup(7); ln == nil || !ln.Prefetch {
+	if ln := c.Lookup(7); !ln.Valid() || !ln.Prefetch() {
 		t.Fatal("prefetch bit should be set after prefetch fill")
 	}
 	_, wasPf, _, ok := c.Access(7)
@@ -213,7 +242,7 @@ func TestForEachValid(t *testing.T) {
 	// Set-major, each set most recently used first: set 0 holds 2,
 	// set 1 holds 1 (just accessed), 5, 3.
 	var got []BlockAddr
-	c.ForEachValid(func(ln *Line) { got = append(got, ln.Addr) })
+	c.ForEachValid(func(ln LineRef) { got = append(got, ln.Addr()) })
 	want := []BlockAddr{2, 1, 5, 3}
 	if len(got) != len(want) {
 		t.Fatalf("visited %v, want %v", got, want)
@@ -248,7 +277,7 @@ func TestSetAssocModelProperty(t *testing.T) {
 			a := BlockAddr(rng.Intn(32))
 			switch rng.Intn(3) {
 			case 0:
-				if c.Lookup(a) == nil {
+				if !c.Lookup(a).Valid() {
 					victims, _ := c.Fill(a, uint8(1+rng.Intn(MaxSegs)), rng.Intn(2) == 0, nil)
 					if s := lru[int(a%4)]; len(s) == 2 {
 						if len(victims) != 1 || victims[0].Addr != s[1] {
@@ -269,7 +298,7 @@ func TestSetAssocModelProperty(t *testing.T) {
 					promote(a)
 				}
 			case 2:
-				if c.Touch(a) != model[a] {
+				if c.Touch(a).Valid() != model[a] {
 					return false
 				}
 				if model[a] {
@@ -282,7 +311,7 @@ func TestSetAssocModelProperty(t *testing.T) {
 		}
 		// Model agreement.
 		for a := range model {
-			if c.Lookup(a) == nil {
+			if !c.Lookup(a).Valid() {
 				return false
 			}
 		}

@@ -34,22 +34,19 @@ type L2 = *Compressed
 // "4-way to 8-way"), i.e. 32 segments per set, which also matches the
 // decoupled variable-segment cache of the ISCA 2004 paper.
 //
-// Tag metadata is mirrored struct-of-arrays style: tagw holds one word
-// per (set, tag) in LRU order so demand lookups, free-tag tests and
-// victim-tag matches scan one contiguous line of tag words instead of
-// Line structs; segsUsed and valid cache the per-set segment occupancy
-// and global valid-line count that the packing and sampling paths
-// would otherwise recompute.
+// A tag is 18 bytes of storage: a tag word, a sharer word (Sharers |
+// ISharers<<32) and a tagMeta entry. Set si's block in blocks is its
+// tag words followed by its sharer words, each run ordered MRU first,
+// so at the paper's 8 tags a set is 128 bytes, two host cache lines;
+// meta holds the set's entries in the same order. Lookups, free-tag
+// tests and victim matches scan only the tag words, and a touch
+// rotates all three runs. segsUsed and valid cache the per-set segment
+// occupancy and the valid-line count that the packing and sampling
+// paths would otherwise recompute.
 type Compressed struct {
-	// lines holds every set's tags, set-major (set si is
-	// lines[si*tags : (si+1)*tags]), each set ordered MRU first;
-	// invalid tags keep a stale Addr.
-	lines []Line
-	// tagw mirrors lines one word per tag: Addr|tagValid for a valid
-	// line, Addr|tagVictim for an invalid tag that still records a
-	// victim, 0 otherwise.
-	tagw     []BlockAddr
-	segsUsed []int32 // per-set occupied data segments
+	blocks   []uint64  // set si is blocks[si*2*tags:][:2*tags]
+	meta     []tagMeta // set si is meta[si*tags:][:tags]
+	segsUsed []int32   // per-set occupied data segments
 	// victims holds each set's replaced addresses, oldest first, in a
 	// plain L2 built with vtags victim tags per set: set si's FIFO is
 	// victims[si*vtags:][:nvictims[si]] (victimFIFO). Without victim
@@ -69,6 +66,108 @@ type Compressed struct {
 	CompressedHits uint64
 	// ExpansionEvicts counts evictions forced by in-place size growth.
 	ExpansionEvicts uint64
+}
+
+// A tag word packs a tag as an L1Line packs an L1 way: the block
+// address in the low 58 bits, the 2-bit PfBy above it, then the
+// prefetch, dirty, victim and valid bits. An empty tag is 0, and an
+// invalid tag that still records the block that last occupied it is
+// addr|tagVictim with no other bit set. So no invalid tag matches a
+// lookup key (addr|tagValid under tagMatch), and a victim match
+// compares whole words.
+const (
+	tagPfByShift        = addrBits
+	tagPrefetch  uint64 = 1 << 60
+	tagDirty     uint64 = 1 << 61
+	tagVictim    uint64 = 1 << 62
+	tagValid     uint64 = 1 << 63
+	// tagMatch selects the bits a lookup compares.
+	tagMatch = tagValid | uint64(maxAddr)
+)
+
+// tagMeta is the rest of a tag: the segments its line occupies and the
+// core holding the line in M state plus one (0 none). An invalid tag's
+// entry is zero.
+type tagMeta struct{ segs, owner uint8 }
+
+// LineRef is a handle on one valid line of the shared L2: Lookup,
+// Access, Fill and Touch return one, and ForEachValid passes one to its
+// callback. It reads and writes the line's tag word, sharer word and
+// metadata entry in place, and is valid until its set next mutates.
+// The zero LineRef refers to no line; Lookup returns it for an absent
+// block.
+type LineRef struct {
+	tag, sh *uint64
+	m       *tagMeta
+}
+
+// Valid reports whether r refers to a line.
+func (r LineRef) Valid() bool { return r.tag != nil }
+
+// Addr returns the line's block address.
+func (r LineRef) Addr() BlockAddr { return BlockAddr(*r.tag) & maxAddr }
+
+// Segs returns the 8-byte segments the line occupies, 1..8.
+func (r LineRef) Segs() uint8 { return r.m.segs }
+
+// SetSegs overwrites the stored segment count without moving the set's
+// occupancy (fault injection; Resize is how a size changes).
+func (r LineRef) SetSegs(s uint8) { r.m.segs = s }
+
+// Prefetch reports whether a prefetched line is still unreferenced
+// (paper §3).
+func (r LineRef) Prefetch() bool { return *r.tag&tagPrefetch != 0 }
+
+// ClearPrefetch clears the prefetch bit.
+func (r LineRef) ClearPrefetch() { *r.tag &^= tagPrefetch }
+
+// PfBy returns the prefetcher that brought the line (0 none; see
+// coherence.PfSource).
+func (r LineRef) PfBy() uint8 { return uint8(*r.tag >> tagPfByShift & 3) }
+
+// SetPfBy records the prefetcher that brought the line; a by above 3
+// does not fit the tag word and panics.
+func (r LineRef) SetPfBy(by uint8) {
+	if by > 3 {
+		panic(fmt.Sprintf("cache: L2 PfBy %d does not fit a tag word", by))
+	}
+	*r.tag = *r.tag&^(3<<tagPfByShift) | uint64(by)<<tagPfByShift
+}
+
+// MarkDirty records that the L2 copy is modified.
+func (r LineRef) MarkDirty() { *r.tag |= tagDirty }
+
+// Owner returns the core holding the line in M state, or -1.
+func (r LineRef) Owner() int { return int(r.m.owner) - 1 }
+
+// SetOwner records core c as holding the line in M state; -1 records
+// that no core does.
+func (r LineRef) SetOwner(c int) { r.m.owner = uint8(c + 1) }
+
+// Sharers returns the bitmask of cores whose L1D holds the line.
+func (r LineRef) Sharers() uint32 { return uint32(*r.sh) }
+
+// ISharers returns the bitmask of cores whose L1I holds the line.
+func (r LineRef) ISharers() uint32 { return uint32(*r.sh >> 32) }
+
+// SetSharers replaces the L1D sharer bitmask.
+func (r LineRef) SetSharers(m uint32) { *r.sh = *r.sh&^(1<<32-1) | uint64(m) }
+
+// SetISharers replaces the L1I sharer bitmask.
+func (r LineRef) SetISharers(m uint32) { *r.sh = uint64(uint32(*r.sh)) | uint64(m)<<32 }
+
+// Line returns the line as a value.
+func (r LineRef) Line() Line {
+	t, s := *r.tag, *r.sh
+	return Line{
+		Addr:     BlockAddr(t) & maxAddr,
+		Sharers:  uint32(s),
+		ISharers: uint32(s >> 32),
+		Dirty:    t&tagDirty != 0,
+		Prefetch: t&tagPrefetch != 0,
+		PfBy:     uint8(t >> tagPfByShift & 3),
+		Segs:     r.m.segs,
+	}
 }
 
 // NewCompressedL2 builds the paper's compressed shared L2: dataBytes of
@@ -97,8 +196,8 @@ func RecycleCompressedL2(old L2, dataBytes, tagsPerSet, dataSegsPerSet int) L2 {
 		c = new(Compressed)
 	}
 	*c = Compressed{
-		lines:    recycled(c.lines, nsets*tagsPerSet),
-		tagw:     recycled(c.tagw, nsets*tagsPerSet),
+		blocks:   recycled(c.blocks, 2*nsets*tagsPerSet),
+		meta:     recycled(c.meta, nsets*tagsPerSet),
 		segsUsed: recycled(c.segsUsed, nsets),
 		victims:  c.victims[:0], // kept for a later plain build
 		nvictims: c.nvictims[:0],
@@ -139,33 +238,48 @@ func (c *Compressed) BaseStats() *Stats { return &c.Stats }
 
 func (c *Compressed) setIndex(a BlockAddr) int { return int(a & c.setMask) }
 
-// set returns set si's lines and tag words.
-func (c *Compressed) set(si int) ([]Line, []BlockAddr) {
-	lo, hi := si*c.tags, si*c.tags+c.tags
-	return c.lines[lo:hi:hi], c.tagw[lo:hi:hi]
+// tagWords returns set si's tag words.
+func (c *Compressed) tagWords(si int) []uint64 {
+	b := si * 2 * c.tags
+	return c.blocks[b : b+c.tags : b+c.tags]
 }
 
-// findWay scans the set's tag mirror for a valid line holding a and
+// set returns set si's tag words, sharer words and metadata entries.
+func (c *Compressed) set(si int) (tg, sh []uint64, m []tagMeta) {
+	b, n := si*2*c.tags, c.tags
+	blk, mo := c.blocks[b:b+2*n:b+2*n], si*n
+	return blk[:n:n], blk[n:], c.meta[mo : mo+n : mo+n]
+}
+
+// ref returns the handle on tag i of set si.
+func (c *Compressed) ref(si, i int) LineRef {
+	b := si*2*c.tags + i
+	return LineRef{tag: &c.blocks[b], sh: &c.blocks[b+c.tags], m: &c.meta[si*c.tags+i]}
+}
+
+// findWay scans set si's tag words for a valid line holding a and
 // returns the tag index, or -1.
 func (c *Compressed) findWay(si int, a BlockAddr) int {
-	key := a | tagValid
-	_, tg := c.set(si)
-	for i, t := range tg {
-		if t == key {
+	if a > maxAddr {
+		return -1 // Fill refuses such addresses
+	}
+	key := uint64(a) | tagValid
+	for i, t := range c.tagWords(si) {
+		if t&tagMatch == key {
 			return i
 		}
 	}
 	return -1
 }
 
-// Lookup returns the valid line for a, or nil, without LRU or stats
-// side effects.
-func (c *Compressed) Lookup(a BlockAddr) *Line {
+// Lookup returns the line holding a (the zero LineRef when absent),
+// without LRU or stats side effects.
+func (c *Compressed) Lookup(a BlockAddr) LineRef {
 	si := c.setIndex(a)
 	if i := c.findWay(si, a); i >= 0 {
-		return &c.lines[si*c.tags+i]
+		return c.ref(si, i)
 	}
-	return nil
+	return LineRef{}
 }
 
 // Access performs a demand lookup: on a hit the line is moved to MRU
@@ -174,62 +288,59 @@ func (c *Compressed) Lookup(a BlockAddr) *Line {
 // and clears the bit (the adaptive prefetcher's "useful prefetch"
 // event, reported via wasPrefetch). compressed reports whether the hit
 // line is stored compressed (decompression penalty applies).
-func (c *Compressed) Access(a BlockAddr) (ln *Line, wasPrefetch, compressed, ok bool) {
+func (c *Compressed) Access(a BlockAddr) (ln LineRef, wasPrefetch, compressed, ok bool) {
 	c.Stats.Accesses++
 	si := c.setIndex(a)
-	if i := c.findWay(si, a); i >= 0 {
-		set, _ := c.set(si)
-		wasPrefetch = set[i].Prefetch
-		if wasPrefetch {
-			set[i].Prefetch = false
-			c.Stats.PrefetchHits++
-		}
-		compressed = set[i].Segs < MaxSegs
-		if compressed {
-			c.CompressedHits++
-		}
-		c.touch(si, i)
-		c.Stats.Hits++
-		return &set[0], wasPrefetch, compressed, true
+	i := c.findWay(si, a)
+	if i < 0 {
+		c.Stats.Misses++
+		return LineRef{}, false, false, false
 	}
-	c.Stats.Misses++
-	return nil, false, false, false
+	tg, _, m := c.set(si)
+	if wasPrefetch = tg[i]&tagPrefetch != 0; wasPrefetch {
+		tg[i] &^= tagPrefetch
+		c.Stats.PrefetchHits++
+	}
+	if compressed = m[i].segs < MaxSegs; compressed {
+		c.CompressedHits++
+	}
+	c.Stats.Hits++
+	return c.touch(si, i), wasPrefetch, compressed, true
 }
 
-// touch moves tag i of set si to MRU position in both the Line array
-// and the tag mirror.
-func (c *Compressed) touch(si, i int) {
-	if i == 0 {
-		return
-	}
-	set, tg := c.set(si)
-	ln := set[i]
-	copy(set[1:i+1], set[0:i])
-	set[0] = ln
-	t := tg[i]
-	copy(tg[1:i+1], tg[0:i])
-	tg[0] = t
+// touch moves tag i of set si to the MRU position, rotating the set's
+// tag words, sharer words and metadata entries alike, and returns its
+// handle.
+func (c *Compressed) touch(si, i int) LineRef {
+	tg, sh, m := c.set(si)
+	promote(tg, i, tg[i])
+	promote(sh, i, sh[i])
+	promote(m, i, m[i])
+	return c.ref(si, 0)
 }
 
-// Touch promotes a to MRU if present.
-func (c *Compressed) Touch(a BlockAddr) bool {
+// Touch promotes a to MRU if present and returns its line (the zero
+// LineRef when absent).
+func (c *Compressed) Touch(a BlockAddr) LineRef {
 	si := c.setIndex(a)
 	if i := c.findWay(si, a); i >= 0 {
-		c.touch(si, i)
-		return true
+		return c.touch(si, i)
 	}
-	return false
+	return LineRef{}
 }
 
 // Fill inserts a occupying segs segments (a plain L2 stores MaxSegs
 // whatever segs says) at MRU position. Victims are appended to vbuf
 // (reused to avoid allocation) and returned: the LRU valid lines are
 // evicted until a tag is free and the data space fits. prefetch marks
-// the inserted line's prefetch bit. The inserted line pointer is valid
-// until the set next mutates.
-func (c *Compressed) Fill(a BlockAddr, segs uint8, prefetch bool, vbuf []Line) (victims []Line, inserted *Line) {
+// the inserted line's prefetch bit. A duplicate fill or an address at
+// or above 2^58 is a caller bug and panics.
+func (c *Compressed) Fill(a BlockAddr, segs uint8, prefetch bool, vbuf []Line) (victims []Line, inserted LineRef) {
 	if segs < 1 || segs > MaxSegs {
 		panic(fmt.Sprintf("cache: fill with %d segments", segs))
+	}
+	if a > maxAddr {
+		panic(fmt.Sprintf("cache: L2 fill of block %#x does not fit a tag word", uint64(a)))
 	}
 	if c.plain {
 		segs = MaxSegs
@@ -241,7 +352,7 @@ func (c *Compressed) Fill(a BlockAddr, segs uint8, prefetch bool, vbuf []Line) (
 	c.Stats.Fills++
 	victims = c.makeRoom(si, int(segs), vbuf)
 	// Claim the least-recently-used invalid tag (there is one now).
-	set, tg := c.set(si)
+	tg, sh, m := c.set(si)
 	vi := -1
 	for i := len(tg) - 1; i >= 0; i-- {
 		if tg[i]&tagValid == 0 {
@@ -252,26 +363,24 @@ func (c *Compressed) Fill(a BlockAddr, segs uint8, prefetch bool, vbuf []Line) (
 	if vi == -1 {
 		panic("cache: makeRoom left no free tag")
 	}
-	set[vi].reset()
-	set[vi].Addr = a
-	set[vi].Valid = true
-	set[vi].Prefetch = prefetch
-	set[vi].Segs = segs
-	tg[vi] = a | tagValid
+	t := uint64(a) | tagValid
+	if prefetch {
+		t |= tagPrefetch
+	}
+	tg[vi], sh[vi], m[vi] = t, 0, tagMeta{segs: segs}
 	c.segsUsed[si] += int32(segs)
 	c.valid++
-	c.touch(si, vi)
-	return victims, &set[0]
+	return victims, c.touch(si, vi)
 }
 
 // makeRoom evicts LRU valid lines until the set has a free tag and at
 // least need free segments. Evicted lines are appended to vbuf.
 func (c *Compressed) makeRoom(si, need int, vbuf []Line) []Line {
-	_, tg := c.set(si)
+	tg := c.tagWords(si)
 	for {
 		freeTag := false
-		for i := range tg {
-			if tg[i]&tagValid == 0 {
+		for _, t := range tg {
+			if t&tagValid == 0 {
 				freeTag = true
 				break
 			}
@@ -303,14 +412,12 @@ func (c *Compressed) makeRoom(si, need int, vbuf []Line) []Line {
 }
 
 // drop invalidates tag i of set si and returns the line as it was. The
-// tag keeps the address as victim history, mirrored as Addr|tagVictim;
-// a victim FIFO, if the set has one, records it too.
+// tag word keeps the address as victim history, Addr|tagVictim; a
+// victim FIFO, if the set has one, records it too.
 func (c *Compressed) drop(si, i int) Line {
-	set, tg := c.set(si)
-	ln := set[i]
-	set[i].reset() // Addr retained: victim tag
-	set[i].VictimTag = true
-	tg[i] = ln.Addr | tagVictim
+	ln := c.ref(si, i).Line()
+	tg, sh, m := c.set(si)
+	tg[i], sh[i], m[i] = uint64(ln.Addr)|tagVictim, 0, tagMeta{}
 	c.segsUsed[si] -= int32(ln.Segs)
 	c.valid--
 	if c.vtags > 0 {
@@ -346,10 +453,10 @@ func (c *Compressed) Resize(a BlockAddr, segs uint8, vbuf []Line) (victims []Lin
 	if idx == -1 {
 		return vbuf, false
 	}
-	set, tg := c.set(si)
-	old := set[idx].Segs
+	tg, _, m := c.set(si)
+	old := m[idx].segs
 	if segs <= old {
-		set[idx].Segs = segs
+		m[idx].segs = segs
 		c.segsUsed[si] -= int32(old - segs)
 		return vbuf, true
 	}
@@ -359,7 +466,7 @@ func (c *Compressed) Resize(a BlockAddr, segs uint8, vbuf []Line) (victims []Lin
 		// Evict the LRU valid line other than a itself.
 		vi := -1
 		for i := len(tg) - 1; i >= 0; i-- {
-			if tg[i]&tagValid != 0 && tg[i] != a|tagValid {
+			if tg[i]&tagValid != 0 && i != idx {
 				vi = i
 				break
 			}
@@ -380,7 +487,7 @@ func (c *Compressed) Resize(a BlockAddr, segs uint8, vbuf []Line) (victims []Lin
 		victims = append(victims, victim)
 	}
 	// drop does not reorder the set, so idx is still correct.
-	set[idx].Segs = segs
+	m[idx].segs = segs
 	c.segsUsed[si] += int32(segs - old)
 	return victims, true
 }
@@ -410,11 +517,13 @@ func (c *Compressed) VictimMatch(a BlockAddr) bool {
 // invalidTagMatch scans set si's invalid tags in LRU-stack order for
 // one recording address a, and clears it if found.
 func (c *Compressed) invalidTagMatch(si int, a BlockAddr) bool {
-	key := a | tagVictim
-	set, tg := c.set(si)
+	if a > maxAddr {
+		return false // no tag word records such an address
+	}
+	key := uint64(a) | tagVictim
+	tg := c.tagWords(si)
 	for i := len(tg) - 1; i >= 0; i-- {
 		if tg[i] == key {
-			set[i].VictimTag = false
 			tg[i] = 0
 			return true
 		}
@@ -425,9 +534,8 @@ func (c *Compressed) invalidTagMatch(si int, a BlockAddr) bool {
 // AnyPrefetchInSet reports whether any valid line in a's set has its
 // prefetch bit set.
 func (c *Compressed) AnyPrefetchInSet(a BlockAddr) bool {
-	set, _ := c.set(c.setIndex(a))
-	for i := range set {
-		if set[i].Valid && set[i].Prefetch {
+	for _, t := range c.tagWords(c.setIndex(a)) {
+		if t&(tagValid|tagPrefetch) == tagValid|tagPrefetch {
 			return true
 		}
 	}
@@ -437,58 +545,59 @@ func (c *Compressed) AnyPrefetchInSet(a BlockAddr) bool {
 // ValidLines returns the number of valid cached lines.
 func (c *Compressed) ValidLines() int { return c.valid }
 
-// ForEachValid calls fn for every valid line; the cache must not be
-// mutated during iteration.
-func (c *Compressed) ForEachValid(fn func(*Line)) {
-	for i := range c.lines {
-		if c.lines[i].Valid {
-			fn(&c.lines[i])
+// ForEachValid calls fn for every valid line, set by set and each set
+// most recently used first. fn may change a line through its handle,
+// but nothing may add, remove or reorder lines during the iteration.
+func (c *Compressed) ForEachValid(fn func(LineRef)) {
+	for si := range c.segsUsed {
+		for i, t := range c.tagWords(si) {
+			if t&tagValid != 0 {
+				fn(c.ref(si, i))
+			}
 		}
 	}
 }
 
 // CheckInvariants validates internal consistency (test and audit
-// support): no duplicate valid tags in a set, segment budget respected,
-// valid lines have legal sizes (MaxSegs in a plain L2), invalid tags
-// fully reset, and the struct-of-arrays mirrors (tag and victim words,
-// per-set segment counts, global valid-line count) exactly tracking
-// the Line array. It returns a descriptive error string, or "".
+// support): an invalid tag word is 0 or a victim address with no other
+// bit and its sharer word and metadata entry are zero, no valid word
+// carries the victim bit, valid lines have legal sizes (MaxSegs in a
+// plain L2) and map to their set, no set holds an address twice, the
+// segment budget holds, and the per-set segment counts and the
+// valid-line count track the tags. It returns a descriptive error
+// string, or "".
 func (c *Compressed) CheckInvariants() string {
 	nvalid := 0
 	for si := range c.segsUsed {
-		set, tg := c.set(si)
+		tg, sh, m := c.set(si)
 		used := 0
-		seen := map[BlockAddr]bool{}
-		for i := range set {
-			want := BlockAddr(0)
-			switch {
-			case set[i].Valid:
-				want = set[i].Addr | tagValid
-				nvalid++
-			case set[i].VictimTag:
-				want = set[i].Addr | tagVictim
-			}
-			if got := tg[i]; got != want {
-				return fmt.Sprintf("set %d tag %d: tag mirror %#x desynced from line (want %#x)",
-					si, i, uint64(got), uint64(want))
-			}
-			if !set[i].Valid {
-				if set[i].Segs != 0 || set[i].Dirty || set[i].Prefetch || set[i].Sharers != 0 || set[i].ISharers != 0 {
-					return fmt.Sprintf("set %d tag %d: invalid tag not reset (segs %d dirty %v pf %v)",
-						si, i, set[i].Segs, set[i].Dirty, set[i].Prefetch)
+		for i, t := range tg {
+			if t&tagValid == 0 {
+				if t&^(tagVictim|uint64(maxAddr)) != 0 {
+					return fmt.Sprintf("set %d tag %d: invalid tag word %#x carries line-state bits", si, i, t)
+				}
+				if sh[i] != 0 || m[i] != (tagMeta{}) {
+					return fmt.Sprintf("set %d tag %d: invalid tag not reset (segs %d owner %d sharers %#x)",
+						si, i, m[i].segs, int(m[i].owner)-1, sh[i])
 				}
 				continue
 			}
-			if set[i].Segs < 1 || set[i].Segs > MaxSegs || c.plain && set[i].Segs != MaxSegs {
-				return fmt.Sprintf("set %d: line %#x has %d segs", si, uint64(set[i].Addr), set[i].Segs)
+			nvalid++
+			a := BlockAddr(t) & maxAddr
+			if t&tagVictim != 0 {
+				return fmt.Sprintf("set %d tag %d: valid word %#x carries the victim bit", si, i, t)
 			}
-			if seen[set[i].Addr] {
-				return fmt.Sprintf("set %d: duplicate tag %#x", si, uint64(set[i].Addr))
+			if s := m[i].segs; s < 1 || s > MaxSegs || c.plain && s != MaxSegs {
+				return fmt.Sprintf("set %d: line %#x has %d segs", si, uint64(a), s)
 			}
-			seen[set[i].Addr] = true
-			used += int(set[i].Segs)
-			if int(set[i].Addr&c.setMask) != si {
-				return fmt.Sprintf("set %d: line %#x maps to set %d", si, uint64(set[i].Addr), set[i].Addr&c.setMask)
+			for _, o := range tg[:i] {
+				if o&tagMatch == t&tagMatch {
+					return fmt.Sprintf("set %d: duplicate tag %#x", si, uint64(a))
+				}
+			}
+			used += int(m[i].segs)
+			if int(a&c.setMask) != si {
+				return fmt.Sprintf("set %d: line %#x maps to set %d", si, uint64(a), a&c.setMask)
 			}
 		}
 		if used > c.dataSegs {
@@ -512,28 +621,26 @@ func (c *Compressed) CheckInvariants() string {
 // InjectDuplicateTag deliberately corrupts the cache for fault-injection
 // tests: it revives an invalid tag with the address of a valid line in
 // the same set, creating the double-owned state CheckInvariants must
-// catch. The struct-of-arrays mirrors are kept consistent with the
-// revived line so the duplicate-tag violation is the one that fires.
-// It reports whether a suitable set was found.
+// catch. The set's segment count and the valid-line count take the
+// revived one-segment line in, so the duplicate-tag violation is the
+// one that fires. It reports whether a suitable set was found.
 func (c *Compressed) InjectDuplicateTag() bool {
 	for si := range c.segsUsed {
-		set, tg := c.set(si)
+		tg, _, m := c.set(si)
 		vi, ii := -1, -1
-		for i := range set {
-			if set[i].Valid && vi == -1 {
+		for i, t := range tg {
+			if t&tagValid != 0 && vi == -1 {
 				vi = i
 			}
-			if !set[i].Valid && ii == -1 {
+			if t&tagValid == 0 && ii == -1 {
 				ii = i
 			}
 		}
 		if vi == -1 || ii == -1 {
 			continue
 		}
-		set[ii].Valid = true
-		set[ii].Addr = set[vi].Addr
-		set[ii].Segs = 1
-		tg[ii] = set[ii].Addr | tagValid
+		tg[ii] = tg[vi] & tagMatch
+		m[ii] = tagMeta{segs: 1}
 		c.segsUsed[si]++
 		c.valid++
 		return true

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -38,7 +39,7 @@ func (c *Compressed) UsedSegments() int {
 // victim addresses in a's set — the paper's "unused compression tags"
 // whose availability limits harmful-prefetch detection (§5.4).
 func (c *Compressed) VictimTagCount(a BlockAddr) int {
-	_, tg := c.set(c.setIndex(a))
+	tg := c.tagWords(c.setIndex(a))
 	n := 0
 	for _, t := range tg {
 		if t&tagVictim != 0 {
@@ -172,8 +173,8 @@ func TestResizeShrink(t *testing.T) {
 	if !found || len(victims) != 0 {
 		t.Fatalf("shrink: found=%v victims=%v", found, victims)
 	}
-	if ln := c.Lookup(1); ln.Segs != 2 {
-		t.Fatalf("segs = %d, want 2", ln.Segs)
+	if ln := c.Lookup(1); ln.Segs() != 2 {
+		t.Fatalf("segs = %d, want 2", ln.Segs())
 	}
 }
 
@@ -190,7 +191,7 @@ func TestResizeGrowEvicts(t *testing.T) {
 	if len(victims) != 1 || victims[0].Addr != 0 {
 		t.Fatalf("victims = %+v", victims)
 	}
-	if ln := c.Lookup(7); ln == nil || ln.Segs != MaxSegs {
+	if ln := c.Lookup(7); !ln.Valid() || ln.Segs() != MaxSegs {
 		t.Fatal("line 7 should now be uncompressed")
 	}
 	if c.ExpansionEvicts != 1 {
@@ -208,7 +209,7 @@ func TestResizeGrowNeverEvictsSelf(t *testing.T) {
 	if !found || len(victims) != 0 {
 		t.Fatalf("lone line grow: found=%v victims=%v", found, victims)
 	}
-	if c.Lookup(5) == nil {
+	if !c.Lookup(5).Valid() {
 		t.Fatal("line 5 must survive its own resize")
 	}
 }
@@ -258,6 +259,65 @@ func TestCompressedRejectsBadSegs(t *testing.T) {
 	}
 }
 
+// TestCompressedFillRejectsWideAddress pins the tag word's 58-bit
+// address field: a wider block is refused by Fill instead of aliasing
+// another line, and misses every lookup, also a victim match whose high
+// bits coincide with the victim bit.
+func TestCompressedFillRejectsWideAddress(t *testing.T) {
+	for _, a := range []BlockAddr{1 << 58, ^BlockAddr(0)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Fill(%#x) did not panic", uint64(a))
+				}
+			}()
+			oneSet().Fill(a, 4, false, nil)
+		}()
+	}
+	c := oneSet()
+	_, ln := c.Fill(maxAddr, 3, true, nil)
+	ln.SetPfBy(3)
+	ln.MarkDirty()
+	if got := c.Lookup(maxAddr).Line(); got != (Line{Addr: maxAddr, Dirty: true, Prefetch: true, PfBy: 3, Segs: 3}) {
+		t.Fatalf("largest address stored as %+v", got)
+	}
+	for a := BlockAddr(0); a < 4; a++ {
+		c.Fill(a, MaxSegs, false, nil) // the fourth evicts maxAddr
+	}
+	wide := BlockAddr(tagVictim) | maxAddr
+	if c.Lookup(wide).Valid() || c.Touch(wide).Valid() || c.VictimMatch(wide) {
+		t.Fatal("wide address aliased a stored line or victim tag")
+	}
+	if !c.VictimMatch(maxAddr) {
+		t.Fatal("the evicted largest address left no victim tag")
+	}
+}
+
+func TestCompressedCheckInvariantsCatchesCorruption(t *testing.T) {
+	for name, corrupt := range map[string]func(c *Compressed){
+		"invalid tag with line-state bits": func(c *Compressed) { c.blocks[7] = tagDirty },
+		"victim tag with line-state bits":  func(c *Compressed) { c.blocks[7] = 9 | tagVictim | tagPrefetch },
+		"invalid tag with sharers":         func(c *Compressed) { c.blocks[8+7] = 1 },
+		"invalid tag with an owner":        func(c *Compressed) { c.meta[7].owner = 1 },
+		"valid word with the victim bit":   func(c *Compressed) { c.blocks[0] |= tagVictim },
+		"zero segments":                    func(c *Compressed) { c.meta[0].segs = 0 },
+		"segment counter":                  func(c *Compressed) { c.segsUsed[0]++ },
+		"valid-line counter":               func(c *Compressed) { c.valid++ },
+		"duplicate tag":                    func(c *Compressed) { c.InjectDuplicateTag() },
+	} {
+		c := oneSet()
+		c.Fill(1, 3, true, nil)
+		c.Fill(2, 5, false, nil)
+		if msg := c.CheckInvariants(); msg != "" {
+			t.Fatalf("%s: clean cache reported %q", name, msg)
+		}
+		corrupt(c)
+		if c.CheckInvariants() == "" {
+			t.Errorf("%s: corruption not detected", name)
+		}
+	}
+}
+
 func TestEffectiveSizeTracksCompressibility(t *testing.T) {
 	// 64 KB compressed cache; fill a working set of 2-segment lines twice
 	// the uncompressed capacity and verify effective size exceeds physical.
@@ -266,7 +326,7 @@ func TestEffectiveSizeTracksCompressibility(t *testing.T) {
 	var buf []Line
 	for a := 0; a < lines; a++ {
 		buf = buf[:0]
-		if c.Lookup(BlockAddr(a)) == nil {
+		if !c.Lookup(BlockAddr(a)).Valid() {
 			c.Fill(BlockAddr(a), 2, false, buf)
 		}
 	}
@@ -290,7 +350,7 @@ func TestCompressedInvariantsProperty(t *testing.T) {
 			segs := uint8(1 + rng.Intn(MaxSegs))
 			switch rng.Intn(4) {
 			case 0:
-				if c.Lookup(a) == nil {
+				if !c.Lookup(a).Valid() {
 					buf = buf[:0]
 					c.Fill(a, segs, rng.Intn(2) == 0, buf)
 				}
@@ -314,16 +374,31 @@ func TestCompressedInvariantsProperty(t *testing.T) {
 	}
 }
 
+// BenchmarkCompressedFillAccess times a random demand access, and a
+// fill on a miss, over a span of four times the cache's uncompressed
+// line capacity, on a 1 MB L2 (host-cache resident) and on the paper's
+// 4 MB one. Each starts timing after twice the span's operations of
+// warm-up, when every set is full.
 func BenchmarkCompressedFillAccess(b *testing.B) {
-	c := NewCompressedL2(1<<20, 8, 32)
-	rng := rand.New(rand.NewSource(1))
-	var buf []Line
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := BlockAddr(rng.Intn(1 << 16))
-		if _, _, _, ok := c.Access(a); !ok {
-			buf = buf[:0]
-			c.Fill(a, uint8(1+rng.Intn(8)), false, buf)
-		}
+	for _, mb := range []int{1, 4} {
+		b.Run(fmt.Sprintf("%dMB", mb), func(b *testing.B) {
+			c := NewCompressedL2(mb<<20, DefaultTagsPerSet, DefaultSegsPerSet)
+			span := 4 * (mb << 20) / LineBytes
+			rng := rand.New(rand.NewSource(1))
+			var buf []Line
+			step := func() {
+				a := BlockAddr(rng.Intn(span))
+				if _, _, _, ok := c.Access(a); !ok {
+					buf, _ = c.Fill(a, uint8(1+rng.Intn(MaxSegs)), false, buf[:0])
+				}
+			}
+			for i := 0; i < 2*span; i++ {
+				step()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
 	}
 }

@@ -10,20 +10,18 @@ import "fmt"
 type L1Line uint64
 
 const (
-	l1AddrBits  = 58
-	l1MaxAddr   = BlockAddr(1)<<l1AddrBits - 1
-	l1PfByShift = l1AddrBits
+	l1PfByShift = addrBits
 	l1Prefetch  = L1Line(1) << 61
 	l1Dirty     = L1Line(1) << 62
 	l1Valid     = L1Line(1) << 63
 	// l1Match selects the bits a tag match compares.
-	l1Match = l1Valid | L1Line(l1MaxAddr)
+	l1Match = l1Valid | L1Line(maxAddr)
 	// l1Bits selects every bit a way may carry.
 	l1Bits = l1Match | 3<<l1PfByShift | l1Prefetch | l1Dirty
 )
 
 // Addr returns the block address of the way.
-func (w L1Line) Addr() BlockAddr { return BlockAddr(w) & l1MaxAddr }
+func (w L1Line) Addr() BlockAddr { return BlockAddr(w) & maxAddr }
 
 // Valid reports whether the way holds a line.
 func (w L1Line) Valid() bool { return w&l1Valid != 0 }
@@ -82,7 +80,7 @@ func (c *L1) set(a BlockAddr) []L1Line {
 
 // find returns the index of the way holding a in set, or -1.
 func find(set []L1Line, a BlockAddr) int {
-	if a > l1MaxAddr {
+	if a > maxAddr {
 		return -1 // Fill refuses such addresses
 	}
 	key := L1Line(a) | l1Valid
@@ -92,12 +90,6 @@ func find(set []L1Line, a BlockAddr) int {
 		}
 	}
 	return -1
-}
-
-// promote moves way i of set to the MRU (front) position as w.
-func promote(set []L1Line, i int, w L1Line) {
-	copy(set[1:i+1], set[:i])
-	set[0] = w
 }
 
 // Lookup returns the way holding a (zero, not Valid, when absent),
@@ -139,7 +131,7 @@ func (c *L1) Access(a BlockAddr) (ln L1Line, wasPrefetch, ok bool) {
 // promotion) exactly as Access would have; on failure nothing is
 // mutated and the caller must run Access.
 func (c *L1) FastHit(a BlockAddr, store bool) bool {
-	if a > l1MaxAddr {
+	if a > maxAddr {
 		return false
 	}
 	mask, want := l1Match|l1Prefetch, L1Line(a)|l1Valid
@@ -164,7 +156,7 @@ func (c *L1) FastHit(a BlockAddr, store bool) bool {
 // duplicate fill, an address at or above 2^58 or a by above 3 is a
 // caller bug and panics.
 func (c *L1) Fill(a BlockAddr, prefetch, dirty bool, by uint8) (victim L1Line) {
-	if a > l1MaxAddr || by > 3 {
+	if a > maxAddr || by > 3 {
 		panic(fmt.Sprintf("cache: L1 fill of block %#x by %d does not fit a packed way", uint64(a), by))
 	}
 	set := c.set(a)

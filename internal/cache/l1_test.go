@@ -99,13 +99,13 @@ func TestL1FillRejectsWideAddress(t *testing.T) {
 		}()
 	}
 	c := NewL1(4*LineBytes, 4)
-	c.Fill(l1MaxAddr, true, true, 3)
-	if ln := c.Lookup(l1MaxAddr); ln.Addr() != l1MaxAddr || !ln.Dirty() || !ln.Prefetch() || ln.PfBy() != 3 {
+	c.Fill(maxAddr, true, true, 3)
+	if ln := c.Lookup(maxAddr); ln.Addr() != maxAddr || !ln.Dirty() || !ln.Prefetch() || ln.PfBy() != 3 {
 		t.Fatalf("largest address stored as %#x", uint64(ln))
 	}
 	// A wide address whose high bits coincide with the flag bits must
 	// not match the line below it.
-	if c.Lookup(l1MaxAddr|BlockAddr(l1Dirty)).Valid() || c.FastHit(l1MaxAddr|BlockAddr(l1Dirty), true) {
+	if c.Lookup(maxAddr|BlockAddr(l1Dirty)).Valid() || c.FastHit(maxAddr|BlockAddr(l1Dirty), true) {
 		t.Fatal("wide address aliased a stored line")
 	}
 }
@@ -240,7 +240,7 @@ func FuzzL1SetOps(f *testing.F) {
 			switch b & 7 {
 			case 0, 1: // fill
 				op = fmt.Sprintf("fill %#x pf=%v dirty=%v by=%d", uint64(a), flag1, flag2, by)
-				if a > l1MaxAddr {
+				if a > maxAddr {
 					func() {
 						defer func() {
 							if recover() == nil {

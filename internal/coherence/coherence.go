@@ -48,7 +48,7 @@ func (k Kind) String() string {
 // per-prefetcher coverage/accuracy accounting (paper Table 4).
 type PfSource uint8
 
-// Prefetch sources stored in cache.Line.PfBy and cache.L1Line.PfBy.
+// Prefetch sources stored in cache.LineRef.PfBy and cache.L1Line.PfBy.
 const (
 	PfNone PfSource = iota
 	PfL1I
@@ -244,8 +244,8 @@ func (h *Hierarchy) Access(core int, kind Kind, a cache.BlockAddr) AccessResult 
 			// The prefetch proved useful: clear the inclusion copy's
 			// bit too so its later L2 eviction is not miscounted as a
 			// useless prefetch.
-			if l2ln := h.L2.Lookup(a); l2ln != nil {
-				l2ln.Prefetch = false
+			if l2ln := h.L2.Lookup(a); l2ln.Valid() {
+				l2ln.ClearPrefetch()
 			}
 		}
 		if kind == Store && !ln.Dirty() {
@@ -254,7 +254,7 @@ func (h *Hierarchy) Access(core int, kind Kind, a cache.BlockAddr) AccessResult 
 			h.StoreUpgrades++
 			r.Invalidations += h.invalidateOtherSharers(core, a)
 			l1.SetDirty(a, true)
-			if l2ln := h.L2.Lookup(a); l2ln != nil {
+			if l2ln := h.L2.Lookup(a); l2ln.Valid() {
 				l2ln.SetOwner(core)
 			}
 		}
@@ -269,7 +269,7 @@ func (h *Hierarchy) Access(core int, kind Kind, a cache.BlockAddr) AccessResult 
 		r.L2CompressedHit = compressed
 		if wasPf {
 			r.L2PrefetchHit = true
-			r.L2PfBy = PfSource(l2ln.PfBy)
+			r.L2PfBy = PfSource(l2ln.PfBy())
 		}
 		// If another core holds the line modified, it must supply the
 		// data (writeback to L2) before we proceed.
@@ -277,7 +277,7 @@ func (h *Hierarchy) Access(core int, kind Kind, a cache.BlockAddr) AccessResult 
 			r.DirtyForward = true
 			h.DirtyForwards++
 			h.L1D[o].SetDirty(a, false)
-			l2ln.Dirty = true
+			l2ln.MarkDirty()
 			l2ln.SetOwner(-1)
 		}
 	} else {
@@ -291,7 +291,7 @@ func (h *Hierarchy) Access(core int, kind Kind, a cache.BlockAddr) AccessResult 
 		h.vbuf = h.vbuf[:0]
 		victims, inserted := h.L2.Fill(a, r.FetchSegs, false, h.vbuf)
 		h.vbuf = victims // keep the grown backing array for reuse
-		h.noteL2Size(a, inserted.Segs)
+		h.noteL2Size(a, inserted.Segs())
 		h.handleL2Victims(victims, &r)
 		l2ln = inserted
 	}
@@ -321,14 +321,11 @@ func (h *Hierarchy) clampSegs(s uint8) uint8 {
 }
 
 // addSharer records core in the L2 line's sharer bits.
-func (h *Hierarchy) addSharer(ln *cache.Line, core int, kind Kind) {
-	if ln == nil {
-		return
-	}
+func (h *Hierarchy) addSharer(ln cache.LineRef, core int, kind Kind) {
 	if kind == IFetch {
-		ln.ISharers |= 1 << uint(core)
+		ln.SetISharers(ln.ISharers() | 1<<uint(core))
 	} else {
-		ln.Sharers |= 1 << uint(core)
+		ln.SetSharers(ln.Sharers() | 1<<uint(core))
 	}
 }
 
@@ -339,23 +336,25 @@ func (h *Hierarchy) invalidateOtherSharers(core int, a cache.BlockAddr) int {
 	return h.invalidateOtherSharersLine(ln, core, a)
 }
 
-func (h *Hierarchy) invalidateOtherSharersLine(ln *cache.Line, core int, a cache.BlockAddr) int {
-	if ln == nil {
+func (h *Hierarchy) invalidateOtherSharersLine(ln cache.LineRef, core int, a cache.BlockAddr) int {
+	if !ln.Valid() {
 		return 0
 	}
 	n := 0
-	for m := ln.Sharers & h.coreBits &^ (1 << uint(core)); m != 0; m &= m - 1 {
+	sharers := ln.Sharers()
+	for m := sharers & h.coreBits &^ (1 << uint(core)); m != 0; m &= m - 1 {
 		c := bits.TrailingZeros32(m)
 		if old := h.L1D[c].Invalidate(a); old.Valid() {
 			n++
 			h.CoherenceInval++
 			if old.Dirty() {
 				// The remote M copy's data comes back to the L2.
-				ln.Dirty = true
+				ln.MarkDirty()
 			}
 		}
-		ln.Sharers &^= 1 << uint(c)
+		sharers &^= 1 << uint(c)
 	}
+	ln.SetSharers(sharers)
 	if o := ln.Owner(); o >= 0 && o != core {
 		ln.SetOwner(-1)
 	}
@@ -375,16 +374,16 @@ func (h *Hierarchy) fillL1(l1 *cache.L1, core int, kind Kind, a cache.BlockAddr,
 	}
 	// Non-silent eviction: clear the sharer bit; write dirty data back.
 	va := victim.Addr()
-	if l2ln := h.L2.Lookup(va); l2ln != nil {
+	if l2ln := h.L2.Lookup(va); l2ln.Valid() {
 		if kind == IFetch {
-			l2ln.ISharers &^= 1 << uint(core)
+			l2ln.SetISharers(l2ln.ISharers() &^ (1 << uint(core)))
 		} else {
-			l2ln.Sharers &^= 1 << uint(core)
+			l2ln.SetSharers(l2ln.Sharers() &^ (1 << uint(core)))
 		}
 		if victim.Dirty() {
 			h.L1Writebacks++
 			r.L1DirtyVictim = true
-			l2ln.Dirty = true
+			l2ln.MarkDirty()
 			if l2ln.Owner() == core {
 				l2ln.SetOwner(-1)
 			}
@@ -450,16 +449,14 @@ func (h *Hierarchy) PrefetchL1(core int, kind Kind, a cache.BlockAddr, by PfSour
 		return out
 	}
 	var r AccessResult
-	var l2ln *cache.Line
-	if h.L2.Touch(a) {
-		// Touch reorders the set, so look the line up afterwards.
-		l2ln = h.L2.Lookup(a)
+	l2ln := h.L2.Touch(a)
+	if l2ln.Valid() {
 		out.L2Hit = true
-		out.L2Compressed = l2ln.Segs < cache.MaxSegs
-		if l2ln.Prefetch {
-			l2ln.Prefetch = false
+		out.L2Compressed = l2ln.Segs() < cache.MaxSegs
+		if l2ln.Prefetch() {
+			l2ln.ClearPrefetch()
 			out.L2PrefetchHit = true
-			out.L2PfBy = PfSource(l2ln.PfBy)
+			out.L2PfBy = PfSource(l2ln.PfBy())
 			h.L2.BaseStats().PrefetchHits++
 		}
 		// A modified copy in another L1 stays put: prefetching does not
@@ -474,8 +471,8 @@ func (h *Hierarchy) PrefetchL1(core int, kind Kind, a cache.BlockAddr, by PfSour
 		h.vbuf = h.vbuf[:0]
 		victims, inserted := h.L2.Fill(a, out.FetchSegs, true, h.vbuf)
 		h.vbuf = victims
-		inserted.PfBy = uint8(by)
-		h.noteL2Size(a, inserted.Segs)
+		inserted.SetPfBy(uint8(by))
+		h.noteL2Size(a, inserted.Segs())
 		h.handleL2Victims(victims, &r)
 		l2ln = inserted
 	}
@@ -493,7 +490,7 @@ func (h *Hierarchy) PrefetchL1(core int, kind Kind, a cache.BlockAddr, by PfSour
 func (h *Hierarchy) PrefetchL2(core int, a cache.BlockAddr, by PfSource) PrefetchOutcome {
 	var out PrefetchOutcome
 	h.wbuf = h.wbuf[:0]
-	if h.L2.Lookup(a) != nil {
+	if h.L2.Lookup(a).Valid() {
 		out.AlreadyPresent = true
 		return out
 	}
@@ -503,8 +500,8 @@ func (h *Hierarchy) PrefetchL2(core int, a cache.BlockAddr, by PfSource) Prefetc
 	h.vbuf = h.vbuf[:0]
 	victims, inserted := h.L2.Fill(a, out.FetchSegs, true, h.vbuf)
 	h.vbuf = victims
-	inserted.PfBy = uint8(by)
-	h.noteL2Size(a, inserted.Segs)
+	inserted.SetPfBy(uint8(by))
+	h.noteL2Size(a, inserted.Segs())
 	h.handleL2Victims(victims, &r)
 	out.Writebacks = h.wbuf
 	out.L2UselessEvict = r.L2UselessEvict
@@ -541,7 +538,7 @@ func (h *Hierarchy) AuditMSI() string {
 				return
 			}
 			l2ln := h.L2.Lookup(ln.Addr())
-			if l2ln == nil || l2ln.ISharers&(1<<uint(core)) == 0 {
+			if !l2ln.Valid() || l2ln.ISharers()&(1<<uint(core)) == 0 {
 				bad = fmt.Sprintf("L1I[%d] holds %#x without isharer bit", core, uint64(ln.Addr()))
 			}
 		})
@@ -551,50 +548,50 @@ func (h *Hierarchy) AuditMSI() string {
 	}
 	mask := h.coreBits
 	var bad string
-	h.L2.ForEachValid(func(ln *cache.Line) {
+	h.L2.ForEachValid(func(ln cache.LineRef) {
 		if bad != "" {
 			return
 		}
 		switch {
-		case ln.Sharers&^mask != 0:
-			bad = fmt.Sprintf("L2 line %#x has sharer bits %#x beyond %d cores", uint64(ln.Addr), ln.Sharers, h.cfg.Cores)
-		case ln.ISharers&^mask != 0:
-			bad = fmt.Sprintf("L2 line %#x has isharer bits %#x beyond %d cores", uint64(ln.Addr), ln.ISharers, h.cfg.Cores)
+		case ln.Sharers()&^mask != 0:
+			bad = fmt.Sprintf("L2 line %#x has sharer bits %#x beyond %d cores", uint64(ln.Addr()), ln.Sharers(), h.cfg.Cores)
+		case ln.ISharers()&^mask != 0:
+			bad = fmt.Sprintf("L2 line %#x has isharer bits %#x beyond %d cores", uint64(ln.Addr()), ln.ISharers(), h.cfg.Cores)
 		case ln.Owner() >= h.cfg.Cores:
-			bad = fmt.Sprintf("L2 line %#x has owner %d beyond %d cores", uint64(ln.Addr), ln.Owner(), h.cfg.Cores)
+			bad = fmt.Sprintf("L2 line %#x has owner %d beyond %d cores", uint64(ln.Addr()), ln.Owner(), h.cfg.Cores)
 		}
 		if bad != "" {
 			return
 		}
 		dirtyCopies := 0
 		for c := 0; c < h.cfg.Cores; c++ {
-			dBit := ln.Sharers&(1<<uint(c)) != 0
-			iBit := ln.ISharers&(1<<uint(c)) != 0
-			dln := h.L1D[c].Lookup(ln.Addr)
+			dBit := ln.Sharers()&(1<<uint(c)) != 0
+			iBit := ln.ISharers()&(1<<uint(c)) != 0
+			dln := h.L1D[c].Lookup(ln.Addr())
 			if dBit && !dln.Valid() {
-				bad = fmt.Sprintf("L2 line %#x has sharer bit for core %d but L1D misses it", uint64(ln.Addr), c)
+				bad = fmt.Sprintf("L2 line %#x has sharer bit for core %d but L1D misses it", uint64(ln.Addr()), c)
 				return
 			}
-			if iBit && !h.L1I[c].Lookup(ln.Addr).Valid() {
-				bad = fmt.Sprintf("L2 line %#x has isharer bit for core %d but L1I misses it", uint64(ln.Addr), c)
+			if iBit && !h.L1I[c].Lookup(ln.Addr()).Valid() {
+				bad = fmt.Sprintf("L2 line %#x has isharer bit for core %d but L1I misses it", uint64(ln.Addr()), c)
 				return
 			}
 			if dln.Dirty() {
 				dirtyCopies++
 				if ln.Owner() != c {
-					bad = fmt.Sprintf("L1D[%d] holds %#x modified but L2 owner is %d", c, uint64(ln.Addr), ln.Owner())
+					bad = fmt.Sprintf("L1D[%d] holds %#x modified but L2 owner is %d", c, uint64(ln.Addr()), ln.Owner())
 					return
 				}
 			}
 		}
 		if dirtyCopies > 1 {
-			bad = fmt.Sprintf("L2 line %#x has %d modified L1 copies", uint64(ln.Addr), dirtyCopies)
+			bad = fmt.Sprintf("L2 line %#x has %d modified L1 copies", uint64(ln.Addr()), dirtyCopies)
 			return
 		}
 		if o := ln.Owner(); o >= 0 {
-			dln := h.L1D[o].Lookup(ln.Addr)
+			dln := h.L1D[o].Lookup(ln.Addr())
 			if !dln.Dirty() {
-				bad = fmt.Sprintf("L2 line %#x owned by core %d whose L1D copy is %s", uint64(ln.Addr), o,
+				bad = fmt.Sprintf("L2 line %#x owned by core %d whose L1D copy is %s", uint64(ln.Addr()), o,
 					map[bool]string{true: "clean", false: "absent"}[dln.Valid()])
 			}
 		}
@@ -608,7 +605,7 @@ func (h *Hierarchy) CheckInclusion() string {
 	var bad string
 	check := func(which string, core int, c *cache.L1) {
 		c.ForEachValid(func(ln cache.L1Line) {
-			if bad == "" && h.L2.Lookup(ln.Addr()) == nil {
+			if bad == "" && !h.L2.Lookup(ln.Addr()).Valid() {
 				bad = fmt.Sprintf("%s[%d] line %#x not in L2", which, core, uint64(ln.Addr()))
 			}
 		})
@@ -631,7 +628,7 @@ func (h *Hierarchy) CheckSharerBits() string {
 				return
 			}
 			l2ln := h.L2.Lookup(ln.Addr())
-			if l2ln == nil || l2ln.Sharers&(1<<uint(core)) == 0 {
+			if !l2ln.Valid() || l2ln.Sharers()&(1<<uint(core)) == 0 {
 				bad = fmt.Sprintf("L1D[%d] holds %#x without sharer bit", core, uint64(ln.Addr()))
 			}
 		})

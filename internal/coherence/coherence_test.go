@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -60,8 +61,8 @@ func TestL2HitFromAnotherCore(t *testing.T) {
 	}
 	// Both cores are now sharers.
 	ln := h.L2.Lookup(0x100)
-	if ln.Sharers != 0b11 {
-		t.Fatalf("sharers = %b", ln.Sharers)
+	if ln.Sharers() != 0b11 {
+		t.Fatalf("sharers = %b", ln.Sharers())
 	}
 }
 
@@ -101,8 +102,8 @@ func TestDirtyForwardOnRemoteLoad(t *testing.T) {
 		t.Fatal("owner's copy should be clean-shared now")
 	}
 	l2ln := h.L2.Lookup(0x100)
-	if !l2ln.Dirty || l2ln.Owner() != -1 {
-		t.Fatalf("L2 line after forward: %+v", l2ln)
+	if !l2ln.Line().Dirty || l2ln.Owner() != -1 {
+		t.Fatalf("L2 line after forward: %s", describe(l2ln))
 	}
 }
 
@@ -132,10 +133,10 @@ func TestDirtyL1VictimWritesBackToL2(t *testing.T) {
 		t.Fatalf("expected dirty L1 victim: %+v", r)
 	}
 	l2ln := h.L2.Lookup(0x100)
-	if l2ln == nil || !l2ln.Dirty {
+	if !l2ln.Valid() || !l2ln.Line().Dirty {
 		t.Fatal("L2 should hold the written-back dirty data")
 	}
-	if l2ln.Sharers&1 != 0 {
+	if l2ln.Sharers()&1 != 0 {
 		t.Fatal("evicted line must clear core 0's sharer bit")
 	}
 }
@@ -170,8 +171,8 @@ func TestSharerBitsBeyondCoresReachAudit(t *testing.T) {
 	h.Access(0, Load, 0)
 	h.Access(1, Load, 0)
 	ln := h.L2.Lookup(0)
-	ln.Sharers |= 1 << 2
-	ln.ISharers |= 1 << 3
+	ln.SetSharers(ln.Sharers() | 1<<2)
+	ln.SetISharers(ln.ISharers() | 1<<3)
 	beyond := func(when string) {
 		t.Helper()
 		if msg := h.AuditMSI(); !strings.Contains(msg, "beyond 2 cores") {
@@ -182,14 +183,14 @@ func TestSharerBitsBeyondCoresReachAudit(t *testing.T) {
 	if r := h.Access(0, Store, 0); r.Invalidations != 1 {
 		t.Fatalf("store upgrade invalidated %d copies, want core 1's", r.Invalidations)
 	}
-	if ln.Sharers != 1<<2|1<<0 {
-		t.Fatalf("sharers after the upgrade %#b, want core 0 and the planted bit", ln.Sharers)
+	if ln := h.L2.Lookup(0); ln.Sharers() != 1<<2|1<<0 {
+		t.Fatalf("sharers after the upgrade %#b, want core 0 and the planted bit", ln.Sharers())
 	}
 	beyond("after the upgrade")
 	for i := 1; i <= 8; i++ {
 		h.Access(1, Load, cache.BlockAddr(i*8))
 	}
-	if h.L2.Lookup(0) != nil {
+	if h.L2.Lookup(0).Valid() {
 		t.Fatal("block 0 was not evicted from the L2")
 	}
 }
@@ -224,7 +225,7 @@ func TestPrefetchL1SetsBitsBothLevels(t *testing.T) {
 	if ln := h.L1D[0].Lookup(0x200); !ln.Valid() || !ln.Prefetch() || PfSource(ln.PfBy()) != PfL1D {
 		t.Fatal("L1 line should be marked prefetched by L1D")
 	}
-	if ln := h.L2.Lookup(0x200); ln == nil || !ln.Prefetch {
+	if ln := h.L2.Lookup(0x200); !ln.Valid() || !ln.Prefetch() {
 		t.Fatal("L2 line should be marked prefetched (inclusion fill)")
 	}
 	// First demand access consumes the bit and reports attribution.
@@ -244,7 +245,7 @@ func TestPrefetchL2OnlyFillsL2(t *testing.T) {
 		t.Fatal("L2 prefetch must not fill the L1")
 	}
 	ln := h.L2.Lookup(0x300)
-	if ln == nil || !ln.Prefetch || PfSource(ln.PfBy) != PfL2 {
+	if !ln.Valid() || !ln.Prefetch() || PfSource(ln.PfBy()) != PfL2 {
 		t.Fatal("L2 line should be marked prefetched by L2")
 	}
 	r := h.Access(0, Load, 0x300)
@@ -305,8 +306,8 @@ func TestPlainL2StoresFullLines(t *testing.T) {
 		t.Fatalf("fetch segs %d, %d, %d; want the link's 2", r.FetchSegs, l1.FetchSegs, l2.FetchSegs)
 	}
 	for _, a := range []cache.BlockAddr{0x100, 0x200, 0x300} {
-		if ln := h.L2.Lookup(a); ln == nil || ln.Segs != cache.MaxSegs || noted[a] != cache.MaxSegs {
-			t.Fatalf("line %#x stored as %+v, audit noted %d segs", uint64(a), ln, noted[a])
+		if ln := h.L2.Lookup(a); !ln.Valid() || ln.Segs() != cache.MaxSegs || noted[a] != cache.MaxSegs {
+			t.Fatalf("line %#x stored as %s, audit noted %d segs", uint64(a), describe(ln), noted[a])
 		}
 	}
 	if r = h.Access(1, Load, 0x100); !r.L2Hit || r.L2CompressedHit {
@@ -329,8 +330,8 @@ func TestDirtyWritebackResizesCompressedLine(t *testing.T) {
 	h.Access(0, Store, 0x108)
 	h.Access(0, Load, 0x110)
 	ln := h.L2.Lookup(0x100)
-	if ln == nil || ln.Segs != 7 {
-		t.Fatalf("L2 line after writeback: %+v", ln)
+	if !ln.Valid() || ln.Segs() != 7 {
+		t.Fatalf("L2 line after writeback: %s", describe(ln))
 	}
 }
 
@@ -433,7 +434,15 @@ func TestIFetchUsesICache(t *testing.T) {
 		t.Fatal("ifetch must not fill L1D")
 	}
 	ln := h.L2.Lookup(0x700)
-	if ln.ISharers&1 == 0 || ln.Sharers != 0 {
-		t.Fatalf("ifetch sharer bits: %+v", ln)
+	if ln.ISharers()&1 == 0 || ln.Sharers() != 0 {
+		t.Fatalf("ifetch sharer bits: %s", describe(ln))
 	}
+}
+
+// describe formats an L2 line handle for a failure message.
+func describe(ln cache.LineRef) string {
+	if !ln.Valid() {
+		return "absent"
+	}
+	return fmt.Sprintf("%+v owned by %d", ln.Line(), ln.Owner())
 }

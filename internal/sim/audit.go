@@ -132,7 +132,7 @@ func (s *System) auditSweep() {
 	a.Check("resource-state", now, s.l2.CheckInvariants())
 	s.checkInflight(a, now)
 	if a.Level() >= audit.Shadow {
-		s.h.L2.ForEachValid(func(ln *cache.Line) { a.CheckL2Line(now, ln) })
+		s.h.L2.ForEachValid(func(ln cache.LineRef) { a.CheckL2Line(now, ln.Addr(), ln.Segs()) })
 		a.CheckVersions(now, s.data.ForEachVersion)
 	}
 	a.Sweeps++
@@ -187,31 +187,31 @@ func (s *System) applyStateFault() {
 		// Set a sharer bit for a core that does not hold the line (or,
 		// if every core holds the first line, an out-of-range bit).
 		done := false
-		s.h.L2.ForEachValid(func(ln *cache.Line) {
+		s.h.L2.ForEachValid(func(ln cache.LineRef) {
 			if done {
 				return
 			}
 			for c := 0; c < s.cfg.Cores; c++ {
-				if ln.Sharers&(1<<uint(c)) == 0 && !s.h.L1D[c].Lookup(ln.Addr).Valid() {
-					ln.Sharers |= 1 << uint(c)
+				if ln.Sharers()&(1<<uint(c)) == 0 && !s.h.L1D[c].Lookup(ln.Addr()).Valid() {
+					ln.SetSharers(ln.Sharers() | 1<<uint(c))
 					done = true
 					return
 				}
 			}
-			if s.cfg.Cores < 32 {
-				ln.Sharers |= 1 << uint(s.cfg.Cores)
+			if s.cfg.Cores < cache.MaxCores {
+				ln.SetSharers(ln.Sharers() | 1<<uint(s.cfg.Cores))
 				done = true
 			}
 		})
 	case "double-owner":
 		// Claim ownership for a core without a modified copy.
 		done := false
-		s.h.L2.ForEachValid(func(ln *cache.Line) {
+		s.h.L2.ForEachValid(func(ln cache.LineRef) {
 			if done {
 				return
 			}
 			for c := 0; c < s.cfg.Cores; c++ {
-				if !s.h.L1D[c].Lookup(ln.Addr).Dirty() {
+				if !s.h.L1D[c].Lookup(ln.Addr()).Dirty() {
 					ln.SetOwner(c)
 					done = true
 					return
@@ -227,9 +227,9 @@ func (s *System) applyStateFault() {
 			// through to the segment corruption, same invariant class.
 		}
 		done := false
-		s.h.L2.ForEachValid(func(ln *cache.Line) {
+		s.h.L2.ForEachValid(func(ln cache.LineRef) {
 			if !done {
-				ln.Segs = 0
+				ln.SetSegs(0)
 				done = true
 			}
 		})

@@ -26,9 +26,10 @@ type inflightSlot struct {
 	done timing.Tick
 }
 
-// inflightKey tags occupied slots. Block addresses stay below 2^62 (the
-// cache tag mirrors rely on the same bound), so a|inflightKey is unique
-// per block and never 0.
+// inflightKey tags occupied slots. Block addresses stay below 2^58 (a
+// 64-bit byte address has a 58-bit block address, and both cache
+// levels' Fill panics above it), so a|inflightKey is unique per block
+// and never 0.
 const inflightKey cache.BlockAddr = 1 << 63
 
 const inflightMinBits = 8 // log2 of the initial slot count

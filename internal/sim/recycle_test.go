@@ -33,3 +33,29 @@ func TestOnlyRunSharedTakesStorage(t *testing.T) {
 		t.Fatalf("RunShared on an empty pool: %d gets, info %+v", gets, info)
 	}
 }
+
+// TestRunSharedValidatesFirst counts the storage pool's New calls, as
+// TestOnlyRunSharedTakesStorage does: RunShared on an invalid Config
+// must return the Validate error without asking the pool for storage,
+// which it would then drop, leaving the next seed job to build fresh.
+func TestRunSharedValidatesFirst(t *testing.T) {
+	for storages.Get() != nil {
+	}
+	gets := 0
+	storages.New = func() any { gets++; return nil }
+	defer func() { storages.New = nil }()
+
+	cfg := smallConfig("zeus")
+	cfg.Cores = 0
+	want := cfg.Validate()
+	if want == nil {
+		t.Fatal("a zero-core Config passed Validate")
+	}
+	_, info, err := RunShared(cfg, nil)
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("RunShared error %v, want %v", err, want)
+	}
+	if gets != 0 || info.Recycled || info.Fresh {
+		t.Fatalf("RunShared on an invalid Config: %d gets, info %+v", gets, info)
+	}
+}

@@ -69,7 +69,12 @@ type System struct {
 
 // NewSystem builds a system for cfg in newly allocated memory; the
 // workload's BaseCPI overrides the CPU config's.
-func NewSystem(cfg Config) (*System, error) { return newSystem(cfg, nil, nil) }
+func NewSystem(cfg Config) (*System, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return newSystem(cfg, nil, nil)
+}
 
 // storage is what a System whose run returned normally leaves for the
 // next one to be built in (DESIGN.md §6f "Recycled storage"): its
@@ -93,13 +98,10 @@ func (s *System) recyclable() *storage {
 	}
 }
 
-// newSystem builds a system whose data model, if it has one, shares
-// version-0 block sizes through sizes (nil keeps them private), in
-// old's storage (nil allocates it).
+// newSystem builds a system for a validated cfg whose data model, if it
+// has one, shares version-0 block sizes through sizes (nil keeps them
+// private), in old's storage (nil allocates it).
 func newSystem(cfg Config, sizes *workload.SizeRegistry, old *storage) (*System, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	prof, err := workload.ByName(cfg.Benchmark)
 	if err != nil {
 		return nil, err
@@ -109,7 +111,7 @@ func newSystem(cfg Config, sizes *workload.SizeRegistry, old *storage) (*System,
 	}
 	memCfg := cfg.Memory
 	memCfg.LinkCompression = cfg.LinkCompression
-	cdc := codec.MustByName(cfg.Codec) // validated above
+	cdc := codec.MustByName(cfg.Codec) // cfg is validated
 	s := &System{
 		cfg:      cfg,
 		prof:     prof,
@@ -200,9 +202,13 @@ type RunInfo struct {
 // its (seed, knob, codec). The System is built in storage a finished
 // RunShared left in the process-wide pool, when it holds one, and its
 // own storage goes back there if the run returns normally; a run that
-// panics or fails an audit drops it. Only this goroutine hands the
-// storage back, after the run, so no two live Systems share memory.
+// panics or fails an audit drops it, and an invalid cfg takes none.
+// Only this goroutine hands the storage back, after the run, so no two
+// live Systems share memory.
 func RunShared(cfg Config, sizes *workload.SizeRegistry) (m Metrics, info RunInfo, err error) {
+	if err := cfg.Validate(); err != nil {
+		return Metrics{}, info, err
+	}
 	old, _ := storages.Get().(*storage)
 	s, err := newSystem(cfg, sizes, old)
 	if err != nil {

@@ -1,9 +1,9 @@
-// Package memory models the off-chip memory system: the memory
-// controller reached over the pin link and a banked DRAM. Lines are
-// stored in memory in the form the processor sends across the interface
-// — compressed or uncompressed, with a bit encoded in the ECC recording
-// which (the paper's simple memory interface that does not change
-// effective memory capacity).
+// Package memory models the off-chip memory system: the pins (an
+// address and a data channel of 8-byte flits), the memory controller
+// and a banked DRAM. Lines are stored in memory in the form the
+// processor sends across the interface — compressed or uncompressed,
+// with a bit encoded in the ECC recording which (the paper's simple
+// memory interface that does not change effective memory capacity).
 //
 // Config latencies are expressed in cycles (the paper's units) and
 // quantized to the timing package's tick grid once, at New; all
@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"cmpsim/internal/cache"
-	"cmpsim/internal/link"
 	"cmpsim/internal/timing"
 )
 
@@ -54,8 +53,11 @@ func (c Config) Validate() error {
 	if _, err := timing.CostPerByte(c.LinkBytesPerCycle); err != nil {
 		return fmt.Errorf("memory: %v", err)
 	}
-	if c.DRAMLatency <= 0 || c.BankOccupancy < 0 {
+	if c.DRAMLatency <= 0 {
 		return fmt.Errorf("memory: DRAM latency must be positive")
+	}
+	if c.BankOccupancy < 0 {
+		return fmt.Errorf("memory: bank occupancy must be non-negative")
 	}
 	if c.Banks <= 0 {
 		return fmt.Errorf("memory: bank count must be positive")
@@ -63,7 +65,7 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// System is the controller + DRAM + link composite. The pins are
+// System is the pins + controller + DRAM composite. The pins are
 // modeled as two channels at the configured rate: a narrow address
 // channel carrying request messages, and the data channel carrying
 // fetch responses and writebacks (the direction whose queueing the
@@ -72,8 +74,8 @@ func (c Config) Validate() error {
 // at time t would queue behind a response slot reserved at t+400.
 type System struct {
 	cfg     Config
-	Addr    *link.Channel
-	Data    *link.Channel
+	addr    channel // request messages, header only
+	data    channel // fetch responses and writebacks
 	banks   *timing.Banks
 	dramLat timing.Tick
 
@@ -100,17 +102,23 @@ func New(cfg Config) *System {
 	if err != nil {
 		panic(fmt.Sprintf("memory: %v", err))
 	}
+	cost, _ := timing.CostPerByte(cfg.LinkBytesPerCycle) // Validate accepted it
 	return &System{
 		cfg:     cfg,
-		Addr:    link.NewChannel(cfg.LinkBytesPerCycle),
-		Data:    link.NewChannel(cfg.LinkBytesPerCycle),
+		addr:    channel{costPerByte: cost},
+		data:    channel{costPerByte: cost},
 		banks:   banks,
 		dramLat: timing.FromCycles(cfg.DRAMLatency),
 	}
 }
 
-// DataBusyTicks returns the data channel's cumulative occupancy.
-func (m *System) DataBusyTicks() timing.Tick { return m.Data.BusyTicks() }
+// DataTraffic returns the data channel's cumulative bytes, occupancy
+// and queueing delay: what the bandwidth-demand, utilization and link
+// queueing metrics read. The address channel's traffic is left out
+// (DESIGN.md §5).
+func (m *System) DataTraffic() (bytes uint64, busy, wait timing.Tick) {
+	return m.data.bytes, m.data.server.BusyTicks, m.data.server.WaitTicks
+}
 
 // flitsFor returns the payload flit count for a line of the given
 // compressed size under the active link-compression setting.
@@ -134,21 +142,19 @@ func (m *System) flitsFor(segs uint8) int {
 func (m *System) Fetch(now timing.Tick, addr cache.BlockAddr, segs uint8) timing.Tick {
 	m.Fetches++
 	// Request message: header only, on the address channel.
-	reqDone := m.Addr.Send(now, 0)
+	start, occ := m.addr.reserve(now, 0, true)
+	reqDone := start + occ
 	// DRAM bank access; the wait (if any) is fetch-path queueing.
-	start := m.banks.Acquire(uint64(addr), reqDone)
-	m.DRAMWaits += start - reqDone
-	dataReady := start + m.dramLat
+	bank := m.banks.Acquire(uint64(addr), reqDone)
+	m.DRAMWaits += bank - reqDone
+	dataReady := bank + m.dramLat
 	// Response: the bandwidth slot is claimed in request order (the
 	// controller pipelines transfers), but the data cannot leave before
 	// the DRAM produces it.
 	flits := m.flitsFor(segs)
 	m.FetchFlits += uint64(flits)
-	slot := m.Data.Reserve(reqDone, flits, true)
-	if slot < dataReady {
-		slot = dataReady
-	}
-	return slot + m.Data.Occupancy(flits)
+	slot, occ := m.data.reserve(reqDone, flits, true)
+	return timing.Max(slot, dataReady) + occ
 }
 
 // Writeback sends a dirty line to memory, consuming link bandwidth and
@@ -158,9 +164,9 @@ func (m *System) Writeback(now timing.Tick, addr cache.BlockAddr, segs uint8) ti
 	m.Writebacks++
 	flits := m.flitsFor(segs)
 	m.WriteFlits += uint64(flits)
-	done := m.Data.SendLow(now, flits)
-	start := m.banks.Acquire(uint64(addr), done)
-	return start + m.banks.Occupancy()
+	start, occ := m.data.reserve(now, flits, false)
+	bank := m.banks.Acquire(uint64(addr), start+occ)
+	return bank + m.banks.Occupancy()
 }
 
 // CheckInvariants verifies flit conservation across the memory system
@@ -170,27 +176,27 @@ func (m *System) Writeback(now timing.Tick, addr cache.BlockAddr, segs uint8) ti
 // fetch, and the DRAM banks' reservation state is sane. It returns the
 // first violation, or "".
 func (m *System) CheckInvariants() string {
-	if bad := m.Addr.CheckInvariants(); bad != "" {
+	if bad := m.addr.check(); bad != "" {
 		return "addr channel: " + bad
 	}
-	if bad := m.Data.CheckInvariants(); bad != "" {
+	if bad := m.data.check(); bad != "" {
 		return "data channel: " + bad
 	}
 	if bad := m.banks.CheckInvariants(); bad != "" {
 		return "dram banks: " + bad
 	}
-	if want := m.FetchFlits + m.WriteFlits; m.Data.PayloadFlits != want {
+	if want := m.FetchFlits + m.WriteFlits; m.data.flits != want {
 		return fmt.Sprintf("flit conservation: data channel carried %d payload flits but fetches (%d) + writebacks (%d) account for %d",
-			m.Data.PayloadFlits, m.FetchFlits, m.WriteFlits, want)
+			m.data.flits, m.FetchFlits, m.WriteFlits, want)
 	}
-	if m.Addr.PayloadFlits != 0 {
-		return fmt.Sprintf("address channel carried %d payload flits (requests are header-only)", m.Addr.PayloadFlits)
+	if m.addr.flits != 0 {
+		return fmt.Sprintf("address channel carried %d payload flits (requests are header-only)", m.addr.flits)
 	}
-	if m.Addr.Messages != m.Fetches {
-		return fmt.Sprintf("%d request messages for %d fetches", m.Addr.Messages, m.Fetches)
+	if m.addr.messages != m.Fetches {
+		return fmt.Sprintf("%d request messages for %d fetches", m.addr.messages, m.Fetches)
 	}
-	if m.Data.Messages != m.Fetches+m.Writebacks {
-		return fmt.Sprintf("%d data messages for %d fetches + %d writebacks", m.Data.Messages, m.Fetches, m.Writebacks)
+	if m.data.messages != m.Fetches+m.Writebacks {
+		return fmt.Sprintf("%d data messages for %d fetches + %d writebacks", m.data.messages, m.Fetches, m.Writebacks)
 	}
 	if m.banks.Grants() != m.Fetches+m.Writebacks {
 		return fmt.Sprintf("%d bank grants for %d fetches + %d writebacks", m.banks.Grants(), m.Fetches, m.Writebacks)

@@ -72,8 +72,8 @@ func TestWritebackConsumesLink(t *testing.T) {
 	if m.Writebacks != 1 || m.WriteFlits != 3 {
 		t.Fatalf("writeback stats: %+v", m)
 	}
-	if m.Data.TotalBytes != 8+3*8 {
-		t.Fatalf("data bytes = %d", m.Data.TotalBytes)
+	if m.data.bytes != 8+3*8 {
+		t.Fatalf("data bytes = %d", m.data.bytes)
 	}
 }
 
@@ -116,20 +116,24 @@ func TestInfiniteBandwidthMeasurementMode(t *testing.T) {
 		t.Fatalf("infinite-bw fetch = %v, want %gcy", done, cfg.DRAMLatency)
 	}
 	// Bytes are still counted for the bandwidth-demand metric.
-	if m.Data.TotalBytes == 0 {
+	if m.data.bytes == 0 {
 		t.Fatal("bytes must be accounted in measurement mode")
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{LinkBytesPerCycle: -1, DRAMLatency: 400, Banks: 16},
-		{LinkBytesPerCycle: 4, DRAMLatency: 0, Banks: 16},
-		{LinkBytesPerCycle: 4, DRAMLatency: 400, Banks: 0},
+	bad := []struct {
+		cfg  Config
+		want string // the error names the field at fault
+	}{
+		{Config{LinkBytesPerCycle: -1, DRAMLatency: 400, Banks: 16}, "memory: negative link bandwidth"},
+		{Config{LinkBytesPerCycle: 4, DRAMLatency: 0, Banks: 16}, "memory: DRAM latency must be positive"},
+		{Config{LinkBytesPerCycle: 4, DRAMLatency: 400, Banks: 16, BankOccupancy: -1}, "memory: bank occupancy must be non-negative"},
+		{Config{LinkBytesPerCycle: 4, DRAMLatency: 400, Banks: 0}, "memory: bank count must be positive"},
 	}
-	for i, cfg := range bad {
-		if cfg.Validate() == nil {
-			t.Errorf("config %d should fail validation", i)
+	for i, tc := range bad {
+		if err := tc.cfg.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("config %d: Validate() = %v, want %q", i, err, tc.want)
 		}
 		func() {
 			defer func() {
@@ -137,7 +141,7 @@ func TestConfigValidation(t *testing.T) {
 					t.Errorf("config %d should panic in New", i)
 				}
 			}()
-			New(cfg)
+			New(tc.cfg)
 		}()
 	}
 }

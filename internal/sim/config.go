@@ -81,10 +81,10 @@ type Config struct {
 	// did not override it.
 	Codec string
 
-	// L1 parameters (per core, I and D each).
-	L1Bytes     int
-	L1Ways      int
-	L1HitCycles float64
+	// L1 parameters (per core, I and D each). An L1 hit costs no
+	// latency of its own: it is folded into the core's BaseCPI.
+	L1Bytes int
+	L1Ways  int
 
 	// Shared L2.
 	L2Bytes             int
@@ -132,9 +132,9 @@ type Config struct {
 }
 
 // NewConfig returns the paper's baseline system (Table 1) for a
-// benchmark: 8 cores, 64 KB 4-way L1s (3-cycle), 4 MB 8-banked shared
-// L2 (15-cycle, +5 decompression), 20 GB/s pins, 400-cycle DRAM, all
-// mechanisms off.
+// benchmark: 8 cores, 64 KB 4-way L1s (hit time folded into the core's
+// BaseCPI), 4 MB 8-banked shared L2 (15-cycle, +5 decompression),
+// 20 GB/s pins, 400-cycle DRAM, all mechanisms off.
 func NewConfig(benchmark string) Config {
 	return Config{
 		Benchmark:    benchmark,
@@ -143,9 +143,8 @@ func NewConfig(benchmark string) Config {
 		WarmupInstr:  1_000_000,
 		MeasureInstr: 500_000,
 
-		L1Bytes:     64 * 1024,
-		L1Ways:      4,
-		L1HitCycles: 3,
+		L1Bytes: 64 * 1024,
+		L1Ways:  4,
 
 		L2Bytes:                4 << 20,
 		L2Ways:                 8,
@@ -187,8 +186,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: MeasureInstr must be positive")
 	case c.L1Bytes <= 0 || c.L1Ways <= 0:
 		return fmt.Errorf("sim: invalid L1 geometry")
-	case c.L1HitCycles <= 0:
-		return fmt.Errorf("sim: L1 hit latency must be positive")
 	case c.L1PrefetchDepth < 0 || c.L2PrefetchDepth < 0:
 		return fmt.Errorf("sim: prefetch depth overrides %d (L1) and %d (L2) must be non-negative (0 = the paper's default)",
 			c.L1PrefetchDepth, c.L2PrefetchDepth)

@@ -72,7 +72,6 @@ func fuzzConfig(in []byte) Config {
 	cfg.UncompressedVictimTags = int(b.next()%17) - int(b.next()/255)
 
 	// Latencies: mostly valid, the last choice of each list is not.
-	cfg.L1HitCycles = pick[float64](&b, 3, 1, 0.5, 2.25, 7, 0)
 	cfg.L2HitCycles = pick[float64](&b, 15, 1, 0.5, 30, 0)
 	cfg.DecompressionCycles = pick[float64](&b, 5, 0, 1, 8, 0.25, 1.0/3)
 	cfg.L2BankOccupancy = pick[float64](&b, 4, 0, 1.5, 40, -1)
@@ -105,11 +104,11 @@ func FuzzConfig(f *testing.F) {
 	// prefetch test, the miss profile, telemetry and a short audit
 	// cadence.
 	f.Add([]byte{9, 1, 7, 4, 40, 0x1E, 3, 3, 4, 2, 4, 1, 6, 4, 1, 0, 5, 15, 16, 0,
-		2, 3, 4, 2, 2, 1, 31, 3, 255, 31, 2, 1, 2})
+		3, 4, 2, 2, 1, 31, 3, 255, 31, 2, 1, 2})
 	// Cache compression with one tag per set under prefetching,
 	// infinite pins, the miss profile and sub-cycle latencies.
 	f.Add([]byte{4, 2, 255, 60, 60, 0x15, 1, 1, 1, 1, 3, 0, 0, 0, 0, 5, 9, 0, 0, 0,
-		2, 2, 4, 2, 1, 3, 0, 1, 0, 0, 0, 0, 0})
+		2, 4, 2, 1, 3, 0, 1, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		cfg := fuzzConfig(in)
 		if cfg.Validate() != nil {

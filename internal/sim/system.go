@@ -21,7 +21,7 @@ import (
 // reference generation, prefetch engines), the shared L2 (l2Stage:
 // banked, compressed or plain) and off-chip memory (memory.System: pin
 // link and DRAM banks). Each stage owns its timing state
-// (timing.Resource / timing.Banks / timing.Port) and its latency
+// (timing.Resource / timing.Banks) and its latency
 // constants, already quantized to ticks; System only orchestrates the
 // event order and the attribution counters. Core and bank counts are
 // free parameters: nothing assumes a specific core count or a
@@ -665,9 +665,7 @@ func (s *System) rawTotals() totals {
 	t.adHarmful += s.fe.adL2.HarmfulEvents
 	t.memFetches = s.mem.Fetches
 	t.memWritebacks = s.mem.Writebacks
-	t.linkBytes = s.mem.Data.TotalBytes // demand metric: data-bus bytes (addresses ride separate pins)
-	t.linkBusy = s.mem.DataBusyTicks()
-	t.linkQDelay = s.mem.Data.QueueDelay()
+	t.linkBytes, t.linkBusy, t.linkQDelay = s.mem.DataTraffic() // data bus only: addresses ride separate pins
 	t.dramQDelay = s.mem.DRAMWaits
 	t.effSizeSum = s.effSizeSum
 	t.effSizeN = s.effSizeN

@@ -6,7 +6,8 @@ import "fmt"
 // reservation: a grant requested at time t starts when the server
 // frees, occupies it for a caller-chosen duration, and delays every
 // later grant. L2 banks and DRAM banks use it directly (via Banks);
-// the pin link's two-priority Port builds on it through Grant.
+// the memory package's pin channels put their two-priority schedule in
+// front of it through Grant.
 //
 // Tie-break contract: grants are served in call order. Two requests
 // arriving at the same tick are ordered by which Acquire ran first —
@@ -32,10 +33,10 @@ func (r *Resource) Acquire(at, occ Tick) (start Tick) {
 }
 
 // Grant records a reservation whose start a policy layer has already
-// chosen (Port's demand-priority scheduler computes starts that the
-// plain FIFO rule of Acquire cannot express). It accounts the stats
-// and advances the busy horizon to at least start+occ. start must not
-// precede the request and occ must be non-negative.
+// chosen (the memory channels' demand-priority schedule computes starts
+// that the plain FIFO rule of Acquire cannot express). It accounts the
+// stats and advances the busy horizon to at least start+occ. start must
+// not precede the request and occ must be non-negative.
 func (r *Resource) Grant(requestedAt, start, occ Tick) {
 	if occ < 0 {
 		panic(fmt.Sprintf("timing: negative occupancy %v", occ))

@@ -12,7 +12,7 @@ import (
 // no non-test code calls them, each with a one-line reason.
 var allow = map[string]string{
 	"internal/faultinject.(*Injector).Fired": "core's fault tests assert how often each rule fired",
-	"internal/timing.FromIntCycles":          "audit, cpu, link and memory tests build exact whole-cycle ticks with it",
+	"internal/timing.FromIntCycles":          "audit, cpu, memory and timing tests build exact whole-cycle ticks with it",
 	"internal/workload.RefSource.Counts":     "source tests compare emission counters through the interface",
 }
 

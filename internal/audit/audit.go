@@ -8,9 +8,9 @@
 //
 //   - Off: no checking, zero overhead (the default).
 //   - Invariants: structural sweeps at event boundaries — per-set
-//     segment accounting, LRU/tag integrity, MSI inclusion and sharer
-//     bits, MSHR (in-flight table) sanity, stream-table bounds and link
-//     flit conservation.
+//     segment accounting, LRU/tag integrity, MSI inclusion and
+//     ownership, MSHR (in-flight table) sanity, stream-table bounds and
+//     link flit conservation.
 //   - Shadow: additionally runs a tiny functional reference model
 //     (address → last globally-ordered version, plus an FPC
 //     encode/decode roundtrip on every compressed L2 fill, resize and

@@ -121,7 +121,7 @@ func TestCheckRaisesOnlyOnDetail(t *testing.T) {
 	if v := capture(func() { a.Check("msi", 10, "") }); v != nil {
 		t.Fatalf("empty detail raised %v", v)
 	}
-	v := capture(func() { a.Check("msi", 10, "stale sharer bit") })
+	v := capture(func() { a.Check("msi", 10, "L1D[0] line 0x40 not in L2") })
 	if v == nil || v.Invariant != "msi" || v.Cycle != 10 || !errors.As(error(v), new(*Violation)) {
 		t.Fatalf("violation = %+v", v)
 	}

@@ -3,8 +3,8 @@
 // word per way) and the shared L2 (L2), a decoupled variable-segment
 // cache that is built either compressed or plain, as the conventional
 // set-associative uncompressed baseline. The L2 packs each tag into a
-// tag word, a sharer word and a 2-byte metadata entry, 18 bytes in
-// all, and keeps a set's words in one block.
+// tag word and a 2-byte metadata entry, 10 bytes in all, and keeps a
+// set's tag words contiguous (64 bytes at the paper's 8 tags).
 //
 // All caches operate on 64-byte block addresses (BlockAddr). They are
 // purely functional state machines: hits, fills, evictions and
@@ -59,8 +59,11 @@ const (
 	maxAddr  = BlockAddr(1)<<addrBits - 1
 )
 
-// MaxCores is the most cores a hierarchy can track: the width of each
-// half of a shared-L2 sharer word (Sharers | ISharers<<32).
+// MaxCores is the most cores a hierarchy can be built with, the range
+// sim.Config.Validate and the commands' -cores flags accept. The
+// paper's CMPs have 8 and its core-count study goes to 16. No cache
+// structure depends on the bound: the L2 keeps no sharer bits, and
+// coherence finds on-chip copies by probing the L1s.
 const MaxCores = 32
 
 // Line is a shared-L2 line as a value: what Fill and Resize report for
@@ -69,8 +72,6 @@ const MaxCores = 32
 // from the owner's dirty L1D copy, which the eviction invalidates.
 type Line struct {
 	Addr     BlockAddr
-	Sharers  uint32 // bitmask of cores whose L1D holds the line
-	ISharers uint32 // bitmask of cores whose L1I holds the line
 	Dirty    bool
 	Prefetch bool  // set while a prefetched line is unreferenced (paper §3)
 	PfBy     uint8 // prefetcher that brought the line (0 none; see coherence.PfSource)

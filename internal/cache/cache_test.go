@@ -38,25 +38,26 @@ func TestNewSetAssocRejectsBadGeometry(t *testing.T) {
 	mustPanic("non-pow2 sets", func() { NewUncompressedL2(3*64*LineBytes, 4, 0) })
 }
 
-// TestL2Footprint pins the shared L2's host storage: 18 bytes a tag
-// (a tag word, a sharer word and a 2-byte metadata entry), which every
-// access reads and every build clears. The paper's 4 MB compressed L2
-// has 131,072 tags in 2.25 MB of them; the 4 MB 8-way plain L2 has
-// 65,536. Beside them each set keeps a 4-byte segment count, and a
-// plain L2 with victim tags a FIFO of them and its 4-byte length.
+// TestL2Footprint pins the shared L2's host storage: 10 bytes a tag
+// (a tag word and a 2-byte metadata entry), which every access reads
+// and every build clears. The paper's 4 MB compressed L2 has 131,072
+// tags; the 4 MB 8-way plain L2 has 65,536. Beside them each set keeps
+// a 4-byte segment count, and a plain L2 with victim tags a FIFO of
+// them and its 4-byte length. In all, the paper's compressed L2 takes
+// 1,376,256 host bytes and the plain L2 with 4 victim tags 983,040.
 func TestL2Footprint(t *testing.T) {
-	const tagBytes = 18
-	if got := 2*unsafe.Sizeof(uint64(0)) + unsafe.Sizeof(tagMeta{}); got != tagBytes {
+	const tagBytes = 10
+	if got := unsafe.Sizeof(uint64(0)) + unsafe.Sizeof(tagMeta{}); got != tagBytes {
 		t.Fatalf("a tag is %d bytes of storage, want %d", got, tagBytes)
 	}
 	for _, tc := range []struct {
-		name        string
-		c           *Compressed
-		sets, vtags int
+		name               string
+		c                  *Compressed
+		sets, vtags, total int
 	}{
-		{"compressed 4 MB, 8 tags", NewCompressedL2(4<<20, 8, 32), 16384, 0},
-		{"plain 4 MB, 8 ways", NewUncompressedL2(4<<20, 8, 0), 8192, 0},
-		{"plain 4 MB, 8 ways, 4 victim tags", NewUncompressedL2(4<<20, 8, 4), 8192, 4},
+		{"compressed 4 MB, 8 tags", NewCompressedL2(4<<20, DefaultTagsPerSet, DefaultSegsPerSet), 16384, 0, 1_376_256},
+		{"plain 4 MB, 8 ways", NewUncompressedL2(4<<20, 8, 0), 8192, 0, 688_128},
+		{"plain 4 MB, 8 ways, 4 victim tags", NewUncompressedL2(4<<20, 8, 4), 8192, 4, 983_040},
 	} {
 		c := tc.c
 		tags := tc.sets * c.tags
@@ -68,10 +69,9 @@ func TestL2Footprint(t *testing.T) {
 		if want := tc.sets * (4 + tc.vtags*8 + min(tc.vtags, 1)*4); perSet != want {
 			t.Errorf("%s: %d bytes of per-set storage, want %d", tc.name, perSet, want)
 		}
-	}
-	const paperMax = 9 << 18 // 2.25 MB
-	if c := NewCompressedL2(4<<20, DefaultTagsPerSet, DefaultSegsPerSet); len(c.blocks)*8+len(c.meta)*2 > paperMax {
-		t.Errorf("the paper's 4 MB compressed L2 holds %d bytes of tags, more than %d", len(c.blocks)*8+len(c.meta)*2, paperMax)
+		if perTag+perSet != tc.total {
+			t.Errorf("%s: %d host bytes in all, want %d", tc.name, perTag+perSet, tc.total)
+		}
 	}
 }
 

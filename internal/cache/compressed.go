@@ -34,17 +34,17 @@ type L2 = *Compressed
 // "4-way to 8-way"), i.e. 32 segments per set, which also matches the
 // decoupled variable-segment cache of the ISCA 2004 paper.
 //
-// A tag is 18 bytes of storage: a tag word, a sharer word (Sharers |
-// ISharers<<32) and a tagMeta entry. Set si's block in blocks is its
-// tag words followed by its sharer words, each run ordered MRU first,
-// so at the paper's 8 tags a set is 128 bytes, two host cache lines;
-// meta holds the set's entries in the same order. Lookups, free-tag
-// tests and victim matches scan only the tag words, and a touch
-// rotates all three runs. segsUsed and valid cache the per-set segment
-// occupancy and the valid-line count that the packing and sampling
-// paths would otherwise recompute.
+// A tag is 10 bytes of storage: a tag word and a tagMeta entry. It
+// keeps no sharer bits: the L1s themselves are the directory
+// (internal/coherence probes them). Set si's tag words, ordered MRU
+// first, are blocks[si*tags:][:tags], so at the paper's 8 tags a set
+// is 64 bytes, one host cache line; meta holds the set's entries in
+// the same order. Lookups, free-tag tests and victim matches scan only
+// the tag words, and a touch rotates both runs. segsUsed and valid
+// cache the per-set segment occupancy and the valid-line count that
+// the packing and sampling paths would otherwise recompute.
 type Compressed struct {
-	blocks   []uint64  // set si is blocks[si*2*tags:][:2*tags]
+	blocks   []uint64  // set si's tag words are blocks[si*tags:][:tags]
 	meta     []tagMeta // set si is meta[si*tags:][:tags]
 	segsUsed []int32   // per-set occupied data segments
 	// victims holds each set's replaced addresses, oldest first, in a
@@ -92,13 +92,13 @@ type tagMeta struct{ segs, owner uint8 }
 
 // LineRef is a handle on one valid line of the shared L2: Lookup,
 // Access, Fill and Touch return one, and ForEachValid passes one to its
-// callback. It reads and writes the line's tag word, sharer word and
-// metadata entry in place, and is valid until its set next mutates.
+// callback. It reads and writes the line's tag word and metadata entry
+// in place, and is valid until its set next mutates.
 // The zero LineRef refers to no line; Lookup returns it for an absent
 // block.
 type LineRef struct {
-	tag, sh *uint64
-	m       *tagMeta
+	tag *uint64
+	m   *tagMeta
 }
 
 // Valid reports whether r refers to a line.
@@ -120,6 +120,10 @@ func (r LineRef) Prefetch() bool { return *r.tag&tagPrefetch != 0 }
 
 // ClearPrefetch clears the prefetch bit.
 func (r LineRef) ClearPrefetch() { *r.tag &^= tagPrefetch }
+
+// MarkPrefetch sets the prefetch bit of a resident line (fault
+// injection; Fill is how a prefetched line arrives).
+func (r LineRef) MarkPrefetch() { *r.tag |= tagPrefetch }
 
 // PfBy returns the prefetcher that brought the line (0 none; see
 // coherence.PfSource).
@@ -144,25 +148,11 @@ func (r LineRef) Owner() int { return int(r.m.owner) - 1 }
 // that no core does.
 func (r LineRef) SetOwner(c int) { r.m.owner = uint8(c + 1) }
 
-// Sharers returns the bitmask of cores whose L1D holds the line.
-func (r LineRef) Sharers() uint32 { return uint32(*r.sh) }
-
-// ISharers returns the bitmask of cores whose L1I holds the line.
-func (r LineRef) ISharers() uint32 { return uint32(*r.sh >> 32) }
-
-// SetSharers replaces the L1D sharer bitmask.
-func (r LineRef) SetSharers(m uint32) { *r.sh = *r.sh&^(1<<32-1) | uint64(m) }
-
-// SetISharers replaces the L1I sharer bitmask.
-func (r LineRef) SetISharers(m uint32) { *r.sh = uint64(uint32(*r.sh)) | uint64(m)<<32 }
-
 // Line returns the line as a value.
 func (r LineRef) Line() Line {
-	t, s := *r.tag, *r.sh
+	t := *r.tag
 	return Line{
 		Addr:     BlockAddr(t) & maxAddr,
-		Sharers:  uint32(s),
-		ISharers: uint32(s >> 32),
 		Dirty:    t&tagDirty != 0,
 		Prefetch: t&tagPrefetch != 0,
 		PfBy:     uint8(t >> tagPfByShift & 3),
@@ -196,7 +186,7 @@ func RecycleCompressedL2(old L2, dataBytes, tagsPerSet, dataSegsPerSet int) L2 {
 		c = new(Compressed)
 	}
 	*c = Compressed{
-		blocks:   recycled(c.blocks, 2*nsets*tagsPerSet),
+		blocks:   recycled(c.blocks, nsets*tagsPerSet),
 		meta:     recycled(c.meta, nsets*tagsPerSet),
 		segsUsed: recycled(c.segsUsed, nsets),
 		victims:  c.victims[:0], // kept for a later plain build
@@ -240,21 +230,20 @@ func (c *Compressed) setIndex(a BlockAddr) int { return int(a & c.setMask) }
 
 // tagWords returns set si's tag words.
 func (c *Compressed) tagWords(si int) []uint64 {
-	b := si * 2 * c.tags
+	b := si * c.tags
 	return c.blocks[b : b+c.tags : b+c.tags]
 }
 
-// set returns set si's tag words, sharer words and metadata entries.
-func (c *Compressed) set(si int) (tg, sh []uint64, m []tagMeta) {
-	b, n := si*2*c.tags, c.tags
-	blk, mo := c.blocks[b:b+2*n:b+2*n], si*n
-	return blk[:n:n], blk[n:], c.meta[mo : mo+n : mo+n]
+// set returns set si's tag words and metadata entries.
+func (c *Compressed) set(si int) (tg []uint64, m []tagMeta) {
+	b := si * c.tags
+	return c.blocks[b : b+c.tags : b+c.tags], c.meta[b : b+c.tags : b+c.tags]
 }
 
 // ref returns the handle on tag i of set si.
 func (c *Compressed) ref(si, i int) LineRef {
-	b := si*2*c.tags + i
-	return LineRef{tag: &c.blocks[b], sh: &c.blocks[b+c.tags], m: &c.meta[si*c.tags+i]}
+	b := si*c.tags + i
+	return LineRef{tag: &c.blocks[b], m: &c.meta[b]}
 }
 
 // findWay scans set si's tag words for a valid line holding a and
@@ -296,7 +285,7 @@ func (c *Compressed) Access(a BlockAddr) (ln LineRef, wasPrefetch, compressed, o
 		c.Stats.Misses++
 		return LineRef{}, false, false, false
 	}
-	tg, _, m := c.set(si)
+	tg, m := c.set(si)
 	if wasPrefetch = tg[i]&tagPrefetch != 0; wasPrefetch {
 		tg[i] &^= tagPrefetch
 		c.Stats.PrefetchHits++
@@ -309,12 +298,10 @@ func (c *Compressed) Access(a BlockAddr) (ln LineRef, wasPrefetch, compressed, o
 }
 
 // touch moves tag i of set si to the MRU position, rotating the set's
-// tag words, sharer words and metadata entries alike, and returns its
-// handle.
+// tag words and metadata entries alike, and returns its handle.
 func (c *Compressed) touch(si, i int) LineRef {
-	tg, sh, m := c.set(si)
+	tg, m := c.set(si)
 	promote(tg, i, tg[i])
-	promote(sh, i, sh[i])
 	promote(m, i, m[i])
 	return c.ref(si, 0)
 }
@@ -352,7 +339,7 @@ func (c *Compressed) Fill(a BlockAddr, segs uint8, prefetch bool, vbuf []Line) (
 	c.Stats.Fills++
 	victims = c.makeRoom(si, int(segs), vbuf)
 	// Claim the least-recently-used invalid tag (there is one now).
-	tg, sh, m := c.set(si)
+	tg, m := c.set(si)
 	vi := -1
 	for i := len(tg) - 1; i >= 0; i-- {
 		if tg[i]&tagValid == 0 {
@@ -367,7 +354,7 @@ func (c *Compressed) Fill(a BlockAddr, segs uint8, prefetch bool, vbuf []Line) (
 	if prefetch {
 		t |= tagPrefetch
 	}
-	tg[vi], sh[vi], m[vi] = t, 0, tagMeta{segs: segs}
+	tg[vi], m[vi] = t, tagMeta{segs: segs}
 	c.segsUsed[si] += int32(segs)
 	c.valid++
 	return victims, c.touch(si, vi)
@@ -416,8 +403,8 @@ func (c *Compressed) makeRoom(si, need int, vbuf []Line) []Line {
 // victim FIFO, if the set has one, records it too.
 func (c *Compressed) drop(si, i int) Line {
 	ln := c.ref(si, i).Line()
-	tg, sh, m := c.set(si)
-	tg[i], sh[i], m[i] = uint64(ln.Addr)|tagVictim, 0, tagMeta{}
+	tg, m := c.set(si)
+	tg[i], m[i] = uint64(ln.Addr)|tagVictim, tagMeta{}
 	c.segsUsed[si] -= int32(ln.Segs)
 	c.valid--
 	if c.vtags > 0 {
@@ -453,7 +440,7 @@ func (c *Compressed) Resize(a BlockAddr, segs uint8, vbuf []Line) (victims []Lin
 	if idx == -1 {
 		return vbuf, false
 	}
-	tg, _, m := c.set(si)
+	tg, m := c.set(si)
 	old := m[idx].segs
 	if segs <= old {
 		m[idx].segs = segs
@@ -560,7 +547,7 @@ func (c *Compressed) ForEachValid(fn func(LineRef)) {
 
 // CheckInvariants validates internal consistency (test and audit
 // support): an invalid tag word is 0 or a victim address with no other
-// bit and its sharer word and metadata entry are zero, no valid word
+// bit and its metadata entry is zero, no valid word
 // carries the victim bit, valid lines have legal sizes (MaxSegs in a
 // plain L2) and map to their set, no set holds an address twice, the
 // segment budget holds, and the per-set segment counts and the
@@ -569,16 +556,16 @@ func (c *Compressed) ForEachValid(fn func(LineRef)) {
 func (c *Compressed) CheckInvariants() string {
 	nvalid := 0
 	for si := range c.segsUsed {
-		tg, sh, m := c.set(si)
+		tg, m := c.set(si)
 		used := 0
 		for i, t := range tg {
 			if t&tagValid == 0 {
 				if t&^(tagVictim|uint64(maxAddr)) != 0 {
 					return fmt.Sprintf("set %d tag %d: invalid tag word %#x carries line-state bits", si, i, t)
 				}
-				if sh[i] != 0 || m[i] != (tagMeta{}) {
-					return fmt.Sprintf("set %d tag %d: invalid tag not reset (segs %d owner %d sharers %#x)",
-						si, i, m[i].segs, int(m[i].owner)-1, sh[i])
+				if m[i] != (tagMeta{}) {
+					return fmt.Sprintf("set %d tag %d: invalid tag not reset (segs %d owner %d)",
+						si, i, m[i].segs, int(m[i].owner)-1)
 				}
 				continue
 			}
@@ -626,7 +613,7 @@ func (c *Compressed) CheckInvariants() string {
 // one that fires. It reports whether a suitable set was found.
 func (c *Compressed) InjectDuplicateTag() bool {
 	for si := range c.segsUsed {
-		tg, _, m := c.set(si)
+		tg, m := c.set(si)
 		vi, ii := -1, -1
 		for i, t := range tg {
 			if t&tagValid != 0 && vi == -1 {

@@ -297,7 +297,6 @@ func TestCompressedCheckInvariantsCatchesCorruption(t *testing.T) {
 	for name, corrupt := range map[string]func(c *Compressed){
 		"invalid tag with line-state bits": func(c *Compressed) { c.blocks[7] = tagDirty },
 		"victim tag with line-state bits":  func(c *Compressed) { c.blocks[7] = 9 | tagVictim | tagPrefetch },
-		"invalid tag with sharers":         func(c *Compressed) { c.blocks[8+7] = 1 },
 		"invalid tag with an owner":        func(c *Compressed) { c.meta[7].owner = 1 },
 		"valid word with the victim bit":   func(c *Compressed) { c.blocks[0] |= tagVictim },
 		"zero segments":                    func(c *Compressed) { c.meta[0].segs = 0 },

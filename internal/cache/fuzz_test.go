@@ -47,7 +47,7 @@ func rebuildGeom(b byte) l2Geom {
 func sameL2(got, want *Compressed) string {
 	switch {
 	case !slices.Equal(got.blocks, want.blocks):
-		return "tag and sharer words differ"
+		return "tag words differ"
 	case !slices.Equal(got.meta, want.meta):
 		return "metadata entries differ"
 	case !slices.Equal(got.segsUsed, want.segsUsed):
@@ -66,8 +66,7 @@ func sameL2(got, want *Compressed) string {
 // refView is what the reference L2 says of one valid line, in
 // Compressed's terms.
 func refView(ln *refLine) (Line, int) {
-	return Line{Addr: ln.Addr, Sharers: ln.Sharers, ISharers: ln.ISharers, Dirty: ln.Dirty,
-		Prefetch: ln.Prefetch, PfBy: ln.PfBy, Segs: ln.Segs}, ln.Owner()
+	return Line{Addr: ln.Addr, Dirty: ln.Dirty, Prefetch: ln.Prefetch, PfBy: ln.PfBy, Segs: ln.Segs}, ln.Owner()
 }
 
 // sameLine describes how the line behind r differs from the reference
@@ -161,8 +160,8 @@ func sameAsRef(c *Compressed, ref *refL2) string {
 // Every operation must answer as the reference does: hit or miss, the
 // returned line's every field, the victims in order, a victim match.
 // A fill records a PfBy in the new line, and a touch that hits writes
-// the line's sharers, owner and dirty bit and may clear its prefetch
-// bit, through the handle on one side and the Line on the other. After
+// the line's owner and dirty bit and may clear its prefetch bit,
+// through the handle on one side and the Line on the other. After
 // each operation the two must agree on the statistics, the valid lines
 // in ForEachValid's order (set by set, most recently used first, so in
 // both modes the LRU order), each set's victim history in tag order and
@@ -220,9 +219,9 @@ func FuzzCompressedSetOps(f *testing.F) {
 	f.Add(uint8(1), []byte{0x00, 0x00, 0x00, 0x01, 0x0f, 0xf0, 0x00, 0x00, 0x00, 0x02, 0x00, 0x04,
 		0x00, 0x06, 0x00, 0x08, 0x00, 0x0a, 0x04, 0x00, 0x0d, 0xf3, 0x00, 0x01, 0x04, 0x01})
 	// Metadata through the handle. Compressed: four fills (the last a
-	// prefetch), a touch of the LRU line that writes its sharers, owner
-	// and dirty bit, an access, a touch that clears the prefetch bit,
-	// then uncompressed fills and a resize that evict the written lines.
+	// prefetch), a touch of the LRU line that writes its owner and dirty
+	// bit, an access, a touch that clears the prefetch bit, then
+	// uncompressed fills and a resize that evict the written lines.
 	f.Add(uint8(0), []byte{0x0f, 0x01, 0x0f, 0x02, 0x0f, 0x03, 0x82, 0x04, 0x44, 0x01, 0x02, 0x03,
 		0x85, 0x04, 0x02, 0x01, 0x23, 0x05, 0x23, 0x06, 0x23, 0x07, 0x24, 0x01, 0x23, 0x08, 0x04, 0x02})
 	// Plain with a 3-entry FIFO: the same writes, then fills that evict
@@ -421,11 +420,8 @@ func FuzzCompressedSetOps(f *testing.F) {
 				if !present {
 					break
 				}
-				b := uint32(ops[i])
-				ln.SetSharers(b<<1 | 1)
-				ln.SetISharers(b >> 3)
+				b := ops[i]
 				ln.SetOwner(int(b%7) - 1)
-				rln.Sharers, rln.ISharers = b<<1|1, b>>3
 				rln.SetOwner(int(b%7) - 1)
 				if b&0x40 != 0 {
 					ln.MarkDirty()

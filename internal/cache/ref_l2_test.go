@@ -3,22 +3,20 @@ package cache
 import "fmt"
 
 // This file keeps the shared L2 as it was before its storage was
-// packed into two words and a 2-byte entry per tag, as the reference
+// packed into a tag word and a 2-byte entry per tag, as the reference
 // FuzzCompressedSetOps checks Compressed against step for step: refL2
-// stores each tag as a 24-byte refLine in one array and mirrors it in
-// a second array of tag words, refTagValid|Addr for a valid line and
+// stores each tag as a refLine in one array and mirrors it in a second
+// array of tag words, refTagValid|Addr for a valid line and
 // refTagVictim|Addr for a victim tag. Its logic is unchanged; only its
-// names differ, and the methods no test calls are left out.
+// names differ, the sharer masks Compressed no longer keeps are gone,
+// and the methods no test calls are left out.
 
-// refLine is one shared-L2 tag and its metadata: Sharers/ISharers and the
-// owner (Owner, SetOwner) track on-chip L1 copies and Segs the
-// compressed size. The zero refLine is an empty tag, so clearing the tag
-// array builds an empty cache. The 4-byte fields sit ahead of the
-// 1-byte ones so the struct packs into 24 bytes (TestLineSize pins it).
+// refLine is one shared-L2 tag and its metadata: the owner (Owner,
+// SetOwner) tracks the on-chip modified copy and Segs the compressed
+// size. The zero refLine is an empty tag, so clearing the tag array
+// builds an empty cache.
 type refLine struct {
 	Addr     BlockAddr
-	Sharers  uint32 // bitmask of cores whose L1D holds the line
-	ISharers uint32 // bitmask of cores whose L1I holds the line
 	Valid    bool
 	Dirty    bool
 	Prefetch bool  // set while a prefetched line is unreferenced (paper §3)
@@ -516,7 +514,7 @@ func (c *refL2) CheckInvariants() string {
 					si, i, uint64(got), uint64(want))
 			}
 			if !set[i].Valid {
-				if set[i].Segs != 0 || set[i].Dirty || set[i].Prefetch || set[i].Sharers != 0 || set[i].ISharers != 0 {
+				if set[i].Segs != 0 || set[i].Dirty || set[i].Prefetch {
 					return fmt.Sprintf("set %d tag %d: invalid tag not reset (segs %d dirty %v pf %v)",
 						si, i, set[i].Segs, set[i].Dirty, set[i].Prefetch)
 				}

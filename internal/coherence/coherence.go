@@ -1,9 +1,10 @@
 // Package coherence implements the on-chip memory hierarchy of the
 // paper's baseline CMP: per-core private write-back L1 instruction and
 // data caches kept coherent with an inclusive shared L2 by an MSI
-// protocol. The L2 holds full knowledge of on-chip L1 sharers via
-// per-line sharer bits; L1s communicate with memory only through the
-// shared L2.
+// protocol. The L2 records each line's owner but keeps no sharer bits:
+// the L1s are the directory, and a coherence action finds a block's
+// on-chip copies by probing every core's L1 in ascending core order.
+// L1s communicate with memory only through the shared L2.
 //
 // The hierarchy is a functional state machine: Access, PrefetchL1 and
 // PrefetchL2 mutate cache state and return an AccessResult describing
@@ -15,7 +16,6 @@ package coherence
 
 import (
 	"fmt"
-	"math/bits"
 
 	"cmpsim/internal/cache"
 )
@@ -152,10 +152,6 @@ type Hierarchy struct {
 	vbuf []cache.Line      // scratch victim buffer
 	wbuf []cache.BlockAddr // scratch writeback buffer
 
-	// coreBits masks sharer bits to the configured cores. The protocol
-	// walks only these; a bit beyond them is left for AuditMSI to report.
-	coreBits uint32
-
 	// OnL2Size, when non-nil, observes every L2 fill and resize with the
 	// stored segment count (audit support: the shadow checker records
 	// and verifies sizes at the only sites allowed to change them).
@@ -185,7 +181,7 @@ func Recycle(old *Hierarchy, cfg Config) *Hierarchy {
 	if cfg.L2 == nil || cfg.Size == nil {
 		panic("coherence: L2 and Size are required")
 	}
-	h := &Hierarchy{cfg: cfg, L2: cfg.L2, size: cfg.Size, coreBits: uint32(1)<<uint(cfg.Cores) - 1}
+	h := &Hierarchy{cfg: cfg, L2: cfg.L2, size: cfg.Size}
 	if old == nil {
 		old = &Hierarchy{}
 	}
@@ -249,12 +245,13 @@ func (h *Hierarchy) Access(core int, kind Kind, a cache.BlockAddr) AccessResult 
 			}
 		}
 		if kind == Store && !ln.Dirty() {
-			// Upgrade: invalidate other sharers through the L2 directory.
+			// Upgrade: invalidate the other cores' L1D copies.
 			r.StoreUpgrade = true
 			h.StoreUpgrades++
-			r.Invalidations += h.invalidateOtherSharers(core, a)
+			l2ln := h.L2.Lookup(a)
+			r.Invalidations += h.invalidateOthers(l2ln, core, a)
 			l1.SetDirty(a, true)
-			if l2ln := h.L2.Lookup(a); l2ln.Valid() {
+			if l2ln.Valid() {
 				l2ln.SetOwner(core)
 			}
 		}
@@ -296,12 +293,14 @@ func (h *Hierarchy) Access(core int, kind Kind, a cache.BlockAddr) AccessResult 
 		l2ln = inserted
 	}
 
-	// Coherence action for the requester.
+	// Coherence action for the requester. A block the L2 missed has no
+	// L1 copy to invalidate (inclusion), so only a hit walks the L1Ds.
 	if kind == Store {
-		r.Invalidations += h.invalidateOtherSharersLine(l2ln, core, a)
+		if ok {
+			r.Invalidations += h.invalidateOthers(l2ln, core, a)
+		}
 		l2ln.SetOwner(core)
 	}
-	h.addSharer(l2ln, core, kind)
 
 	// Fill the L1; a dirty victim is written back into the L2.
 	h.fillL1(l1, core, kind, a, false, PfNone, &r)
@@ -320,50 +319,43 @@ func (h *Hierarchy) clampSegs(s uint8) uint8 {
 	return s
 }
 
-// addSharer records core in the L2 line's sharer bits.
-func (h *Hierarchy) addSharer(ln cache.LineRef, core int, kind Kind) {
-	if kind == IFetch {
-		ln.SetISharers(ln.ISharers() | 1<<uint(core))
-	} else {
-		ln.SetSharers(ln.Sharers() | 1<<uint(core))
-	}
-}
-
-// invalidateOtherSharers invalidates every other core's L1D copy of a,
-// using the L2 directory bits. Returns the number of invalidations.
-func (h *Hierarchy) invalidateOtherSharers(core int, a cache.BlockAddr) int {
-	ln := h.L2.Lookup(a)
-	return h.invalidateOtherSharersLine(ln, core, a)
-}
-
-func (h *Hierarchy) invalidateOtherSharersLine(ln cache.LineRef, core int, a cache.BlockAddr) int {
+// invalidateOthers invalidates every other core's L1D copy of a, whose
+// L2 line is ln, and returns how many it invalidated. A remote modified
+// copy's data comes back to the L2, and a remote owner loses ownership.
+func (h *Hierarchy) invalidateOthers(ln cache.LineRef, core int, a cache.BlockAddr) int {
 	if !ln.Valid() {
 		return 0
 	}
-	n := 0
-	sharers := ln.Sharers()
-	for m := sharers & h.coreBits &^ (1 << uint(core)); m != 0; m &= m - 1 {
-		c := bits.TrailingZeros32(m)
-		if old := h.L1D[c].Invalidate(a); old.Valid() {
-			n++
-			h.CoherenceInval++
-			if old.Dirty() {
-				// The remote M copy's data comes back to the L2.
-				ln.MarkDirty()
-			}
-		}
-		sharers &^= 1 << uint(c)
+	n, dirty := invalidateAll(h.L1D, core, a)
+	h.CoherenceInval += uint64(n)
+	if dirty {
+		ln.MarkDirty()
 	}
-	ln.SetSharers(sharers)
 	if o := ln.Owner(); o >= 0 && o != core {
 		ln.SetOwner(-1)
 	}
 	return n
 }
 
-// fillL1 inserts a into core's L1 for kind, handling the dirty victim
-// writeback into the L2 (with recompression/resize) and sharer-bit
-// bookkeeping for the replaced line.
+// invalidateAll invalidates a in every L1 of l1s except core skip's
+// (-1 skips none), in ascending core order, and returns how many copies
+// it removed and whether one of them was modified.
+func invalidateAll(l1s []*cache.L1, skip int, a cache.BlockAddr) (n int, dirty bool) {
+	for c, l1 := range l1s {
+		if c == skip {
+			continue
+		}
+		if old := l1.Invalidate(a); old.Valid() {
+			n++
+			dirty = dirty || old.Dirty()
+		}
+	}
+	return n, dirty
+}
+
+// fillL1 inserts a into core's L1 for kind and writes a dirty victim
+// back into the L2 (with recompression/resize). A clean victim leaves
+// silently: no L2 state records which L1s hold a line.
 func (h *Hierarchy) fillL1(l1 *cache.L1, core int, kind Kind, a cache.BlockAddr, prefetch bool, by PfSource, r *AccessResult) {
 	victim := l1.Fill(a, prefetch, kind == Store && !prefetch, uint8(by))
 	if !victim.Valid() {
@@ -372,35 +364,30 @@ func (h *Hierarchy) fillL1(l1 *cache.L1, core int, kind Kind, a cache.BlockAddr,
 	if victim.Prefetch() {
 		r.L1UselessEvict++
 	}
-	// Non-silent eviction: clear the sharer bit; write dirty data back.
+	if !victim.Dirty() {
+		return
+	}
 	va := victim.Addr()
-	if l2ln := h.L2.Lookup(va); l2ln.Valid() {
-		if kind == IFetch {
-			l2ln.SetISharers(l2ln.ISharers() &^ (1 << uint(core)))
-		} else {
-			l2ln.SetSharers(l2ln.Sharers() &^ (1 << uint(core)))
-		}
-		if victim.Dirty() {
-			h.L1Writebacks++
-			r.L1DirtyVictim = true
-			l2ln.MarkDirty()
-			if l2ln.Owner() == core {
-				l2ln.SetOwner(-1)
-			}
-			if h.L2.StoresCompressed() {
-				// Recompress: the stored size tracks current contents.
-				segs := h.clampSegs(h.size(va))
-				h.vbuf = h.vbuf[:0]
-				victims, _ := h.L2.Resize(va, segs, h.vbuf)
-				h.vbuf = victims
-				h.noteL2Size(va, segs)
-				h.handleL2Victims(victims, r)
-			}
-		}
-	} else if victim.Dirty() {
+	l2ln := h.L2.Lookup(va)
+	if !l2ln.Valid() {
 		// Inclusion guarantees the L2 holds every L1 line; a missing
 		// dirty victim indicates a protocol bug.
 		panic(fmt.Sprintf("coherence: dirty L1 victim %#x absent from L2", uint64(va)))
+	}
+	h.L1Writebacks++
+	r.L1DirtyVictim = true
+	l2ln.MarkDirty()
+	if l2ln.Owner() == core {
+		l2ln.SetOwner(-1)
+	}
+	if h.L2.StoresCompressed() {
+		// Recompress: the stored size tracks current contents.
+		segs := h.clampSegs(h.size(va))
+		h.vbuf = h.vbuf[:0]
+		victims, _ := h.L2.Resize(va, segs, h.vbuf)
+		h.vbuf = victims
+		h.noteL2Size(va, segs)
+		h.handleL2Victims(victims, r)
 	}
 }
 
@@ -414,21 +401,15 @@ func (h *Hierarchy) handleL2Victims(victims []cache.Line, r *AccessResult) {
 		if v.Prefetch {
 			r.L2UselessEvict++
 		}
-		// Inclusion: invalidate every L1 copy.
-		for m := v.Sharers & h.coreBits; m != 0; m &= m - 1 {
-			if old := h.L1D[bits.TrailingZeros32(m)].Invalidate(v.Addr); old.Valid() {
-				h.InclusionInval++
-				r.Invalidations++
-				if old.Dirty() {
-					dirty = true
-				}
-			}
-		}
-		for m := v.ISharers & h.coreBits; m != 0; m &= m - 1 {
-			if old := h.L1I[bits.TrailingZeros32(m)].Invalidate(v.Addr); old.Valid() {
-				h.InclusionInval++
-				r.Invalidations++
-			}
+		// Inclusion: invalidate every L1 copy, the L1Ds then the L1Is.
+		// An unreferenced L2-engine prefetch has none (AuditMSI checks
+		// that no L1 holds one), so its walk is skipped.
+		if !v.Prefetch || PfSource(v.PfBy) != PfL2 {
+			nd, dd := invalidateAll(h.L1D, -1, v.Addr)
+			ni, _ := invalidateAll(h.L1I, -1, v.Addr)
+			h.InclusionInval += uint64(nd + ni)
+			r.Invalidations += nd + ni
+			dirty = dirty || dd
 		}
 		if dirty {
 			h.L2Writebacks++
@@ -476,7 +457,6 @@ func (h *Hierarchy) PrefetchL1(core int, kind Kind, a cache.BlockAddr, by PfSour
 		h.handleL2Victims(victims, &r)
 		l2ln = inserted
 	}
-	h.addSharer(l2ln, core, kind)
 	h.fillL1(l1, core, kind, a, true, by, &r)
 	out.Writebacks = h.wbuf
 	out.L2UselessEvict = r.L2UselessEvict
@@ -516,97 +496,25 @@ func (h *Hierarchy) noteL2Size(a cache.BlockAddr, segs uint8) {
 	}
 }
 
-// AuditMSI verifies the full MSI directory state in both directions
-// (audit support): inclusion (every L1 line resident in L2 with its
-// sharer bit set), sharer bits pointing only at caches that hold the
-// line, bitmasks within the configured core count, and ownership (an
-// owning core exists, holds the line modified in its L1D, and no other
-// L1D copy is modified). It returns the first violation, or "".
+// AuditMSI verifies the MSI state (audit support): inclusion (every L1
+// line resident in the L2), that no L1 holds a line the L2 marks as an
+// unreferenced L2-engine prefetch (the premise on which an L2 victim's
+// inclusion walk is skipped), owners within the configured cores, and
+// ownership: an owning core exists and holds the line modified in its
+// L1D, no other L1D holds a copy, and no unowned line has a modified
+// copy. It returns the first violation, or "".
 func (h *Hierarchy) AuditMSI() string {
-	if bad := h.CheckInclusion(); bad != "" {
-		return bad
-	}
-	if bad := h.CheckSharerBits(); bad != "" {
-		return bad
-	}
-	// L1I residency must likewise be covered by ISharers.
-	for c := 0; c < h.cfg.Cores; c++ {
-		var bad string
-		core := c
-		h.L1I[c].ForEachValid(func(ln cache.L1Line) {
-			if bad != "" {
-				return
-			}
-			l2ln := h.L2.Lookup(ln.Addr())
-			if !l2ln.Valid() || l2ln.ISharers()&(1<<uint(core)) == 0 {
-				bad = fmt.Sprintf("L1I[%d] holds %#x without isharer bit", core, uint64(ln.Addr()))
-			}
-		})
-		if bad != "" {
-			return bad
-		}
-	}
-	mask := h.coreBits
-	var bad string
-	h.L2.ForEachValid(func(ln cache.LineRef) {
-		if bad != "" {
-			return
-		}
-		switch {
-		case ln.Sharers()&^mask != 0:
-			bad = fmt.Sprintf("L2 line %#x has sharer bits %#x beyond %d cores", uint64(ln.Addr()), ln.Sharers(), h.cfg.Cores)
-		case ln.ISharers()&^mask != 0:
-			bad = fmt.Sprintf("L2 line %#x has isharer bits %#x beyond %d cores", uint64(ln.Addr()), ln.ISharers(), h.cfg.Cores)
-		case ln.Owner() >= h.cfg.Cores:
-			bad = fmt.Sprintf("L2 line %#x has owner %d beyond %d cores", uint64(ln.Addr()), ln.Owner(), h.cfg.Cores)
-		}
-		if bad != "" {
-			return
-		}
-		dirtyCopies := 0
-		for c := 0; c < h.cfg.Cores; c++ {
-			dBit := ln.Sharers()&(1<<uint(c)) != 0
-			iBit := ln.ISharers()&(1<<uint(c)) != 0
-			dln := h.L1D[c].Lookup(ln.Addr())
-			if dBit && !dln.Valid() {
-				bad = fmt.Sprintf("L2 line %#x has sharer bit for core %d but L1D misses it", uint64(ln.Addr()), c)
-				return
-			}
-			if iBit && !h.L1I[c].Lookup(ln.Addr()).Valid() {
-				bad = fmt.Sprintf("L2 line %#x has isharer bit for core %d but L1I misses it", uint64(ln.Addr()), c)
-				return
-			}
-			if dln.Dirty() {
-				dirtyCopies++
-				if ln.Owner() != c {
-					bad = fmt.Sprintf("L1D[%d] holds %#x modified but L2 owner is %d", c, uint64(ln.Addr()), ln.Owner())
-					return
-				}
-			}
-		}
-		if dirtyCopies > 1 {
-			bad = fmt.Sprintf("L2 line %#x has %d modified L1 copies", uint64(ln.Addr()), dirtyCopies)
-			return
-		}
-		if o := ln.Owner(); o >= 0 {
-			dln := h.L1D[o].Lookup(ln.Addr())
-			if !dln.Dirty() {
-				bad = fmt.Sprintf("L2 line %#x owned by core %d whose L1D copy is %s", uint64(ln.Addr()), o,
-					map[bool]string{true: "clean", false: "absent"}[dln.Valid()])
-			}
-		}
-	})
-	return bad
-}
-
-// CheckInclusion verifies that every valid L1 line is present in the L2
-// (test support). It returns a description of the first violation, or "".
-func (h *Hierarchy) CheckInclusion() string {
 	var bad string
 	check := func(which string, core int, c *cache.L1) {
 		c.ForEachValid(func(ln cache.L1Line) {
-			if bad == "" && !h.L2.Lookup(ln.Addr()).Valid() {
+			if bad != "" {
+				return
+			}
+			switch l2ln := h.L2.Lookup(ln.Addr()); {
+			case !l2ln.Valid():
 				bad = fmt.Sprintf("%s[%d] line %#x not in L2", which, core, uint64(ln.Addr()))
+			case l2ln.Prefetch() && PfSource(l2ln.PfBy()) == PfL2:
+				bad = fmt.Sprintf("%s[%d] holds %#x, which the L2 marks an unreferenced L2 prefetch", which, core, uint64(ln.Addr()))
 			}
 		})
 	}
@@ -614,24 +522,33 @@ func (h *Hierarchy) CheckInclusion() string {
 		check("L1I", c, h.L1I[c])
 		check("L1D", c, h.L1D[c])
 	}
-	return bad
-}
-
-// CheckSharerBits verifies that L2 sharer bits exactly match L1 contents
-// (test support). Returns the first violation, or "".
-func (h *Hierarchy) CheckSharerBits() string {
-	var bad string
-	for c := 0; c < h.cfg.Cores && bad == ""; c++ {
-		core := c
-		h.L1D[c].ForEachValid(func(ln cache.L1Line) {
+	if bad != "" {
+		return bad
+	}
+	h.L2.ForEachValid(func(ln cache.LineRef) {
+		if bad != "" {
+			return
+		}
+		a, o := ln.Addr(), ln.Owner()
+		if o >= h.cfg.Cores {
+			bad = fmt.Sprintf("L2 line %#x has owner %d beyond %d cores", uint64(a), o, h.cfg.Cores)
+			return
+		}
+		for c := 0; c < h.cfg.Cores; c++ {
+			dln := h.L1D[c].Lookup(a)
+			switch {
+			case c == o && !dln.Dirty():
+				bad = fmt.Sprintf("L2 line %#x owned by core %d whose L1D copy is %s", uint64(a), o,
+					map[bool]string{true: "clean", false: "absent"}[dln.Valid()])
+			case c != o && dln.Dirty():
+				bad = fmt.Sprintf("L1D[%d] holds %#x modified but L2 owner is %d", c, uint64(a), o)
+			case c != o && o >= 0 && dln.Valid():
+				bad = fmt.Sprintf("L1D[%d] holds %#x while core %d owns it", c, uint64(a), o)
+			}
 			if bad != "" {
 				return
 			}
-			l2ln := h.L2.Lookup(ln.Addr())
-			if !l2ln.Valid() || l2ln.Sharers()&(1<<uint(core)) == 0 {
-				bad = fmt.Sprintf("L1D[%d] holds %#x without sharer bit", core, uint64(ln.Addr()))
-			}
-		})
-	}
+		}
+	})
 	return bad
 }

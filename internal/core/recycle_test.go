@@ -7,10 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"cmpsim/internal/cache"
 	"cmpsim/internal/codec"
 	"cmpsim/internal/faultinject"
 	"cmpsim/internal/prefetch"
+	"cmpsim/internal/sim"
 	"cmpsim/internal/workload"
 )
 
@@ -190,9 +190,10 @@ func TestRecycledSystemsBitIdentical(t *testing.T) {
 // TestRecycledPointsAllocateLittle is the allocation guard of the fleet
 // path: fleet-sized points (2 cores, 1 MB L2) through one warm
 // single-worker scheduler must allocate, per point on average, less
-// than a quarter of what one fresh compressed 1 MB L2's arrays take.
-// That leaves room for an occasional pool miss after a GC; a System
-// that allocates its L2 again on every point fails. Other goroutines
+// than a third of what building one such point's System fresh
+// (sim.NewSystem, compression and prefetching on) allocates. That
+// leaves room for an occasional pool miss after a GC; a System that
+// allocates its storage again on every point fails. Other goroutines
 // of the test binary (a watchdog-abandoned run of an earlier test) can
 // allocate during a round, so the least of three rounds counts.
 func TestRecycledPointsAllocateLittle(t *testing.T) {
@@ -200,21 +201,18 @@ func TestRecycledPointsAllocateLittle(t *testing.T) {
 		t.Skip("the race detector's sync.Pool drops a quarter of the storage it is handed")
 	}
 	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	l2 := cache.NewCompressedL2(1<<20, cache.DefaultTagsPerSet, cache.DefaultSegsPerSet)
-	runtime.ReadMemStats(&m1)
-	runtime.KeepAlive(l2)
-	limit := (m1.TotalAlloc - m0.TotalAlloc) / 4
-
 	s := NewScheduler(1)
 	defer s.Close()
 	benches := []string{"zeus", "ptrchase", "apache"}
 	mechs := []Mechanisms{Base, CacheCompr, LinkCompr, Compression, Prefetch, AdaptivePf, PrefCompr, AdaptiveCompr}
+	options := func(bw float64) Options {
+		return Options{Cores: 2, Seeds: 1, Warmup: 3_000, Measure: 2_000, BandwidthGBps: bw, L2MB: 1, CheckLevel: "off"}
+	}
 	// round runs one point per bench × mechanism at bandwidth bw (a
 	// new bandwidth makes new points) and returns the bytes allocated
 	// per point.
 	round := func(bw float64) uint64 {
-		o := Options{Cores: 2, Seeds: 1, Warmup: 3_000, Measure: 2_000, BandwidthGBps: bw, L2MB: 1, CheckLevel: "off"}
+		o := options(bw)
 		var futs []*PointFuture
 		runtime.ReadMemStats(&m0)
 		for _, b := range benches {
@@ -229,6 +227,14 @@ func TestRecycledPointsAllocateLittle(t *testing.T) {
 		return (m1.TotalAlloc - m0.TotalAlloc) / uint64(len(futs))
 	}
 	round(5) // warm: knob calibration, size tables and the pool
+	runtime.ReadMemStats(&m0)
+	sys, err := sim.NewSystem(options(5).config("zeus", PrefCompr, 1))
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(sys)
+	limit := (m1.TotalAlloc - m0.TotalAlloc) / 3
 	best := uint64(math.MaxUint64)
 	var all []uint64
 	for bw := 10.0; bw <= 30; bw += 10 {
@@ -238,7 +244,7 @@ func TestRecycledPointsAllocateLittle(t *testing.T) {
 	}
 	t.Logf("bytes allocated per point in three rounds: %v (limit %d)", all, limit)
 	if best > limit {
-		t.Fatalf("fleet-sized points allocate %d bytes each at best (rounds %v), over a quarter of a fresh 1 MB L2's arrays (%d): is the System no longer built in recycled storage?",
+		t.Fatalf("fleet-sized points allocate %d bytes each at best (rounds %v), over a third of a fresh System's (%d): is the System no longer built in recycled storage?",
 			best, all, limit)
 	}
 	if st := s.Stats(); st.StorageRecycled == 0 {

@@ -71,7 +71,7 @@ func TestCoordRuleParseRejections(t *testing.T) {
 		"kind=killcoord,bench=zeus",
 		"kind=restartcoord,label=base",
 		"kind=killcoord,msg=lease",
-		"kind=killcoord,fault=flip-sharer",
+		"kind=killcoord,fault=hide-l1-copy",
 		"kind=drop,msg=hello",
 		"kind=kill,msg=next",
 	} {
@@ -105,7 +105,7 @@ func TestCoordRuleStringNames(t *testing.T) {
 		seen[name] = true
 		spec := "kind=" + name
 		if k == Corrupt {
-			spec += ",fault=flip-sharer" // corrupt rules require a fault name
+			spec += ",fault=hide-l1-copy" // corrupt rules require a fault name
 		}
 		in, err := Parse(spec)
 		if err != nil {

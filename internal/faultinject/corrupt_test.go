@@ -7,11 +7,11 @@ import (
 
 func TestStateFaultMatchingAndSpec(t *testing.T) {
 	in := New(
-		Rule{Kind: Corrupt, Benchmark: "zeus", Label: "base", Seed: 1, Fault: "flip-sharer", After: 500},
+		Rule{Kind: Corrupt, Benchmark: "zeus", Label: "base", Seed: 1, Fault: "hide-l1-copy", After: 500},
 		Rule{Kind: Corrupt, Fault: "drop-flit", Seed: AnySeed}, // After defaults
 	)
-	if got := in.StateFault("zeus", "base", 1); got != "flip-sharer@500" {
-		t.Fatalf("StateFault = %q, want flip-sharer@500", got)
+	if got := in.StateFault("zeus", "base", 1); got != "hide-l1-copy@500" {
+		t.Fatalf("StateFault = %q, want hide-l1-copy@500", got)
 	}
 	// Both rules burned out / non-matching: second rule fires for any job.
 	if got := in.StateFault("apache", "pf", 0); got != "drop-flit@10000" {

@@ -127,7 +127,7 @@ type Rule struct {
 	StallFor  time.Duration // Stall/Delay only; 0 means DefaultStall/DefaultDelay
 
 	// Corrupt only: which state corruption to inject (a sim state-fault
-	// name, e.g. "flip-sharer"; sim.Config validation rejects unknown
+	// name, e.g. "hide-l1-copy"; sim.Config validation rejects unknown
 	// names) and the simulation step to inject it at (0 = DefaultAfter).
 	Fault string
 	After uint64
@@ -380,7 +380,7 @@ func (in *Injector) Fired() []int {
 //	worker=ID                    (transport/coordinator rules: which worker)
 //	delay=DURATION               (delay rules, default 50ms)
 //
-// Examples: "kind=panic,bench=zeus,label=base,seed=0;kind=corrupt,fault=flip-sharer",
+// Examples: "kind=panic,bench=zeus,label=base,seed=0;kind=corrupt,fault=hide-l1-copy",
 // "kind=kill,worker=w0,msg=lease" (kill worker w0 on its first lease), and
 // "kind=killcoord,msg=result,nth=2" (crash the coordinator as the second
 // result report arrives, before it is processed).

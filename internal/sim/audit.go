@@ -23,6 +23,7 @@ import (
 
 	"cmpsim/internal/audit"
 	"cmpsim/internal/cache"
+	"cmpsim/internal/coherence"
 	"cmpsim/internal/timing"
 )
 
@@ -34,7 +35,7 @@ const defaultCheckInterval = 65536
 // must catch it (structural faults trip at Invariants; value/size
 // faults need the Shadow reference model).
 var stateFaults = map[string]audit.Level{
-	"flip-sharer":    audit.Invariants, // sharer bit for a core without the line
+	"hide-l1-copy":   audit.Invariants, // L1-held line marked an unreferenced L2 prefetch
 	"double-owner":   audit.Invariants, // owner set to a core without a dirty copy
 	"corrupt-segs":   audit.Invariants, // L2 line's segment count zeroed
 	"dup-tag":        audit.Invariants, // two tags in one set map the same block
@@ -183,24 +184,21 @@ func (s *System) auditWriteback(now timing.Tick, wb cache.BlockAddr) {
 // state.
 func (s *System) applyStateFault() {
 	switch s.faultName {
-	case "flip-sharer":
-		// Set a sharer bit for a core that does not hold the line (or,
-		// if every core holds the first line, an out-of-range bit).
+	case "hide-l1-copy":
+		// Mark a line some L1 holds as an unreferenced L2-engine
+		// prefetch, which the L2 victim walk trusts no L1 to hold.
 		done := false
 		s.h.L2.ForEachValid(func(ln cache.LineRef) {
 			if done {
 				return
 			}
 			for c := 0; c < s.cfg.Cores; c++ {
-				if ln.Sharers()&(1<<uint(c)) == 0 && !s.h.L1D[c].Lookup(ln.Addr()).Valid() {
-					ln.SetSharers(ln.Sharers() | 1<<uint(c))
+				if s.h.L1D[c].Lookup(ln.Addr()).Valid() || s.h.L1I[c].Lookup(ln.Addr()).Valid() {
+					ln.MarkPrefetch()
+					ln.SetPfBy(uint8(coherence.PfL2))
 					done = true
 					return
 				}
-			}
-			if s.cfg.Cores < cache.MaxCores {
-				ln.SetSharers(ln.Sharers() | 1<<uint(s.cfg.Cores))
-				done = true
 			}
 		})
 	case "double-owner":

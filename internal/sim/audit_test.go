@@ -34,7 +34,7 @@ func auditTestConfig() Config {
 func TestStateFaultMatrix(t *testing.T) {
 	t.Parallel()
 	wantInvariant := map[string]string{
-		"flip-sharer":    "msi",
+		"hide-l1-copy":   "msi",
 		"double-owner":   "msi",
 		"corrupt-segs":   "l2-set-state",
 		"dup-tag":        "l2-set-state",
@@ -158,15 +158,15 @@ func TestDataModelOnlyForSizeReaders(t *testing.T) {
 func TestStateFaultValidation(t *testing.T) {
 	t.Parallel()
 	cfg := auditTestConfig()
-	for _, bad := range []string{"flip-sharer", "flip-sharer@", "flip-sharer@0", "@5", "nonsense@100", "flip-sharer@x"} {
+	for _, bad := range []string{"double-owner", "double-owner@", "double-owner@0", "@5", "nonsense@100", "double-owner@x"} {
 		cfg.StateFault = bad
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("StateFault %q: want validation error", bad)
 		}
 	}
-	cfg.StateFault = "flip-sharer@100"
+	cfg.StateFault = "double-owner@100"
 	if err := cfg.Validate(); err != nil {
-		t.Errorf("StateFault flip-sharer@100: %v", err)
+		t.Errorf("StateFault double-owner@100: %v", err)
 	}
 	cfg.StateFault = ""
 	cfg.CheckLevel = audit.Level(99)

@@ -126,7 +126,7 @@ type Config struct {
 	// boundaries and at run end.
 	CheckInterval uint64
 	// StateFault injects one deterministic state corruption, spelled
-	// "name@step" (e.g. "flip-sharer@5000"); see StateFaultNames. Test
+	// "name@step" (e.g. "hide-l1-copy@5000"); see StateFaultNames. Test
 	// support: proves each auditor class fires. "" disables.
 	StateFault string
 }
